@@ -337,19 +337,33 @@ class FourierReport:
 
 
 def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """2 * integral_0^L f(x) cos(2 pi x w) dx by the trapezoid rule.
+    """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule, at every w.
 
-    Chunked over frequencies so fine spatial grids stay within memory.
+    ``x`` and ``omegas`` are uniform grids with any start.  The trapezoid
+    sum for all frequencies is one chirp-z (Bluestein) evaluation: with
+    x_j = x_0 + j dx and w_k = w_0 + k dw, the identity
+    2jk = j^2 + k^2 - (k - j)^2 turns sum_j g_j exp(-2 pi i x_j w_k) into a
+    convolution with the chirp exp(i pi dx dw n^2), done by FFT in
+    O((N + M) log(N + M)) instead of O(N M).
     """
-    out = np.empty(len(omegas))
-    chunk = max(1, int(2e7 / max(len(x), 1)))
-    for start in range(0, len(omegas), chunk):
-        block = omegas[start : start + chunk]
-        kernel = np.cos(2.0 * math.pi * np.outer(block, x))
-        out[start : start + len(block)] = 2.0 * np.trapezoid(
-            kernel * f[None, :], x, axis=1
-        )
-    return out
+    n, m = len(x), len(omegas)
+    dx = (x[-1] - x[0]) / max(n - 1, 1)
+    dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
+    g = f * dx
+    g[0] *= 0.5
+    g[-1] *= 0.5
+    # squares are exact in float64 below 2^53; powers of one complex
+    # ratio would compound rounding error along the chirp
+    sq = np.arange(max(n, m), dtype=float) ** 2
+    chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
+    size = 1 << (n + m - 2).bit_length()
+    u = np.zeros(size, dtype=complex)
+    u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
+    v = np.zeros(size, dtype=complex)
+    v[:m] = chirp[:m].conj()
+    v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
+    return 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
 
 
 def _stable_density_tail(p: float, length: float) -> float:
@@ -371,6 +385,10 @@ def gamma_hat_1d(
     """
     if not (0 < p <= 2):
         raise InvalidParams("gamma_hat_1d needs 0 < p <= 2")
+    if not (L > 0 and N >= 1 and n_omega >= 2 and omega_max > 0):
+        raise InvalidParams(
+            "gamma_hat_1d needs L > 0, N >= 1, n_omega >= 2 and omega_max > 0"
+        )
     tail = _stable_density_tail(p, L)
     if tail > TAIL_TOLERANCE:
         raise QuadratureDivergence(
@@ -409,14 +427,17 @@ class FourierUpperBound:
 
 def fourier_upper_bound_1d(
     length: float, p: float, alpha: float, mollifier_radius: float,
-    omega_max: float = 20.0, n_omega: int = 2001,
+    omega_max: float = 20.0, n_omega: int = 2001, L: float = 40.0,
+    N: int = 2**16,
 ) -> FourierUpperBound:
     """Mollifier-quotient upper bound for the magnitude of a 1-D interval.
 
     Builds a smooth plateau function equal to 1 on [-length, length] (an
     indicator convolved with a normalized bump), and returns the grid
     supremum of its transform divided by the transform of the interval's
-    metric kernel exp(-|x|^r), r = alpha * min(1, p).
+    metric kernel exp(-|x|^r), r = alpha * min(1, p).  ``L`` and ``N`` set
+    the quadrature of that kernel transform, as in ``gamma_hat_1d``; r < 1
+    needs a larger L than the default.
     """
     if not (0 < p <= 2) or not (0 < alpha <= 1):
         raise InvalidParams("need 0 < p <= 2 and 0 < alpha <= 1")
@@ -428,14 +449,15 @@ def fourier_upper_bound_1d(
     width = mollifier_radius - length
     half = mollifier_radius  # indicator half-width so the plateau covers A - A
 
-    omegas = np.linspace(0.0, omega_max, n_omega)
+    # the kernel transform first: it validates the frequency grid both share
+    gamma = gamma_hat_1d(r, L=L, N=N, omega_max=omega_max, n_omega=n_omega)
+    omegas = gamma.grid
 
     # normalized bump transform by quadrature on its support
     xb = np.linspace(-1.0, 1.0, 4097)[1:-1]
     bump = np.exp(1.0 / (xb**2 - 1.0))
     bump_mass = float(np.trapezoid(bump, xb))
-    kernel = np.cos(2.0 * math.pi * np.outer(omegas, width * xb))
-    bump_hat = np.trapezoid(kernel * bump[None, :], width * xb, axis=1) / (
+    bump_hat = 0.5 * _cosine_transform(bump, width * xb, omegas) / (
         width * bump_mass
     )
 
@@ -446,8 +468,6 @@ def fourier_upper_bound_1d(
             np.sin(2.0 * math.pi * half * omegas) / (math.pi * omegas),
         )
     psi_hat = indicator_hat * bump_hat
-
-    gamma = gamma_hat_1d(r, omega_max=omega_max, n_omega=n_omega)
     ratio = psi_hat / gamma.values
     if ratio.max() <= 0:
         raise NegativeRatioOnly("mollifier quotient is nonpositive on the grid")

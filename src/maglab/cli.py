@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (e.g. a non-positive-definite
-similarity matrix), 2 usage error.  Every subcommand can mirror its full
+similarity matrix), 2 usage or I/O error (bad arguments, a missing file,
+a malformed spec).  Every subcommand can mirror its full
 report as JSON via --json; the human-readable table is derived from the
 same report object.
 """
@@ -21,6 +22,10 @@ from . import analysis, metric_core, negative_type
 from .diversity import max_diversity
 from .magnitude import scale_sweep, weighting
 from .errors import MaglabError
+
+
+class UsageError(Exception):
+    """Command-line input the program cannot use, such as a malformed spec."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,29 @@ def _parse_scales(text: str):
     return list(np.linspace(a, b, n))
 
 
+def _json_object(text: str) -> dict:
+    """Parse a --params value, which must be a JSON object."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise argparse.ArgumentTypeError("must be a JSON object")
+    return obj
+
+
 def _load_space(args) -> metric_core.FiniteMetricSpace:
     if getattr(args, "matrix", None):
         return metric_core.load_distance_csv(
             args.matrix, force=getattr(args, "force", False)
         )
-    spec = metric_core.SpaceSpec.from_json(Path(args.spec).read_text())
+    text = Path(args.spec).read_text()
+    try:
+        spec = metric_core.SpaceSpec.from_json(text)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"{args.spec}: malformed spec: {exc}") from exc
+    except KeyError as exc:
+        raise UsageError(f"{args.spec}: spec has no {exc} field") from exc
     return metric_core.generate(spec)
 
 
@@ -160,7 +182,7 @@ def _cmd_approx(args) -> CommandResult:
     elif args.family in ("chebyshev", "interval_chebyshev"):
         template = analysis.interval_family(args.length, "chebyshev")
     else:
-        params = json.loads(args.params) if args.params else {}
+        params = args.params or {}
         params.setdefault("length", args.length)
         template = metric_core.SpaceSpec(args.family, params)
     study = analysis.approx_magnitude(
@@ -186,7 +208,7 @@ def _cmd_approx(args) -> CommandResult:
 def _cmd_fourier(args) -> CommandResult:
     if args.upper_bound:
         result = analysis.fourier_upper_bound_1d(
-            args.ell, args.p, args.alpha, args.mollifier_radius
+            args.ell, args.p, args.alpha, args.mollifier_radius, L=args.L, N=args.N
         )
         path = _emit(args, result.to_dict())
         summary = (
@@ -276,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True,
                    type=lambda s: [int(x) for x in s.split(",")])
     p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--params", help="extra family params as JSON")
+    p.add_argument("--params", type=_json_object,
+                   help="extra family params as a JSON object")
     p.add_argument("--quadrature", action="store_true")
     p.add_argument("--json")
     p.add_argument("--csv")
@@ -315,6 +338,9 @@ def run(argv) -> CommandResult:
         args.mollifier_radius = 2.0 * args.ell if args.ell > 0 else 1.0
     try:
         return args.func(args)
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CommandResult(2, str(exc))
     except MaglabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         diag = getattr(exc, "diagnostics", None)

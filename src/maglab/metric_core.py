@@ -62,6 +62,9 @@ class SpaceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a null seed means the default, so a spec never draws fresh entropy
+        if self.seed is None:
+            object.__setattr__(self, "seed", 0)
         if self.family not in FAMILIES:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if not self.scale > 0:

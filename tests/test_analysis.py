@@ -16,7 +16,39 @@ from maglab import (
     product_counterexample_experiment,
     witness_search,
 )
+from maglab.analysis import _cosine_transform
 from maglab.errors import InvalidParams, QuadratureDivergence
+
+
+def _trapezoid_cosine(f, x, omegas):
+    """Reference: 2 * trapezoid(f(x) cos(2 pi x w)) one frequency at a time."""
+    return np.array(
+        [2.0 * np.trapezoid(f * np.cos(2.0 * math.pi * w * x), x) for w in omegas]
+    )
+
+
+class TestCosineTransform:
+    @pytest.mark.parametrize(
+        "x,omegas",
+        [
+            # gamma_hat_1d's grid: x[0] = 0, power-of-two N, w on k / (2L)
+            (np.linspace(0.0, 40.0, 2**12 + 1), np.arange(321) / 80.0),
+            # odd N, w off the k / (2L) lattice (step 0.01 at L = 40)
+            (np.linspace(0.0, 40.0, 2**12 + 2), np.linspace(0.0, 4.0, 401)),
+            # power-of-two N, nonzero and negative w[0]
+            (np.linspace(0.0, 7.0, 2**10), np.linspace(-1.3, 2.9, 57)),
+            # the symmetric bump grid: x[0] < 0, nonzero w[0]
+            (0.75 * np.linspace(-1.0, 1.0, 4097)[1:-1], np.linspace(0.3, 20.0, 2001)),
+            # N + M - 1 one past a power of two, the tightest FFT padding
+            (np.linspace(0.0, 5.0, 1000), np.linspace(0.0, 2.5, 26)),
+            # shorter than the frequency grid
+            (np.linspace(-2.0, 3.0, 5), np.linspace(0.0, 1.0, 11)),
+        ],
+    )
+    def test_matches_trapezoid_reference(self, x, omegas):
+        f = np.exp(-np.abs(x) ** 1.5)
+        got = _cosine_transform(f, x, omegas)
+        assert np.abs(got - _trapezoid_cosine(f, x, omegas)).max() <= 1e-12
 
 
 class TestApproxMagnitude:
@@ -143,6 +175,23 @@ class TestGammaHat:
         with pytest.raises(InvalidParams):
             gamma_hat_1d(2.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"N": 0},
+            {"N": -3},
+            {"L": -5.0},
+            {"L": 0.0},
+            {"n_omega": 1},
+            {"n_omega": 0},
+            {"omega_max": 0.0},
+            {"omega_max": -1.0},
+        ],
+    )
+    def test_invalid_grid(self, kwargs):
+        with pytest.raises(InvalidParams):
+            gamma_hat_1d(1.0, **kwargs)
+
 
 class TestFourierUpperBound:
     def test_bounds_interval_magnitude(self):
@@ -150,6 +199,13 @@ class TestFourierUpperBound:
         for p in (1.0, 2.0):
             result = fourier_upper_bound_1d(2.0, p, 1.0, 4.0)
             assert result.bound >= 2.0
+
+    def test_heavy_tail_kernel_uses_given_window(self):
+        # r = 0.5 truncates past tolerance at the default L = 40
+        with pytest.raises(QuadratureDivergence):
+            fourier_upper_bound_1d(2.0, 0.5, 1.0, 4.0)
+        result = fourier_upper_bound_1d(2.0, 0.5, 1.0, 4.0, L=700.0)
+        assert math.isfinite(result.bound) and result.bound >= 2.0
 
     def test_singleton(self):
         result = fourier_upper_bound_1d(0.0, 2.0, 1.0, 1.0)

@@ -118,6 +118,21 @@ class TestFourierCommand:
         assert result.exit_code == 0
         assert "upper bound" in capsys.readouterr().out
 
+    def test_upper_bound_honours_window(self, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        result = run([
+            "fourier", "--upper-bound", "--p", "0.5", "--L", "700", "--ell", "2",
+            "--json", str(out),
+        ])
+        assert result.exit_code == 0
+        bound = json.loads(out.read_text())["bound"]
+        assert math.isfinite(bound) and bound >= 2.0
+
+    @pytest.mark.parametrize("grid", [["--N", "0"], ["--N", "-3"], ["--L", "-5"]])
+    def test_bad_grid_is_domain_error(self, grid, capsys):
+        assert run(["fourier", "--p", "1", *grid]).exit_code == 1
+        assert "InvalidParams" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_product_counterexample(self, capsys):
@@ -143,3 +158,40 @@ class TestUsageErrors:
 
     def test_bad_scales(self, k32_spec_json, capsys):
         assert run(["sweep", "--spec", k32_spec_json, "--scales", "nope"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["magnitude", "--spec", "missing.json"],
+            ["validate", "missing.csv"],
+            ["diversity", "--matrix", "missing.csv"],
+        ],
+    )
+    def test_missing_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv).exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing." in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("params", ["{bad", "[1, 2]"])
+    def test_malformed_params(self, params, capsys):
+        argv = ["approx", "--family", "cantor_net", "--levels", "2,3", "--params", params]
+        assert run(argv).exit_code == 2
+        assert "--params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('{"params": {"m": 3, "n": 2, "r": 1.0}}', "'family'"),
+            ('{"family": "complete_bipartite", ', "malformed spec"),
+            ("[1, 2]", "malformed spec"),
+        ],
+    )
+    def test_malformed_spec(self, text, needle, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert run(["negtype", "--spec", str(path)]).exit_code == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err.strip().splitlines()) == 1

@@ -90,6 +90,17 @@ class TestGenerate:
         a, b = generate(spec), generate(spec)
         assert a.dist.tobytes() == b.dist.tobytes()
 
+    def test_null_seed_means_seed_zero(self):
+        text = (
+            '{"family": "ultrametric_tree", "params": {"n": 12}, '
+            '"scale": 1.0, "snowflake": 1.0, "seed": null}'
+        )
+        a = generate(SpaceSpec.from_json(text))
+        b = generate(SpaceSpec.from_json(text))
+        zero = generate(SpaceSpec("ultrametric_tree", {"n": 12}, seed=0))
+        assert a.dist.tobytes() == b.dist.tobytes() == zero.dist.tobytes()
+        assert SpaceSpec("ultrametric_tree", {"n": 12}, seed=None).seed == 0
+
     @pytest.mark.parametrize(
         "spec",
         [
