@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=_cmd_magnitude)
 
-    p = sub.add_parser("diversity", help="maximum diversity by Frank-Wolfe")
+    p = sub.add_parser("diversity", help="exact maximum diversity (Cholesky, NNLS)")
     _add_space_source(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=100_000)

@@ -1,20 +1,28 @@
-"""Maximum diversity via simplex-constrained quadratic minimization.
+"""Maximum diversity as an exact simplex-constrained quadratic minimization.
 
 Maximum diversity is 1 / min { mu' Z mu : mu in the probability simplex }.
-The minimizer is found by Frank-Wolfe with away steps and exact line
-search; linear minimization over the simplex is a single argmin of the
-gradient, and away steps identify the support of the optimal measure.
+On the simplex mu' (Z + 11') mu = mu' Z mu + 1, so both forms share their
+minimizer, and Z + 11' stays positive definite even where a positive
+semidefinite Z is singular.  With one Cholesky factor L L' = Z + 11' and
+b = L^-1 1, the vector w = L'^-1 b solves (Z + 11') w = 1 and is
+proportional to Z^-1 1.  When w >= 0 the space is positively weighted and
+mu = w / sum(w) is exact.  Otherwise the minimizer is the positive weighting
+of some subset (Leinster & Meckes, arXiv:1512.06314), found by
+Lawson-Hanson nonnegative least squares min ||L' w - b|| over w >= 0 on the
+same factor, whose objective is w' (Z + 11') w - 2 1'w plus a constant.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import IndefiniteForm, Inconsistent
+from .errors import IndefiniteForm, Inconsistent, InvalidParams, NotConverged
 from .magnitude import similarity, spectrum_diagnostics, weighting
 from .metric_core import FiniteMetricSpace
 
@@ -49,14 +57,19 @@ class DiversityReport:
 def max_diversity(
     space: FiniteMetricSpace, tol: float = 1e-8, max_iters: int = 100_000
 ) -> DiversityReport:
-    """Minimize mu' Z mu over the probability simplex from the uniform start.
+    """Minimize mu' Z mu over the probability simplex exactly.
 
-    Stops when the Frank-Wolfe duality gap falls below tol * q(mu).  The
-    returned diversity 1/q(mu) is a certified lower bound on the maximum
-    diversity; 1/(q(mu) - gap) is the matching upper bound.
+    Takes one triangular solve pair when the space is positively weighted
+    and one NNLS solve (at most max_iters active-set steps) otherwise;
+    `iterations` counts the solves.  `fw_gap` is the KKT gap
+    2 mu'Z mu - 2 min(Z mu) at the returned measure, so 1/(q(mu) - gap)
+    bounds the maximum diversity from above, and the report is converged
+    when the gap is at most tol * q(mu).
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParams("tol must be positive")
+    if max_iters < 1:
+        raise InvalidParams("max_iters must be at least 1")
     diag = spectrum_diagnostics(space)
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
@@ -65,73 +78,55 @@ def max_diversity(
             diagnostics=diag,
         )
     z = similarity(space).z
-    n = z.shape[0]
-    mu = np.full(n, 1.0 / n)
+    try:
+        factor = scipy.linalg.cholesky(z + 1.0, lower=True)
+    except scipy.linalg.LinAlgError:
+        # A semidefinite Z can be singular along a mean-zero direction, which
+        # adding 11' does not lift (K_{n,n} at its threshold log(n-1)).  The
+        # verdict bounds lambda_min below by -tau, so 2 tau I restores a
+        # factor; the gap below is still measured on Z itself.
+        shift = 2.0 * diag.tolerance_used
+        warnings.warn(
+            f"Z + 11' is singular; factoring Z + 11' + {shift:.3g} I instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        try:
+            factor = scipy.linalg.cholesky(
+                z + 1.0 + shift * np.eye(z.shape[0]), lower=True
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise IndefiniteForm(
+                f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
+                diagnostics=diag,
+            ) from exc
+    b = scipy.linalg.solve_triangular(factor, np.ones(z.shape[0]), lower=True)
+    w = scipy.linalg.solve_triangular(factor, b, lower=True, trans="T")
+    iterations = 1
+    if w.min() < 0.0:
+        from scipy.optimize import nnls
+
+        try:
+            w, _ = nnls(factor.T, b, maxiter=max_iters)
+        except RuntimeError as exc:
+            raise NotConverged(
+                f"nonnegative least squares stopped after max_iters={max_iters}"
+            ) from exc
+        iterations = 2
+
+    mu = w / w.sum()
     zmu = z @ mu
     q = float(mu @ zmu)
-    gap = math.inf
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iters + 1):
-        g = 2.0 * zmu
-        s = int(np.argmin(g))
-        gap = float(g @ mu - g[s])
-        if gap <= tol * q:
-            converged = True
-            break
-
-        active = np.flatnonzero(mu > 0.0)
-        a = int(active[np.argmax(g[active])])
-        fw_score = gap
-        away_score = float(g[a] - g @ mu)
-
-        if fw_score >= away_score:
-            d = -mu.copy()
-            d[s] += 1.0
-            zd = z[:, s] - zmu
-            gamma_max = 1.0
-        else:
-            if mu[a] >= 1.0:
-                # single-vertex iterate; away step impossible, fall back
-                d = -mu.copy()
-                d[s] += 1.0
-                zd = z[:, s] - zmu
-                gamma_max = 1.0
-            else:
-                d = mu.copy()
-                d[a] -= 1.0
-                zd = zmu - z[:, a]
-                gamma_max = mu[a] / (1.0 - mu[a])
-
-        curvature = float(d @ zd)
-        slope = float(g @ d)
-        if curvature > 0:
-            gamma = min(gamma_max, max(0.0, -slope / (2.0 * curvature)))
-        else:
-            gamma = gamma_max if slope < 0 else 0.0
-        if gamma == 0.0:
-            converged = gap <= tol * q
-            break
-        mu = mu + gamma * d
-        np.maximum(mu, 0.0, out=mu)
-        zmu = zmu + gamma * zd
-        q = float(mu @ zmu)
-
-    total = float(mu.sum())
-    if abs(total - 1.0) > 1e-13:
-        mu = mu / total
-        zmu = z @ mu
-        q = float(mu @ zmu)
+    gap = max(0.0, 2.0 * q - 2.0 * float(zmu.min()))
     support = tuple(int(i) for i in np.flatnonzero(mu > SUPPORT_THRESHOLD))
-    upper = 1.0 / (q - gap) if q - max(gap, 0.0) > 0 else math.inf
+    upper = 1.0 / (q - gap) if q - gap > 0 else math.inf
     return DiversityReport(
         diversity=1.0 / q,
         measure=mu,
         support=support,
         fw_gap=gap,
         iterations=iterations,
-        converged=converged,
+        converged=gap <= tol * q,
         upper_bound=upper,
     )
 

@@ -58,12 +58,6 @@ class NotPositiveDefinite(MaglabError):
         self.diagnostics = diagnostics
 
 
-class IllConditioned(MaglabError):
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
-
 class DegenerateQuadraticForm(MaglabError):
     pass
 
@@ -86,10 +80,6 @@ class NotConverged(MaglabError):
 
 class Inconsistent(MaglabError):
     """The two positive-weighting certificates disagree beyond tolerance."""
-
-
-class LevelNotPD(MaglabError):
-    pass
 
 
 class QuadratureDivergence(MaglabError):

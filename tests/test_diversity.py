@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,9 +13,13 @@ from maglab import (
     is_positively_weighted,
     magnitude,
     max_diversity,
+    similarity,
+    spectrum_diagnostics,
     weighting,
 )
-from maglab.errors import IndefiniteForm
+from maglab import diversity
+from maglab.cli import run
+from maglab.errors import IndefiniteForm, InvalidParams, NotConverged
 
 from conftest import random_cloud
 
@@ -90,6 +96,115 @@ class TestMaxDiversity:
             )
             d1 = max_diversity(pert).diversity
             assert abs(d1 - d0) / delta <= 100.0
+
+
+def subset_oracle(space: FiniteMetricSpace) -> float:
+    """Leinster-Meckes: the largest sum(Z_BB^-1 1) over nonnegatively weighted B."""
+    z = similarity(space).z
+    best = 0.0
+    for k in range(1, len(space) + 1):
+        for subset in itertools.combinations(range(len(space)), k):
+            w = np.linalg.solve(z[np.ix_(subset, subset)], np.ones(k))
+            if w.min() >= 0.0:
+                best = max(best, float(w.sum()))
+    return best
+
+
+def bipartite(m: int, n: int, r: float) -> FiniteMetricSpace:
+    return generate(SpaceSpec("complete_bipartite", {"m": m, "n": n, "r": r}))
+
+
+def run_diversity(space: FiniteMetricSpace, tmp_path, *flags) -> int:
+    """Exit code of `diversity --matrix` on the space's distance matrix."""
+    path = tmp_path / "space.csv"
+    np.savetxt(path, space.dist, delimiter=",", fmt="%.17g")
+    return run(["diversity", "--matrix", str(path), *flags]).exit_code
+
+
+def l1_grid(m: int) -> FiniteMetricSpace:
+    return generate(SpaceSpec("grid_net", {"m": m, "n": 2, "p": 1.0}))
+
+
+class TestExactSolver:
+    def test_matches_subset_oracle(self):
+        nnls_runs = 0
+        for seed in range(100):
+            s = random_cloud(seed, n_max=8)
+            rep = max_diversity(s)
+            assert rep.converged
+            assert rep.diversity == pytest.approx(subset_oracle(s), rel=1e-12)
+            nnls_runs += rep.iterations == 2
+        # both paths are exercised (22 of these clouds are not positively weighted)
+        assert 0 < nnls_runs < 100
+
+    def test_psd_threshold_k32(self):
+        s = bipartite(3, 2, math.log(math.sqrt(2.0)))
+        assert spectrum_diagnostics(s).verdict == "PositiveSemidefinite"
+        rep = max_diversity(s)
+        assert rep.diversity == pytest.approx(1.5, rel=1e-12)
+        assert rep.support == (0, 1, 2)
+        assert rep.converged
+
+    def test_positively_weighted_grid_is_one_solve(self, tmp_path, capsys):
+        s = l1_grid(21)
+        rep = max_diversity(s)
+        assert rep.diversity == pytest.approx(magnitude(s), rel=1e-12)
+        assert rep.converged
+        assert rep.iterations == 1
+        assert run_diversity(s, tmp_path) == 0
+
+    def test_singular_along_mean_zero_direction(self):
+        # K_{4,4} just below its threshold log 3: Z has one eigenvalue of
+        # about -7e-10, inside the PSD band, along 1_A - 1_B, which 11' misses
+        r = math.log(3.0) - 1e-9
+        s = bipartite(4, 4, r)
+        assert spectrum_diagnostics(s).verdict == "PositiveSemidefinite"
+        with pytest.warns(RuntimeWarning, match="singular"):
+            rep = max_diversity(s)
+        # the uniform measure has constant Z mu, so it is the minimizer
+        expected = 8.0 / (1.0 + 3.0 * math.exp(-2.0 * r) + 4.0 * math.exp(-r))
+        assert rep.diversity == pytest.approx(expected, rel=1e-12)
+        assert rep.converged
+
+    # Z is exactly singular here, so whether Z + 11' factors without the
+    # shift depends on roundoff; either way the answer is the same
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_k55_at_threshold(self):
+        rep = max_diversity(bipartite(5, 5, math.log(4.0)))
+        assert rep.diversity == pytest.approx(4.0, rel=1e-12)
+        assert rep.converged
+
+    def test_unfactorable_form_is_indefinite(self, monkeypatch, tmp_path, capsys):
+        s = bipartite(4, 4, 0.2)
+        diag = spectrum_diagnostics(s)
+        assert diag.lambda_min < -0.2
+        claimed = dataclasses.replace(diag, verdict="PositiveSemidefinite")
+        monkeypatch.setattr(diversity, "spectrum_diagnostics", lambda space: claimed)
+        with pytest.warns(RuntimeWarning), pytest.raises(IndefiniteForm) as info:
+            max_diversity(s)
+        assert info.value.diagnostics is claimed
+        with pytest.warns(RuntimeWarning):
+            assert run_diversity(s, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "IndefiniteForm" in err and "lambda_min" in err
+
+    def test_nnls_iteration_limit(self, tmp_path, capsys):
+        s = random_cloud(0)
+        assert max_diversity(s).iterations == 2
+        with pytest.raises(NotConverged):
+            max_diversity(s, max_iters=1)
+        assert run_diversity(s, tmp_path, "--max-iters", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotConverged:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("param", ["tol", "max_iters"])
+    def test_invalid_params(self, param, tmp_path, capsys):
+        s = random_cloud(0)
+        with pytest.raises(InvalidParams):
+            max_diversity(s, **{param: 0})
+        assert run_diversity(s, tmp_path, "--" + param.replace("_", "-"), "0") == 1
+        assert "InvalidParams" in capsys.readouterr().err
 
 
 class TestPositivelyWeighted:
