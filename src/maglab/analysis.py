@@ -24,7 +24,7 @@ from .errors import (
     QuadratureDivergence,
 )
 from .magnitude import magnitude_dimension_estimate, rayleigh, scale_sweep, weighting
-from .metric_core import FiniteMetricSpace, SpaceSpec, generate, lp_product
+from .metric_core import FiniteMetricSpace, SpaceSpec, _lp_distances, generate, lp_product
 from .negative_type import StabilityReport, stability_scan
 
 # which SpaceSpec parameter a study level substitutes, per family
@@ -125,20 +125,16 @@ def _ambient_gap(coarse: FiniteMetricSpace, fine: FiniteMetricSpace) -> Optional
     """Hausdorff distance between two nets of one family, in the net metric."""
     if coarse.coords is None or fine.coords is None:
         return None
-    a, b = coarse.coords, fine.coords
     spec = fine.provenance
-    p = 2.0
-    if spec is not None and "p" in spec.params:
-        p = float(spec.params["p"])
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    if math.isinf(p):
-        cross = diff.max(axis=2)
-    elif p >= 1:
-        cross = (diff**p).sum(axis=2) ** (1.0 / p)
-    else:
-        cross = (diff**p).sum(axis=2)
+    params = {} if spec is None else spec.params
+    cross = _lp_distances(coarse.coords, fine.coords, float(params.get("p", 2.0)))
     gap = max(cross.min(axis=1).max(), cross.min(axis=0).max())
-    # monotone distance transforms commute with the sup-inf structure
+    # monotone distance transforms commute with the sup-inf structure: the
+    # sphere's geodesic distance is 2r asin(chord / 2r), whose arccos form
+    # would read about 1e-8 for a net against itself
+    if spec is not None and spec.family == "sphere_fibonacci_net":
+        radius = float(params.get("radius", 1.0))
+        gap = 2.0 * radius * math.asin(min(1.0, gap / (2.0 * radius)))
     if spec is not None:
         gap = spec.scale * gap**spec.snowflake
     return float(gap)

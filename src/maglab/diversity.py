@@ -23,10 +23,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IndefiniteForm, Inconsistent, InvalidParams, NotConverged
-from .magnitude import similarity, spectrum_diagnostics, weighting
+from .magnitude import SpectrumDiagnostics, _weighting, similarity, spectrum_diagnostics
 from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class DiversityReport:
 
 
 def max_diversity(
-    space: FiniteMetricSpace, tol: float = 1e-8, max_iters: int = 100_000
+    space: FiniteMetricSpace, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
 ) -> DiversityReport:
     """Minimize mu' Z mu over the probability simplex exactly.
 
@@ -70,7 +72,14 @@ def max_diversity(
         raise InvalidParams("tol must be positive")
     if max_iters < 1:
         raise InvalidParams("max_iters must be at least 1")
-    diag = spectrum_diagnostics(space)
+    return _max_diversity(space, spectrum_diagnostics(space), tol, max_iters)
+
+
+def _max_diversity(
+    space: FiniteMetricSpace, diag: SpectrumDiagnostics,
+    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
+) -> DiversityReport:
+    """`max_diversity`, given the space's spectrum diagnostics."""
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
             f"similarity matrix is indefinite (lambda_min={diag.lambda_min:.3g}); "
@@ -140,9 +149,10 @@ def is_positively_weighted(
     compares magnitude with the computed diversity.  Disagreement between
     the two is surfaced as Inconsistent rather than hidden.
     """
-    report = weighting(space)  # raises NotPositiveDefinite when not PD
+    diag = spectrum_diagnostics(space)
+    report = _weighting(space, diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
-    div = max_diversity(space)
+    div = _max_diversity(space, diag)
     if not div.converged:
         return flag_w, "weighting_sign_only"
     flag_d = abs(report.magnitude - div.diversity) <= tol * report.magnitude

@@ -136,10 +136,12 @@ def _extremal_eigenvalues(z: np.ndarray) -> tuple[float, float]:
         vals = np.linalg.eigvalsh(z)
         return float(vals[0]), float(vals[-1])
     # Lanczos for extremal eigenvalues only; sweeps never need the full
-    # spectrum above this size.
+    # spectrum above this size.  A fixed start vector keeps the result
+    # bit-identical between calls (ARPACK otherwise draws a random one).
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        lo = scipy.sparse.linalg.eigsh(z, k=1, which="SA", return_eigenvectors=False)
-        hi = scipy.sparse.linalg.eigsh(z, k=1, which="LA", return_eigenvectors=False)
+        lo = scipy.sparse.linalg.eigsh(z, k=1, which="SA", v0=v0, return_eigenvectors=False)
+        hi = scipy.sparse.linalg.eigsh(z, k=1, which="LA", v0=v0, return_eigenvectors=False)
         return float(lo[0]), float(hi[0])
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         # fall back to the dense solver rather than giving up
@@ -176,7 +178,11 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     """Solve Z w = 1 by Cholesky with one step of iterative refinement."""
-    diag = spectrum_diagnostics(space)
+    return _weighting(space, spectrum_diagnostics(space))
+
+
+def _weighting(space: FiniteMetricSpace, diag: SpectrumDiagnostics) -> MagnitudeReport:
+    """`weighting`, given the space's spectrum diagnostics."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
@@ -232,11 +238,11 @@ def scale_sweep(
         mag = None
         div = None
         if diag.verdict == "PositiveDefinite":
-            mag = weighting(scaled).magnitude
+            mag = _weighting(scaled, diag).magnitude
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            from .diversity import max_diversity
+            from .diversity import _max_diversity
 
-            div = max_diversity(scaled).diversity
+            div = _max_diversity(scaled, diag).diversity
         records.append(
             SweepRecord(
                 t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,

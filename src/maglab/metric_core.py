@@ -197,9 +197,9 @@ def validate_metric(dist) -> ValidationReport:
     )
 
 
-def _lp_distances(points: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise d(x,y) = ||x - y||_p^min(1,p); p may be inf."""
-    diff = np.abs(points[:, None, :] - points[None, :, :])
+def _lp_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b; p may be inf."""
+    diff = np.abs(a[:, None, :] - b[None, :, :])
     if math.isinf(p):
         return diff.max(axis=2)
     if p >= 1:
@@ -249,7 +249,7 @@ def _gen_grid(params):
     axis = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.0])
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    return _lp_distances(pts, p), pts
+    return _lp_distances(pts, pts, p), pts
 
 
 def _gen_sphere(params):
@@ -338,7 +338,7 @@ def _gen_point_cloud(params):
     if pts.ndim == 1:
         pts = pts[:, None]
     _require(pts.shape[0] >= 1, "point_cloud_lp needs at least one point")
-    return _lp_distances(pts, p), pts
+    return _lp_distances(pts, pts, p), pts
 
 
 def generate(spec: SpaceSpec) -> FiniteMetricSpace:

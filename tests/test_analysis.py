@@ -86,6 +86,16 @@ class TestApproxMagnitude:
         for r in study.records:
             assert r.magnitude <= study.extrapolated_limit + 1e-6
 
+    def test_sphere_gap_is_geodesic(self):
+        template = SpaceSpec("sphere_fibonacci_net", {"radius": 2.0})
+        study = approx_magnitude(template, [50, 400])
+        coarse, fine = (generate(template.with_params(n=n)).coords / 2.0 for n in (50, 400))
+        cross = 2.0 * np.arccos(np.clip(coarse @ fine.T, -1.0, 1.0))
+        hausdorff = max(cross.min(axis=1).max(), cross.min(axis=0).max())
+        assert study.records[0].gap == pytest.approx(hausdorff, rel=1e-12)
+        assert study.records[0].gap == pytest.approx(2 * 0.377278686518, rel=1e-11)
+        assert study.records[1].gap == 0.0
+
     def test_indefinite_level_recorded_not_raised(self):
         # bipartite spaces scaled far down are indefinite; the study keeps going
         def family(level):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from maglab import (
     FiniteMetricSpace,
     SpaceSpec,
     generate,
+    is_positively_weighted,
     magnitude,
     magnitude_dimension_estimate,
+    max_diversity,
     rayleigh,
     scale_space,
     scale_sweep,
@@ -24,6 +27,9 @@ from maglab.errors import (
 )
 
 from conftest import random_cloud
+
+# the package attribute `maglab.magnitude` is the function, not the module
+magnitude_module = importlib.import_module("maglab.magnitude")
 
 LOG_SQRT_2 = math.log(2.0) / 2.0
 
@@ -70,6 +76,15 @@ class TestSpectrumDiagnostics:
     def test_k32_above_threshold_pd(self):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 0.5}))
         assert spectrum_diagnostics(s).verdict == "PositiveDefinite"
+
+    def test_lanczos_branch_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(magnitude_module, "FULL_EIG_MAX_SIZE", 10)
+        s = scale_space(generate(SpaceSpec("sphere_fibonacci_net", {"n": 200})), 4.0)
+        first = spectrum_diagnostics(s)
+        assert spectrum_diagnostics(s) == first
+        vals = np.linalg.eigvalsh(similarity(s).z)
+        assert first.lambda_min == pytest.approx(vals[0], rel=1e-10)
+        assert first.lambda_max == pytest.approx(vals[-1], rel=1e-10)
 
 
 class TestWeighting:
@@ -195,6 +210,40 @@ class TestScaleSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("t,lambda_min")
         assert len(lines) == 3
+
+
+class TestOneEigensolvePerScale:
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        calls = []
+        original = magnitude_module._extremal_eigenvalues
+
+        def counted(z):
+            calls.append(z.shape[0])
+            return original(z)
+
+        monkeypatch.setattr(magnitude_module, "_extremal_eigenvalues", counted)
+        return calls
+
+    @pytest.mark.parametrize("with_diversity", [False, True])
+    def test_sweep(self, eigensolves, with_diversity):
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        ts = [0.5, 1.0, 2.0, 4.0]
+        sweep = scale_sweep(s, ts, with_diversity=with_diversity)
+        assert [r.verdict for r in sweep.records] == ["PositiveDefinite"] * len(ts)
+        assert len(eigensolves) == len(ts)
+        for r in sweep.records:
+            scaled = scale_space(s, r.t)
+            assert r.magnitude == weighting(scaled).magnitude
+            if with_diversity:
+                assert r.diversity == max_diversity(scaled).diversity
+
+    def test_is_positively_weighted(self, eigensolves):
+        s = random_cloud(46)
+        flag, certificate = is_positively_weighted(s)
+        assert len(eigensolves) == 1
+        assert certificate == "weighting_sign"
+        assert flag == weighting(s).positively_weighted
 
 
 class TestDimensionEstimate:

@@ -31,6 +31,21 @@ class TestNegativeTypeTest:
         assert abs(x.sum()) <= 1e-10
         assert x @ s.dist @ x > 0
 
+    def test_witness_is_most_negative_gram_eigenvector(self):
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+        rep = negative_type_test(s, basepoint=1)
+        others = [0, 2, 3, 4]
+        d0 = s.dist[1, others]
+        g = 0.5 * (d0[:, None] + d0[None, :] - s.dist[np.ix_(others, others)])
+        vals, vecs = np.linalg.eigh(g)
+        expected = np.zeros(5)
+        expected[others] = vecs[:, 0]
+        expected[1] = -vecs[:, 0].sum()
+        assert not rep.negative_type
+        assert rep.witness_vector.tobytes() == expected.tobytes()
+        assert rep.gram_lambda_min == pytest.approx(vals[0], abs=1e-12 * vals[-1])
+        assert stability_scan(s).classification == "NotStablyPD"
+
     def test_ultrametric_trees(self):
         for seed in range(100):
             s = generate(SpaceSpec("ultrametric_tree", {"n": 10}, seed=seed))
