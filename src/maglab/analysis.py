@@ -8,8 +8,6 @@ ingredient is the transform of exp(-|x|^p).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -24,20 +22,10 @@ from .errors import (
     QuadratureDivergence,
 )
 from .magnitude import magnitude_dimension_estimate, rayleigh, scale_sweep, weighting
-from .metric_core import FiniteMetricSpace, SpaceSpec, _lp_distances, generate, lp_product
+from .metric_core import (
+    FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _lp_distances, generate, lp_product,
+)
 from .negative_type import StabilityReport, stability_scan
-
-# which SpaceSpec parameter a study level substitutes, per family
-_LEVEL_PARAM = {
-    "interval_net": "n",
-    "circle_net": "n",
-    "cantor_net": "level",
-    "grid_net": "m",
-    "sphere_fibonacci_net": "n",
-    "hyperbolic_disk_net": "n_r",
-    "ultrametric_tree": "n",
-    "weighted_tree": "n",
-}
 
 TAIL_TOLERANCE = 1e-9
 
@@ -50,15 +38,6 @@ class StudyRecord:
     magnitude: Optional[float]
     failure: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "n_points": self.n_points,
-            "gap": self.gap,
-            "magnitude": self.magnitude,
-            "failure": self.failure,
-        }
-
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
@@ -66,24 +45,6 @@ class ConvergenceStudy:
     extrapolated_limit: Optional[float]
     fit_residual: Optional[float]
     monotone: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "extrapolated_limit": self.extrapolated_limit,
-            "fit_residual": self.fit_residual,
-            "monotone": self.monotone,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "n_points", "gap", "magnitude"])
-            for r in self.records:
-                writer.writerow([r.level, r.n_points, r.gap, r.magnitude])
 
 
 def interval_family(
@@ -112,7 +73,7 @@ def interval_family(
 def _spec_for_level(template, level: int) -> SpaceSpec:
     if callable(template):
         return template(level)
-    key = _LEVEL_PARAM.get(template.family)
+    key = FAMILY_TABLE[template.family][1]
     if key is None:
         raise InvalidParams(
             f"family {template.family!r} has no refinement parameter; "
@@ -238,37 +199,12 @@ class BoundCheck:
     net_magnitude: float
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lower_bound": self.lower_bound,
-            "net_magnitude": self.net_magnitude,
-            "satisfied": self.satisfied,
-        }
-
 
 @dataclass(frozen=True)
 class GrowthStudy:
     checks: list
     dimension_slope: Optional[float]
     slope_stderr: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension_slope": self.dimension_slope,
-            "slope_stderr": self.slope_stderr,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "net_magnitude", "lower_bound", "satisfied"])
-            for c in self.checks:
-                writer.writerow([c.t, c.net_magnitude, c.lower_bound, c.satisfied])
 
 
 def growth_bound_study(
@@ -316,20 +252,6 @@ class FourierReport:
     radially_decreasing: bool
     fitted_c: float
     tail_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "grid": np.asarray(self.grid).tolist(),
-            "values": np.asarray(self.values).tolist(),
-            "positive": self.positive,
-            "radially_decreasing": self.radially_decreasing,
-            "fitted_c": self.fitted_c,
-            "tail_estimate": self.tail_estimate,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -409,16 +331,6 @@ class FourierUpperBound:
     bound: float
     error_estimate: float
     argmax_omega: float
-
-    def __float__(self) -> float:
-        return self.bound
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "error_estimate": self.error_estimate,
-            "argmax_omega": self.argmax_omega,
-        }
 
 
 def fourier_upper_bound_1d(
@@ -500,20 +412,6 @@ class WitnessSearchResult:
     witness_scale: Optional[float] = None
     witness_lambda_min: Optional[float] = None
     witness_seed_index: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "subsets_tested": self.subsets_tested,
-            "scales_tested": self.scales_tested,
-            "witness_points": self.witness_points,
-            "witness_scale": self.witness_scale,
-            "witness_lambda_min": self.witness_lambda_min,
-            "witness_seed_index": self.witness_seed_index,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def witness_search(

@@ -10,9 +10,10 @@ same report object.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import analysis, metric_core, negative_type
 from .diversity import max_diversity
-from .magnitude import scale_sweep, weighting
+from .magnitude import ILL_CONDITION_LIMIT, scale_sweep, weighting
 from .errors import MaglabError
 
 
@@ -64,11 +65,18 @@ def _json_object(text: str) -> dict:
     return obj
 
 
+def _malformed_csv(path, exc: ValueError) -> UsageError:
+    return UsageError(f"{path}: malformed CSV: {exc}")
+
+
 def _load_space(args) -> metric_core.FiniteMetricSpace:
     if getattr(args, "matrix", None):
-        return metric_core.load_distance_csv(
-            args.matrix, force=getattr(args, "force", False)
-        )
+        try:
+            return metric_core.load_distance_csv(
+                args.matrix, force=getattr(args, "force", False)
+            )
+        except ValueError as exc:
+            raise _malformed_csv(args.matrix, exc) from exc
     text = Path(args.spec).read_text()
     try:
         spec = metric_core.SpaceSpec.from_json(text)
@@ -79,10 +87,36 @@ def _load_space(args) -> metric_core.FiniteMetricSpace:
     return metric_core.generate(spec)
 
 
-def _emit(args, payload: dict) -> Optional[str]:
+def _jsonable(obj):
+    """A report as JSON values.
+
+    A dataclass becomes the dict of its fields, an array or a tuple a list,
+    and a numpy scalar a Python scalar.
+    """
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def _write_csv(path, records) -> None:
+    """One row per record dataclass, headed by its field names."""
+    names = [f.name for f in fields(records[0])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([getattr(r, name) for name in names] for r in records)
+
+
+def _emit(args, report) -> Optional[str]:
     path = getattr(args, "json", None)
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
     return path
 
 
@@ -97,15 +131,12 @@ def _add_space_source(parser):
 
 
 def _cmd_validate(args) -> CommandResult:
-    d = np.loadtxt(args.matrix, delimiter=",", dtype=float, ndmin=2)
+    try:
+        d = metric_core.read_distance_csv(args.matrix)
+    except ValueError as exc:
+        raise _malformed_csv(args.matrix, exc) from exc
     report = metric_core.validate_metric(d)
-    payload = {
-        "ok": report.ok,
-        "worst_triangle_violation": report.worst_triangle_violation,
-        "worst_asymmetry": report.worst_asymmetry,
-        "offending_triples": report.offending_triples,
-    }
-    path = _emit(args, payload)
+    path = _emit(args, report)
     summary = (
         f"ok={report.ok} worst_triangle={report.worst_triangle_violation:.3g} "
         f"worst_asymmetry={report.worst_asymmetry:.3g}"
@@ -117,7 +148,7 @@ def _cmd_validate(args) -> CommandResult:
 def _cmd_magnitude(args) -> CommandResult:
     space = _load_space(args)
     report = weighting(space)
-    path = _emit(args, report.to_dict())
+    path = _emit(args, report)
     summary = (
         f"magnitude {report.magnitude:.12g}  residual {report.residual:.3g}  "
         f"positively_weighted {report.positively_weighted}"
@@ -126,7 +157,7 @@ def _cmd_magnitude(args) -> CommandResult:
     if report.ill_conditioned:
         print(
             "warning: condition estimate "
-            f"{report.diagnostics.condition_estimate:.3g} exceeds 1e12"
+            f"{report.diagnostics.condition_estimate:.3g} exceeds {ILL_CONDITION_LIMIT:g}"
         )
     return CommandResult(0, summary, path)
 
@@ -134,7 +165,7 @@ def _cmd_magnitude(args) -> CommandResult:
 def _cmd_diversity(args) -> CommandResult:
     space = _load_space(args)
     report = max_diversity(space, tol=args.tol, max_iters=args.max_iters)
-    path = _emit(args, report.to_dict())
+    path = _emit(args, report)
     summary = (
         f"diversity in [{report.diversity:.12g}, {report.upper_bound:.12g}]  "
         f"support {len(report.support)}  iterations {report.iterations}  "
@@ -149,9 +180,9 @@ def _cmd_sweep(args) -> CommandResult:
     sweep = scale_sweep(
         space, args.scales, with_diversity=args.with_diversity
     )
-    path = _emit(args, sweep.to_dict())
+    path = _emit(args, sweep)
     if args.csv:
-        sweep.write_csv(args.csv)
+        _write_csv(args.csv, sweep.records)
     print(f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}")
     for r in sweep.records:
         mag = f"{r.magnitude:.8g}" if r.magnitude is not None else "-"
@@ -163,8 +194,8 @@ def _cmd_sweep(args) -> CommandResult:
 def _cmd_negtype(args) -> CommandResult:
     space = _load_space(args)
     report = negative_type.stability_scan(space)
-    nt = report.negative_type_report
-    path = _emit(args, report.to_dict())
+    nt = report.negative_type
+    path = _emit(args, report)
     summary = (
         f"negative_type: {str(nt.negative_type).lower()}  "
         f"classification: {report.classification}"
@@ -188,9 +219,9 @@ def _cmd_approx(args) -> CommandResult:
     study = analysis.approx_magnitude(
         template, args.levels, quadrature=args.quadrature
     )
-    path = _emit(args, study.to_dict())
+    path = _emit(args, study)
     if args.csv:
-        study.write_csv(args.csv)
+        _write_csv(args.csv, study.records)
     for r in study.records:
         mag = f"{r.magnitude:.10g}" if r.magnitude is not None else f"FAILED: {r.failure}"
         gap = f"{r.gap:.3g}" if r.gap is not None else "-"
@@ -210,7 +241,7 @@ def _cmd_fourier(args) -> CommandResult:
         result = analysis.fourier_upper_bound_1d(
             args.ell, args.p, args.alpha, args.mollifier_radius, L=args.L, N=args.N
         )
-        path = _emit(args, result.to_dict())
+        path = _emit(args, result)
         summary = (
             f"magnitude upper bound {result.bound:.8g} "
             f"(quadrature error ~{result.error_estimate:.3g})"
@@ -218,7 +249,7 @@ def _cmd_fourier(args) -> CommandResult:
         print(summary)
         return CommandResult(0, summary, path)
     report = analysis.gamma_hat_1d(args.p, L=args.L, N=args.N)
-    path = _emit(args, report.to_dict())
+    path = _emit(args, report)
     summary = (
         f"p={args.p}  positive {report.positive}  "
         f"radially_decreasing {report.radially_decreasing}  "
@@ -231,7 +262,7 @@ def _cmd_fourier(args) -> CommandResult:
 def _cmd_experiment(args) -> CommandResult:
     if args.which == "product-counterexample":
         report = analysis.product_counterexample_experiment()
-        path = _emit(args, report.to_dict())
+        path = _emit(args, report)
         summary = f"classification: {report.classification}"
         print(summary)
         failing = report.first_failing_scale()
@@ -241,7 +272,7 @@ def _cmd_experiment(args) -> CommandResult:
     result = analysis.witness_search(
         p=args.p, n=args.n, budget=args.budget, seed=args.seed
     )
-    path = _emit(args, result.to_dict())
+    path = _emit(args, result)
     if result.found:
         summary = (
             f"witness found at scale {result.witness_scale:g} "

@@ -14,7 +14,6 @@ same factor, whose objective is w' (Z + 11') w - 2 1'w plus a constant.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,20 +39,6 @@ class DiversityReport:
     iterations: int
     converged: bool
     upper_bound: float
-
-    def to_dict(self) -> dict:
-        return {
-            "diversity": self.diversity,
-            "upper_bound": self.upper_bound,
-            "measure": np.asarray(self.measure).tolist(),
-            "support": list(self.support),
-            "fw_gap": self.fw_gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def max_diversity(
@@ -145,21 +130,23 @@ def is_positively_weighted(
 ) -> tuple[bool, str]:
     """Decide whether magnitude equals maximum diversity.
 
-    The fast certificate is the sign of the weighting; the cross-check
-    compares magnitude with the computed diversity.  Disagreement between
-    the two is surfaced as Inconsistent rather than hidden.
+    The certificate is the sign of the weighting.  The diversity solve
+    cross-checks it: its NNLS branch runs exactly when Z^-1 1 has a negative
+    entry, so a negative weighting must have taken that branch.  The values
+    cannot confirm a negative sign, because the diversity deficit is second
+    order in the negative weight (-2e-4 gives a relative gap near 1e-9), so
+    they are compared only for a nonnegative weighting, where magnitude and
+    diversity must agree to ``tol``.  A disagreement raises Inconsistent.
     """
     diag = spectrum_diagnostics(space)
     report = _weighting(space, diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
     div = _max_diversity(space, diag)
-    if not div.converged:
-        return flag_w, "weighting_sign_only"
-    flag_d = abs(report.magnitude - div.diversity) <= tol * report.magnitude
-    if flag_w != flag_d:
+    gap = abs(report.magnitude - div.diversity)
+    if (flag_w and gap > tol * report.magnitude) or (not flag_w and div.iterations == 1):
         raise Inconsistent(
-            f"weighting sign says {flag_w} but |magnitude - diversity| = "
-            f"{abs(report.magnitude - div.diversity):.3g} "
+            f"weighting sign says {flag_w} but the diversity solve took "
+            f"{div.iterations} step(s) and |magnitude - diversity| = {gap:.3g} "
             f"(magnitude {report.magnitude:.6g}, diversity {div.diversity:.6g})"
         )
     return flag_w, "weighting_sign"

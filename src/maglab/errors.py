@@ -41,12 +41,6 @@ class InvalidMetric(MaglabError):
         self.report = report
 
 
-class EigensolverFailure(MaglabError):
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class NotPositiveDefinite(MaglabError):
     """Raised when an operation requires a positive definite similarity matrix.
 

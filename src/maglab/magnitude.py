@@ -7,25 +7,16 @@ weighting w solving  Z w = 1.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import (
-    DegenerateQuadraticForm,
-    EigensolverFailure,
-    InsufficientRecords,
-    NotPositiveDefinite,
-)
+from .errors import DegenerateQuadraticForm, InsufficientRecords, NotPositiveDefinite
 from .metric_core import FiniteMetricSpace, scale_space
 
-FULL_EIG_MAX_SIZE = 4000
 ILL_CONDITION_LIMIT = 1e12
 
 
@@ -53,15 +44,6 @@ class SpectrumDiagnostics:
     verdict: str  # PositiveDefinite | PositiveSemidefinite | Indefinite
     tolerance_used: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "condition_estimate": self.condition_estimate,
-            "verdict": self.verdict,
-            "tolerance_used": self.tolerance_used,
-        }
-
 
 @dataclass(frozen=True)
 class MagnitudeReport:
@@ -72,16 +54,6 @@ class MagnitudeReport:
     diagnostics: SpectrumDiagnostics
     ill_conditioned: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "magnitude": self.magnitude,
-            "weighting": np.asarray(self.weighting).tolist(),
-            "residual": self.residual,
-            "positively_weighted": self.positively_weighted,
-            "ill_conditioned": self.ill_conditioned,
-            "diagnostics": self.diagnostics.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -91,36 +63,11 @@ class SweepRecord:
     magnitude: Optional[float] = None
     diversity: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lambda_min": self.lambda_min,
-            "verdict": self.verdict,
-            "magnitude": self.magnitude,
-            "diversity": self.diversity,
-        }
-
 
 @dataclass(frozen=True)
 class ScaleSweep:
     records: list
-    spec: Optional[object] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json() if hasattr(self.spec, "to_json") else None,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "lambda_min", "verdict", "magnitude", "diversity"])
-            for r in self.records:
-                writer.writerow([r.t, r.lambda_min, r.verdict, r.magnitude, r.diversity])
+    spec: Optional[str] = None  # SpaceSpec JSON of the unscaled space
 
 
 def similarity(space: FiniteMetricSpace) -> SimilarityMatrix:
@@ -131,28 +78,8 @@ def similarity(space: FiniteMetricSpace) -> SimilarityMatrix:
 
 
 def _extremal_eigenvalues(z: np.ndarray) -> tuple[float, float]:
-    n = z.shape[0]
-    if n <= FULL_EIG_MAX_SIZE:
-        vals = np.linalg.eigvalsh(z)
-        return float(vals[0]), float(vals[-1])
-    # Lanczos for extremal eigenvalues only; sweeps never need the full
-    # spectrum above this size.  A fixed start vector keeps the result
-    # bit-identical between calls (ARPACK otherwise draws a random one).
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        lo = scipy.sparse.linalg.eigsh(z, k=1, which="SA", v0=v0, return_eigenvectors=False)
-        hi = scipy.sparse.linalg.eigsh(z, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        return float(lo[0]), float(hi[0])
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        # fall back to the dense solver rather than giving up
-        try:
-            vals = np.linalg.eigvalsh(z)
-            return float(vals[0]), float(vals[-1])
-        except np.linalg.LinAlgError:
-            raise EigensolverFailure(
-                "Lanczos iteration did not converge",
-                iterations=getattr(exc, "maxiter", None),
-            ) from exc
+    vals = np.linalg.eigvalsh(z)
+    return float(vals[0]), float(vals[-1])
 
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
@@ -249,7 +176,8 @@ def scale_sweep(
                 magnitude=mag, diversity=div,
             )
         )
-    return ScaleSweep(records=records, spec=space.provenance)
+    spec = space.provenance
+    return ScaleSweep(records=records, spec=None if spec is None else spec.to_json())
 
 
 def magnitude_dimension_estimate(sweep: ScaleSweep, window) -> tuple[float, float]:
@@ -272,8 +200,5 @@ def magnitude_dimension_estimate(sweep: ScaleSweep, window) -> tuple[float, floa
     slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
     intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
-    if n > 2:
-        stderr = math.sqrt(float((resid**2).sum()) / (n - 2) / sxx)
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(float((resid**2).sum()) / (n - 2) / sxx)
     return slope, stderr

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,19 +26,6 @@ from .errors import (
 )
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
-
-FAMILIES = (
-    "interval_net",
-    "circle_net",
-    "cantor_net",
-    "grid_net",
-    "sphere_fibonacci_net",
-    "hyperbolic_disk_net",
-    "complete_bipartite",
-    "ultrametric_tree",
-    "weighted_tree",
-    "point_cloud_lp",
-)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -65,7 +52,7 @@ class SpaceSpec:
         # a null seed means the default, so a spec never draws fresh entropy
         if self.seed is None:
             object.__setattr__(self, "seed", 0)
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_TABLE:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if not self.scale > 0:
             raise InvalidParams("scale must be positive")
@@ -212,7 +199,7 @@ def _require(cond: bool, msg: str):
         raise InvalidParams(msg)
 
 
-def _gen_interval(params):
+def _gen_interval(params, seed):
     length = float(params.get("length", 1.0))
     n = int(params["n"])
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
@@ -220,7 +207,7 @@ def _gen_interval(params):
     return np.abs(x[:, None] - x[None, :]), x[:, None]
 
 
-def _gen_circle(params):
+def _gen_circle(params, seed):
     circumference = float(params.get("circumference", 2 * math.pi))
     n = int(params["n"])
     _require(circumference > 0 and n >= 1, "circle_net needs circumference > 0, n >= 1")
@@ -230,7 +217,7 @@ def _gen_circle(params):
     return circumference * frac, None
 
 
-def _gen_cantor(params):
+def _gen_cantor(params, seed):
     length = float(params.get("length", 1.0))
     level = int(params["level"])
     _require(length > 0 and level >= 1, "cantor_net needs length > 0 and level >= 1")
@@ -241,7 +228,7 @@ def _gen_cantor(params):
     return np.abs(pts[:, None] - pts[None, :]), pts[:, None]
 
 
-def _gen_grid(params):
+def _gen_grid(params, seed):
     n = int(params.get("n", 2))
     p = float(params.get("p", 2.0))
     m = int(params["m"])
@@ -252,7 +239,7 @@ def _gen_grid(params):
     return _lp_distances(pts, pts, p), pts
 
 
-def _gen_sphere(params):
+def _gen_sphere(params, seed):
     radius = float(params.get("radius", 1.0))
     n = int(params["n"])
     _require(radius > 0 and n >= 1, "sphere_fibonacci_net needs radius > 0, n >= 1")
@@ -265,7 +252,7 @@ def _gen_sphere(params):
     return radius * np.arccos(cosang), radius * pts
 
 
-def _gen_hyperbolic(params):
+def _gen_hyperbolic(params, seed):
     r_max = float(params.get("r_max", 1.0))
     n_r = int(params.get("n_r", 3))
     n_theta = int(params.get("n_theta", 6))
@@ -286,7 +273,7 @@ def _gen_hyperbolic(params):
     return d, None
 
 
-def _gen_bipartite(params):
+def _gen_bipartite(params, seed):
     m = int(params["m"])
     n = int(params["n"])
     r = float(params.get("r", 1.0))
@@ -331,7 +318,7 @@ def _gen_weighted_tree(params, seed):
     return d, None
 
 
-def _gen_point_cloud(params):
+def _gen_point_cloud(params, seed):
     pts = np.asarray(params["points"], dtype=float)
     p = float(params.get("p", 2.0))
     _require(p > 0, "point_cloud_lp needs p > 0")
@@ -341,35 +328,28 @@ def _gen_point_cloud(params):
     return _lp_distances(pts, pts, p), pts
 
 
+# family name -> (generator, the parameter a refinement level substitutes);
+# every generator maps (params, seed) to (distances, coordinates or None)
+FAMILY_TABLE = {
+    "interval_net": (_gen_interval, "n"),
+    "circle_net": (_gen_circle, "n"),
+    "cantor_net": (_gen_cantor, "level"),
+    "grid_net": (_gen_grid, "m"),
+    "sphere_fibonacci_net": (_gen_sphere, "n"),
+    "hyperbolic_disk_net": (_gen_hyperbolic, "n_r"),
+    "complete_bipartite": (_gen_bipartite, None),
+    "ultrametric_tree": (_gen_ultrametric, "n"),
+    "weighted_tree": (_gen_weighted_tree, "n"),
+    "point_cloud_lp": (_gen_point_cloud, None),
+}
+
+
 def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     """Build the space described by ``spec``, then apply snowflake and scale.
 
     The returned metric is d' = scale * d_base**snowflake.
     """
-    fam = spec.family
-    if fam == "interval_net":
-        base, coords = _gen_interval(spec.params)
-    elif fam == "circle_net":
-        base, coords = _gen_circle(spec.params)
-    elif fam == "cantor_net":
-        base, coords = _gen_cantor(spec.params)
-    elif fam == "grid_net":
-        base, coords = _gen_grid(spec.params)
-    elif fam == "sphere_fibonacci_net":
-        base, coords = _gen_sphere(spec.params)
-    elif fam == "hyperbolic_disk_net":
-        base, coords = _gen_hyperbolic(spec.params)
-    elif fam == "complete_bipartite":
-        base, coords = _gen_bipartite(spec.params)
-    elif fam == "ultrametric_tree":
-        base, coords = _gen_ultrametric(spec.params, spec.seed)
-    elif fam == "weighted_tree":
-        base, coords = _gen_weighted_tree(spec.params, spec.seed)
-    elif fam == "point_cloud_lp":
-        base, coords = _gen_point_cloud(spec.params)
-    else:  # pragma: no cover - SpaceSpec already validates
-        raise UnsupportedFamily(fam)
-
+    base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
     d = base if spec.snowflake == 1.0 else base**spec.snowflake
     d = d if spec.scale == 1.0 else spec.scale * d
     labels = tuple(range(d.shape[0]))
@@ -441,9 +421,14 @@ def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
 
 
+def read_distance_csv(path) -> np.ndarray:
+    """Read a headerless CSV matrix; ValueError on a non-numeric cell or ragged rows."""
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+
+
 def load_distance_csv(path, force: bool = False) -> FiniteMetricSpace:
     """Load a headerless n x n CSV distance matrix, validating the axioms."""
-    d = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    d = read_distance_csv(path)
     report = validate_metric(d)
     if not report.ok and not force:
         raise InvalidMetric(

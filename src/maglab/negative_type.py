@@ -13,7 +13,6 @@ scale, which is what the scale scan probes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,41 +32,22 @@ class NegativeTypeReport:
     basepoint: int
     witness_vector: Optional[np.ndarray] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "negative_type": self.negative_type,
-            "gram_lambda_min": self.gram_lambda_min,
-            "basepoint": self.basepoint,
-            "witness_vector": (
-                None if self.witness_vector is None
-                else np.asarray(self.witness_vector).tolist()
-            ),
-        }
+
+@dataclass(frozen=True)
+class ScanRecord:
+    t: float
+    lambda_min: float
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    records: list  # (t, lambda_min) pairs
+    records: list  # ScanRecord per scanned scale
     classification: str  # StablyPositiveDefinite | NotStablyPD | Undetermined
-    negative_type_report: Optional[NegativeTypeReport] = None
+    negative_type: Optional[NegativeTypeReport] = None
     failing_scales: tuple = ()
 
     def first_failing_scale(self) -> Optional[float]:
         return self.failing_scales[0] if self.failing_scales else None
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "failing_scales": list(self.failing_scales),
-            "records": [{"t": t, "lambda_min": lam} for t, lam in self.records],
-            "negative_type": (
-                None if self.negative_type_report is None
-                else self.negative_type_report.to_dict()
-            ),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def negative_type_test(
@@ -108,7 +88,7 @@ def stability_scan(
     failing = []
     for t in scales:
         diag = spectrum_diagnostics(scale_space(space, t))
-        records.append((t, diag.lambda_min))
+        records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)
     nt = negative_type_test(space)
@@ -123,6 +103,6 @@ def stability_scan(
     return StabilityReport(
         records=records,
         classification=classification,
-        negative_type_report=nt,
+        negative_type=nt,
         failing_scales=tuple(failing),
     )

@@ -231,7 +231,7 @@ class TestProductCounterexample:
         rep = product_counterexample_experiment()
         assert rep.classification == "NotStablyPD"
         assert rep.failing_scales
-        worst = min(lam for _, lam in rep.records)
+        worst = min(r.lambda_min for r in rep.records)
         assert worst < 0
 
     def test_cross_pair_distance(self):

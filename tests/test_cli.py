@@ -174,6 +174,16 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "missing." in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["0,1\n1,x\n", "0,1\n1\n"])
+    @pytest.mark.parametrize("command", [["validate"], ["magnitude", "--matrix"]])
+    def test_malformed_csv(self, text, command, tmp_path, capsys):
+        path = tmp_path / "dist.csv"
+        path.write_text(text)
+        assert run([*command, str(path)]).exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed CSV" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("params", ["{bad", "[1, 2]"])
     def test_malformed_params(self, params, capsys):
         argv = ["approx", "--family", "cantor_net", "--levels", "2,3", "--params", params]

@@ -13,13 +13,14 @@ from maglab import (
     is_positively_weighted,
     magnitude,
     max_diversity,
+    random_cloud_spec,
     similarity,
     spectrum_diagnostics,
     weighting,
 )
 from maglab import diversity
 from maglab.cli import run
-from maglab.errors import IndefiniteForm, InvalidParams, NotConverged
+from maglab.errors import Inconsistent, IndefiniteForm, InvalidParams, NotConverged
 
 from conftest import random_cloud
 
@@ -226,6 +227,34 @@ class TestPositivelyWeighted:
         assert weighting(s).weighting.min() < -1e-6
         flag, _ = is_positively_weighted(s)
         assert not flag
+
+    @pytest.mark.parametrize(
+        "seed,p,n",
+        [(14, 1, 8), (21, 2, 14), (115, 1, 26), (120, 1, 15), (201, 2, 14), (278, 1, 22)],
+    )
+    def test_small_negative_weight(self, seed, p, n):
+        # weights down to -2e-4 leave magnitude and diversity within 1e-7
+        # relative, since the deficit is second order in the negative weight
+        s = generate(random_cloud_spec(n, 2, p=p, seed=seed, box=3.0))
+        assert weighting(s).weighting.min() < -1e-4
+        assert is_positively_weighted(s) == (False, "weighting_sign")
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_disagreement_is_inconsistent(self, negative, monkeypatch):
+        # a positive weighting whose diversity falls short, or a negative one
+        # whose diversity solve never left the first step
+        if negative:
+            s, change = negative_weight_cloud(), {"iterations": 1}
+        else:
+            s = generate(SpaceSpec("interval_net", {"length": 1.0, "n": 5}))
+            change = {"diversity": 0.5 * magnitude(s)}
+        exact = diversity._max_diversity
+        monkeypatch.setattr(
+            diversity, "_max_diversity",
+            lambda *args: dataclasses.replace(exact(*args), **change),
+        )
+        with pytest.raises(Inconsistent):
+            is_positively_weighted(s)
 
 
 class TestDiameterBound:

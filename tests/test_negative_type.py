@@ -9,6 +9,7 @@ from maglab import (
     stability_scan,
 )
 from maglab import FiniteMetricSpace
+from maglab.cli import _jsonable
 from maglab.errors import InvalidParams
 
 from conftest import random_cloud, random_metric_4pt
@@ -95,7 +96,7 @@ class TestStabilityScan:
         for seed in range(40):
             s = random_cloud(seed + 10, n_max=7)
             rep = stability_scan(s, scales=[2.0**k for k in range(-6, 3)])
-            if rep.negative_type_report.negative_type:
+            if rep.negative_type.negative_type:
                 assert not rep.failing_scales
 
     def test_rejects_bad_scales(self):
@@ -106,7 +107,7 @@ class TestStabilityScan:
 
     def test_json_payload(self):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
-        payload = stability_scan(s).to_dict()
+        payload = _jsonable(stability_scan(s))
         assert payload["classification"] == "NotStablyPD"
         assert payload["failing_scales"]
         assert payload["negative_type"]["negative_type"] is False

@@ -1,4 +1,4 @@
-"""CLI --json reports checked against their versioned schemas in docs/schemas."""
+"""Every CLI subcommand's --json report checked against its schema in docs/schemas."""
 
 import json
 import math
@@ -11,6 +11,7 @@ from referencing import Registry, Resource
 
 from maglab import SpaceSpec, generate
 from maglab.cli import run
+from maglab.metric_core import FAMILY_TABLE
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -30,13 +31,16 @@ def validator(registry: Registry, name: str) -> jsonschema.Draft7Validator:
     return jsonschema.Draft7Validator(schema, registry=registry)
 
 
+def run_json(tmp_path, *argv, exit_code=0) -> dict:
+    out = tmp_path / "report.json"
+    assert run([*argv, "--json", str(out)]).exit_code == exit_code
+    return json.loads(out.read_text())
+
+
 def emit(tmp_path, space, *argv) -> dict:
     matrix = tmp_path / "space.csv"
     np.savetxt(matrix, space.dist, delimiter=",", fmt="%.17g")
-    out = tmp_path / "report.json"
-    result = run([argv[0], "--matrix", str(matrix), *argv[1:], "--json", str(out)])
-    assert result.exit_code == 0
-    return json.loads(out.read_text())
+    return run_json(tmp_path, argv[0], "--matrix", str(matrix), *argv[1:])
 
 
 SPACES = {
@@ -82,10 +86,38 @@ def test_stability_report(registry, tmp_path, capsys):
 
 
 def test_convergence_study(registry, tmp_path, capsys):
-    out = tmp_path / "study.json"
-    argv = ["approx", "--family", "interval", "--levels", "3,5,9", "--json", str(out)]
-    assert run(argv).exit_code == 0
-    validator(registry, "convergence_study").validate(json.loads(out.read_text()))
+    report = run_json(tmp_path, "approx", "--family", "interval", "--levels", "3,5,9")
+    validator(registry, "convergence_study").validate(report)
+
+
+@pytest.mark.parametrize("dist,exit_code", [
+    ([[0, 1], [1, 0]], 0),
+    ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], 1),  # a triangle violation
+])
+def test_validate_report(dist, exit_code, registry, tmp_path, capsys):
+    matrix = tmp_path / "dist.csv"
+    np.savetxt(matrix, dist, delimiter=",")
+    report = run_json(tmp_path, "validate", str(matrix), exit_code=exit_code)
+    validator(registry, "validate_report").validate(report)
+    assert len(report["offending_triples"]) == exit_code
+
+
+@pytest.mark.parametrize("argv,schema", [
+    (["fourier", "--p", "1.5"], "fourier_report"),
+    (["fourier", "--p", "2", "--upper-bound", "--ell", "2"], "fourier_upper_bound"),
+    (["experiment", "product-counterexample"], "stability_report"),
+])
+def test_spaceless_reports(argv, schema, registry, tmp_path, capsys):
+    validator(registry, schema).validate(run_json(tmp_path, *argv))
+
+
+# seed 0 finds an l_inf witness at its 301st subset
+@pytest.mark.parametrize("p,budget,found", [("inf", "400", True), ("2", "5", False)])
+def test_witness_search(p, budget, found, registry, tmp_path, capsys):
+    argv = ["experiment", "witness-search", "--p", p, "--budget", budget]
+    report = run_json(tmp_path, *argv)
+    validator(registry, "witness_search").validate(report)
+    assert report["found"] is found
 
 
 def test_space_spec(registry):
@@ -94,3 +126,8 @@ def test_space_spec(registry):
     # the schema's stated seed default is what SpaceSpec reads a null seed as
     seed = registry.contents("maglab/space_spec/v1")["properties"]["seed"]
     assert seed["default"] == SpaceSpec(spec.family, spec.params, seed=None).seed
+
+
+def test_space_spec_families(registry):
+    family = registry.contents("maglab/space_spec/v1")["properties"]["family"]
+    assert sorted(family["enum"]) == sorted(FAMILY_TABLE)
