@@ -16,7 +16,6 @@ from .metric_core import (
 from .magnitude import (
     MagnitudeReport,
     ScaleSweep,
-    SimilarityMatrix,
     SpectrumDiagnostics,
     magnitude,
     magnitude_dimension_estimate,
@@ -43,11 +42,11 @@ from .analysis import (
     ConvergenceStudy,
     FourierReport,
     approx_magnitude,
+    chebyshev_interval,
     fourier_upper_bound_1d,
     gamma_hat_1d,
     growth_bound_study,
     growth_lower_bound,
-    interval_family,
     lp_ball_volume,
     product_counterexample_experiment,
     witness_search,

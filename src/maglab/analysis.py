@@ -21,13 +21,18 @@ from .errors import (
     NotPositiveDefinite,
     QuadratureDivergence,
 )
-from .magnitude import magnitude_dimension_estimate, rayleigh, scale_sweep, weighting
+from .magnitude import (
+    _spectrum, magnitude_dimension_estimate, rayleigh, scale_sweep, similarity, weighting,
+)
 from .metric_core import (
     FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _lp_distances, generate, lp_product,
 )
 from .negative_type import StabilityReport, stability_scan
 
 TAIL_TOLERANCE = 1e-9
+GROWTH_MARGIN = 0.05  # slack on the volume-ratio lower bound
+WITNESS_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+WITNESS_MAX_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -47,26 +52,12 @@ class ConvergenceStudy:
     monotone: bool
 
 
-def interval_family(
-    length: float, kind: str = "uniform", scale: float = 1.0, snowflake: float = 1.0
-) -> Callable[[int], SpaceSpec]:
-    """Level -> spec for interval nets; 'chebyshev' gives cosine-clustered nets."""
-    if kind == "uniform":
-        def build(n: int) -> SpaceSpec:
-            return SpaceSpec(
-                "interval_net", {"length": length, "n": n},
-                scale=scale, snowflake=snowflake,
-            )
-    elif kind == "chebyshev":
-        def build(n: int) -> SpaceSpec:
-            k = np.arange(n)
-            pts = 0.5 * length * (1.0 - np.cos(math.pi * k / max(n - 1, 1)))
-            return SpaceSpec(
-                "point_cloud_lp", {"points": pts.tolist(), "p": 2.0},
-                scale=scale, snowflake=snowflake,
-            )
-    else:
-        raise InvalidParams(f"unknown interval family kind {kind!r}")
+def chebyshev_interval(length: float) -> Callable[[int], SpaceSpec]:
+    """Level n -> spec of the n-point cosine-clustered net of [0, length]."""
+    def build(n: int) -> SpaceSpec:
+        k = np.arange(n)
+        pts = 0.5 * length * (1.0 - np.cos(math.pi * k / max(n - 1, 1)))
+        return SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 2.0})
     return build
 
 
@@ -124,12 +115,10 @@ def approx_magnitude(
     levels = sorted(int(k) for k in levels)
     if not levels:
         raise InvalidParams("levels must be nonempty")
-    spaces = {}
     records = []
     finest = generate(_spec_for_level(template, levels[-1]))
     for k in levels:
         space = finest if k == levels[-1] else generate(_spec_for_level(template, k))
-        spaces[k] = space
         gap = _ambient_gap(space, finest)
         try:
             if quadrature:
@@ -207,12 +196,10 @@ class GrowthStudy:
     slope_stderr: Optional[float]
 
 
-def growth_bound_study(
-    template: SpaceSpec, t_grid, margin: float = 0.05
-) -> GrowthStudy:
+def growth_bound_study(template: SpaceSpec, t_grid) -> GrowthStudy:
     """Check net magnitudes of a scaled unit-cube grid against the lower bound.
 
-    The margin absorbs both the stated 5% slack and the net-resolution
+    GROWTH_MARGIN absorbs both the stated 5% slack and the net-resolution
     deficit of a finite lattice standing in for the solid cube.
     """
     if template.family != "grid_net":
@@ -232,7 +219,7 @@ def growth_bound_study(
                 t=rec.t,
                 lower_bound=lb,
                 net_magnitude=rec.magnitude,
-                satisfied=rec.magnitude >= lb * (1.0 - margin),
+                satisfied=rec.magnitude >= lb * (1.0 - GROWTH_MARGIN),
             )
         )
     slope = stderr = None
@@ -414,45 +401,36 @@ class WitnessSearchResult:
     witness_seed_index: Optional[int] = None
 
 
-def witness_search(
-    p: float,
-    n: int,
-    budget: int,
-    seed: int = 0,
-    scales=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0),
-    max_points: int = 8,
-) -> WitnessSearchResult:
+def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearchResult:
     """Seeded random search for a non-PD finite subset of l_p^n.
 
-    Absence of a witness is a valid (and for p <= 2, the expected) result.
+    Each trial draws 3 to WITNESS_MAX_POINTS points and checks Z(tX) at
+    every t in WITNESS_SCALES.  Absence of a witness is a valid (and for
+    p <= 2, the expected) result.
     """
     if budget < 0:
         raise InvalidParams("budget must be nonnegative")
-    from .magnitude import spectrum_diagnostics
-
     rng = np.random.default_rng(seed)
     tested = 0
     for trial in range(budget):
-        size = int(rng.integers(3, max_points + 1))
+        size = int(rng.integers(3, WITNESS_MAX_POINTS + 1))
         pts = rng.uniform(-1.0, 1.0, size=(size, n))
         space = generate(
             SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p})
         )
         tested += 1
-        for t in scales:
-            diag = spectrum_diagnostics(
-                FiniteMetricSpace(space.labels, t * space.dist)
-            )
+        for t in WITNESS_SCALES:
+            diag = _spectrum(similarity(space, t))
             if diag.verdict == "Indefinite":
                 return WitnessSearchResult(
                     found=True,
                     subsets_tested=tested,
-                    scales_tested=len(scales),
+                    scales_tested=len(WITNESS_SCALES),
                     witness_points=pts.tolist(),
                     witness_scale=float(t),
                     witness_lambda_min=diag.lambda_min,
                     witness_seed_index=trial,
                 )
     return WitnessSearchResult(
-        found=False, subsets_tested=tested, scales_tested=len(scales)
+        found=False, subsets_tested=tested, scales_tested=len(WITNESS_SCALES)
     )

@@ -12,16 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import analysis, metric_core, negative_type
 from .diversity import max_diversity
-from .magnitude import ILL_CONDITION_LIMIT, scale_sweep, weighting
+from .magnitude import scale_sweep, weighting
 from .errors import MaglabError
 
 
@@ -32,8 +32,6 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class CommandResult:
     exit_code: int
-    summary: str
-    report_path: Optional[str] = None
 
 
 def _parse_scales(text: str):
@@ -45,6 +43,8 @@ def _parse_scales(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("scale grid must look like a:b:n[log]")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError("scale grid endpoints must be finite")
     if a <= 0 or b <= 0 or n < 1:
         raise argparse.ArgumentTypeError("scale grid endpoints must be positive")
     if n == 1:
@@ -113,11 +113,10 @@ def _write_csv(path, records) -> None:
         writer.writerows([getattr(r, name) for name in names] for r in records)
 
 
-def _emit(args, report) -> Optional[str]:
+def _emit(args, report) -> None:
     path = getattr(args, "json", None)
     if path:
         Path(path).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
-    return path
 
 
 def _add_space_source(parser):
@@ -136,43 +135,35 @@ def _cmd_validate(args) -> CommandResult:
     except ValueError as exc:
         raise _malformed_csv(args.matrix, exc) from exc
     report = metric_core.validate_metric(d)
-    path = _emit(args, report)
-    summary = (
+    _emit(args, report)
+    print(
         f"ok={report.ok} worst_triangle={report.worst_triangle_violation:.3g} "
         f"worst_asymmetry={report.worst_asymmetry:.3g}"
     )
-    print(summary)
-    return CommandResult(0 if report.ok else 1, summary, path)
+    return CommandResult(0 if report.ok else 1)
 
 
 def _cmd_magnitude(args) -> CommandResult:
     space = _load_space(args)
     report = weighting(space)
-    path = _emit(args, report)
-    summary = (
+    _emit(args, report)
+    print(
         f"magnitude {report.magnitude:.12g}  residual {report.residual:.3g}  "
         f"positively_weighted {report.positively_weighted}"
     )
-    print(summary)
-    if report.ill_conditioned:
-        print(
-            "warning: condition estimate "
-            f"{report.diagnostics.condition_estimate:.3g} exceeds {ILL_CONDITION_LIMIT:g}"
-        )
-    return CommandResult(0, summary, path)
+    return CommandResult(0)
 
 
 def _cmd_diversity(args) -> CommandResult:
     space = _load_space(args)
     report = max_diversity(space, tol=args.tol, max_iters=args.max_iters)
-    path = _emit(args, report)
-    summary = (
+    _emit(args, report)
+    print(
         f"diversity in [{report.diversity:.12g}, {report.upper_bound:.12g}]  "
         f"support {len(report.support)}  iterations {report.iterations}  "
         f"converged {report.converged}"
     )
-    print(summary)
-    return CommandResult(0 if report.converged else 1, summary, path)
+    return CommandResult(0 if report.converged else 1)
 
 
 def _cmd_sweep(args) -> CommandResult:
@@ -180,60 +171,56 @@ def _cmd_sweep(args) -> CommandResult:
     sweep = scale_sweep(
         space, args.scales, with_diversity=args.with_diversity
     )
-    path = _emit(args, sweep)
+    _emit(args, sweep)
     if args.csv:
         _write_csv(args.csv, sweep.records)
     print(f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}")
     for r in sweep.records:
         mag = f"{r.magnitude:.8g}" if r.magnitude is not None else "-"
         print(f"{r.t:>12.6g} {r.lambda_min:>14.6g} {r.verdict:>22} {mag:>14}")
-    summary = f"{len(sweep.records)} scales swept"
-    return CommandResult(0, summary, path)
+    return CommandResult(0)
 
 
 def _cmd_negtype(args) -> CommandResult:
     space = _load_space(args)
     report = negative_type.stability_scan(space)
-    nt = report.negative_type
-    path = _emit(args, report)
-    summary = (
-        f"negative_type: {str(nt.negative_type).lower()}  "
+    _emit(args, report)
+    print(
+        f"negative_type: {str(report.negative_type.negative_type).lower()}  "
         f"classification: {report.classification}"
     )
-    print(summary)
     failing = report.first_failing_scale()
     if failing is not None:
         print(f"first failing scale: {failing:g}")
-    return CommandResult(0, summary, path)
+    return CommandResult(0)
 
 
 def _cmd_approx(args) -> CommandResult:
-    if args.family in ("interval", "interval_net"):
-        template = analysis.interval_family(args.length, "uniform")
-    elif args.family in ("chebyshev", "interval_chebyshev"):
-        template = analysis.interval_family(args.length, "chebyshev")
+    if args.family in ("chebyshev", "interval_chebyshev"):
+        template = analysis.chebyshev_interval(args.length)
     else:
+        family = "interval_net" if args.family == "interval" else args.family
         params = args.params or {}
         params.setdefault("length", args.length)
-        template = metric_core.SpaceSpec(args.family, params)
+        template = metric_core.SpaceSpec(family, params)
     study = analysis.approx_magnitude(
         template, args.levels, quadrature=args.quadrature
     )
-    path = _emit(args, study)
+    _emit(args, study)
     if args.csv:
         _write_csv(args.csv, study.records)
     for r in study.records:
         mag = f"{r.magnitude:.10g}" if r.magnitude is not None else f"FAILED: {r.failure}"
         gap = f"{r.gap:.3g}" if r.gap is not None else "-"
         print(f"level {r.level:>6}  points {r.n_points:>7}  gap {gap:>10}  {mag}")
-    summary = (
+    if study.extrapolated_limit is None:
+        print("no positive definite levels")
+        return CommandResult(1)
+    print(
         f"extrapolated limit {study.extrapolated_limit:.10g}  "
         f"monotone {study.monotone}"
-        if study.extrapolated_limit is not None
-        else "no positive definite levels"
     )
-    print(summary)
-    return CommandResult(0 if study.extrapolated_limit is not None else 1, summary, path)
+    return CommandResult(0)
 
 
 def _cmd_fourier(args) -> CommandResult:
@@ -241,48 +228,44 @@ def _cmd_fourier(args) -> CommandResult:
         result = analysis.fourier_upper_bound_1d(
             args.ell, args.p, args.alpha, args.mollifier_radius, L=args.L, N=args.N
         )
-        path = _emit(args, result)
-        summary = (
+        _emit(args, result)
+        print(
             f"magnitude upper bound {result.bound:.8g} "
             f"(quadrature error ~{result.error_estimate:.3g})"
         )
-        print(summary)
-        return CommandResult(0, summary, path)
+        return CommandResult(0)
     report = analysis.gamma_hat_1d(args.p, L=args.L, N=args.N)
-    path = _emit(args, report)
-    summary = (
+    _emit(args, report)
+    print(
         f"p={args.p}  positive {report.positive}  "
         f"radially_decreasing {report.radially_decreasing}  "
         f"fitted_c {report.fitted_c:.6g}"
     )
-    print(summary)
-    return CommandResult(0, summary, path)
+    return CommandResult(0)
 
 
 def _cmd_experiment(args) -> CommandResult:
     if args.which == "product-counterexample":
         report = analysis.product_counterexample_experiment()
-        path = _emit(args, report)
-        summary = f"classification: {report.classification}"
-        print(summary)
+        _emit(args, report)
+        print(f"classification: {report.classification}")
         failing = report.first_failing_scale()
         if failing is not None:
             print(f"first failing scale: {failing:g}")
-        return CommandResult(0, summary, path)
+        return CommandResult(0)
     result = analysis.witness_search(
         p=args.p, n=args.n, budget=args.budget, seed=args.seed
     )
-    path = _emit(args, result)
+    _emit(args, result)
     if result.found:
-        summary = (
+        print(
             f"witness found at scale {result.witness_scale:g} "
             f"(lambda_min {result.witness_lambda_min:.3g}, "
             f"{result.subsets_tested} subsets tested)"
         )
     else:
-        summary = f"no witness found ({result.subsets_tested} subsets tested)"
-    print(summary)
-    return CommandResult(0, summary, path)
+        print(f"no witness found ({result.subsets_tested} subsets tested)")
+    return CommandResult(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,20 +347,20 @@ def run(argv) -> CommandResult:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return CommandResult(int(exc.code or 0), "usage error" if exc.code else "help")
+        return CommandResult(int(exc.code or 0))
     if getattr(args, "mollifier_radius", None) is None and hasattr(args, "ell"):
         args.mollifier_radius = 2.0 * args.ell if args.ell > 0 else 1.0
     try:
         return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, str(exc))
+        return CommandResult(2)
     except MaglabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         diag = getattr(exc, "diagnostics", None)
         if diag is not None:
             print(f"lambda_min: {diag.lambda_min:.6g}", file=sys.stderr)
-        return CommandResult(1, str(exc))
+        return CommandResult(1)
 
 
 def main() -> None:

@@ -22,12 +22,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IndefiniteForm, Inconsistent, InvalidParams, NotConverged
-from .magnitude import SpectrumDiagnostics, _weighting, similarity, spectrum_diagnostics
+from .magnitude import (
+    SpectrumDiagnostics, _spectrum, _weighting, similarity, spectrum_diagnostics,
+)
 from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
+AGREEMENT_TOL = 1e-7  # relative |magnitude - diversity| of a positive weighting
 
 
 @dataclass(frozen=True)
@@ -57,21 +60,21 @@ def max_diversity(
         raise InvalidParams("tol must be positive")
     if max_iters < 1:
         raise InvalidParams("max_iters must be at least 1")
-    return _max_diversity(space, spectrum_diagnostics(space), tol, max_iters)
+    diag = spectrum_diagnostics(space)
+    return _max_diversity(similarity(space), diag, tol, max_iters)
 
 
 def _max_diversity(
-    space: FiniteMetricSpace, diag: SpectrumDiagnostics,
+    z: np.ndarray, diag: SpectrumDiagnostics,
     tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
 ) -> DiversityReport:
-    """`max_diversity`, given the space's spectrum diagnostics."""
+    """`max_diversity`, given the similarity matrix and its spectrum diagnostics."""
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
             f"similarity matrix is indefinite (lambda_min={diag.lambda_min:.3g}); "
             "the quadratic form is nonconvex",
             diagnostics=diag,
         )
-    z = similarity(space).z
     try:
         factor = scipy.linalg.cholesky(z + 1.0, lower=True)
     except scipy.linalg.LinAlgError:
@@ -125,9 +128,7 @@ def _max_diversity(
     )
 
 
-def is_positively_weighted(
-    space: FiniteMetricSpace, tol: float = 1e-7
-) -> tuple[bool, str]:
+def is_positively_weighted(space: FiniteMetricSpace) -> tuple[bool, str]:
     """Decide whether magnitude equals maximum diversity.
 
     The certificate is the sign of the weighting.  The diversity solve
@@ -136,14 +137,18 @@ def is_positively_weighted(
     cannot confirm a negative sign, because the diversity deficit is second
     order in the negative weight (-2e-4 gives a relative gap near 1e-9), so
     they are compared only for a nonnegative weighting, where magnitude and
-    diversity must agree to ``tol``.  A disagreement raises Inconsistent.
+    diversity must agree to AGREEMENT_TOL.  A disagreement raises
+    Inconsistent.  One similarity matrix serves the verdict and both solves.
     """
-    diag = spectrum_diagnostics(space)
-    report = _weighting(space, diag)  # raises NotPositiveDefinite when not PD
+    z = similarity(space)
+    diag = _spectrum(z)
+    report = _weighting(z, diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
-    div = _max_diversity(space, diag)
+    div = _max_diversity(z, diag)
     gap = abs(report.magnitude - div.diversity)
-    if (flag_w and gap > tol * report.magnitude) or (not flag_w and div.iterations == 1):
+    if (flag_w and gap > AGREEMENT_TOL * report.magnitude) or (
+        not flag_w and div.iterations == 1
+    ):
         raise Inconsistent(
             f"weighting sign says {flag_w} but the diversity solve took "
             f"{div.iterations} step(s) and |magnitude - diversity| = {gap:.3g} "

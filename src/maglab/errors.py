@@ -36,10 +36,6 @@ class EmptySubset(MaglabError):
 class InvalidMetric(MaglabError):
     """A distance matrix failed metric validation."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NotPositiveDefinite(MaglabError):
     """Raised when an operation requires a positive definite similarity matrix.
@@ -67,9 +63,7 @@ class IndefiniteForm(MaglabError):
 
 
 class NotConverged(MaglabError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    pass
 
 
 class Inconsistent(MaglabError):

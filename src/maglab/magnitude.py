@@ -1,8 +1,9 @@
 """Similarity matrices, PSD diagnostics, weightings, magnitude, scale sweeps.
 
-The similarity matrix of a finite metric space has entries exp(-d(x, y)).
-When it is positive definite the space's magnitude is the sum of the
-weighting w solving  Z w = 1.
+The similarity matrix of a finite metric space X at scale t is
+Z(tX) = exp(-t d(x, y)).  When it is positive definite the magnitude of tX
+is the sum of the weighting w solving  Z w = 1.  The verdict, the weighting
+and the diversity all read one Z, which the private helpers take as given.
 """
 
 from __future__ import annotations
@@ -15,25 +16,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateQuadraticForm, InsufficientRecords, NotPositiveDefinite
-from .metric_core import FiniteMetricSpace, scale_space
-
-ILL_CONDITION_LIMIT = 1e12
+from .metric_core import FiniteMetricSpace, _check_scale
 
 
 def psd_tolerance(lambda_max: float) -> float:
     """Verdict band: scale-invariant and conservative for entries <= 1."""
     return 1e-9 * max(1.0, lambda_max)
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    z: np.ndarray
-    source: FiniteMetricSpace
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -52,7 +40,6 @@ class MagnitudeReport:
     residual: float
     positively_weighted: bool
     diagnostics: SpectrumDiagnostics
-    ill_conditioned: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,11 +57,13 @@ class ScaleSweep:
     spec: Optional[str] = None  # SpaceSpec JSON of the unscaled space
 
 
-def similarity(space: FiniteMetricSpace) -> SimilarityMatrix:
-    """Entrywise exp(-d), with an exactly unit diagonal."""
-    z = np.exp(-space.dist)
+def similarity(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
+    """Z(tX): entrywise exp(-t d), read-only, with an exactly unit diagonal."""
+    _check_scale(t)
+    z = np.exp(-t * space.dist)
     np.fill_diagonal(z, 1.0)
-    return SimilarityMatrix(z=z, source=space)
+    z.setflags(write=False)
+    return z
 
 
 def _extremal_eigenvalues(z: np.ndarray) -> tuple[float, float]:
@@ -84,7 +73,11 @@ def _extremal_eigenvalues(z: np.ndarray) -> tuple[float, float]:
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     """Extremal eigenvalues of the similarity matrix and a PSD verdict."""
-    z = similarity(space).z
+    return _spectrum(similarity(space))
+
+
+def _spectrum(z: np.ndarray) -> SpectrumDiagnostics:
+    """`spectrum_diagnostics`, given the similarity matrix."""
     lo, hi = _extremal_eigenvalues(z)
     tau = psd_tolerance(hi)
     if lo > tau:
@@ -105,17 +98,17 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     """Solve Z w = 1 by Cholesky with one step of iterative refinement."""
-    return _weighting(space, spectrum_diagnostics(space))
+    diag = spectrum_diagnostics(space)
+    return _weighting(similarity(space), diag)
 
 
-def _weighting(space: FiniteMetricSpace, diag: SpectrumDiagnostics) -> MagnitudeReport:
-    """`weighting`, given the space's spectrum diagnostics."""
+def _weighting(z: np.ndarray, diag: SpectrumDiagnostics) -> MagnitudeReport:
+    """`weighting`, given the similarity matrix and its spectrum diagnostics."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    z = similarity(space).z
     ones = np.ones(z.shape[0])
     try:
         factor = scipy.linalg.cho_factor(z, lower=True)
@@ -133,7 +126,6 @@ def _weighting(space: FiniteMetricSpace, diag: SpectrumDiagnostics) -> Magnitude
         residual=residual,
         positively_weighted=bool(w.min() >= -tau_w),
         diagnostics=diag,
-        ill_conditioned=bool(diag.condition_estimate > ILL_CONDITION_LIMIT),
     )
 
 
@@ -144,7 +136,7 @@ def magnitude(space: FiniteMetricSpace) -> float:
 def rayleigh(space: FiniteMetricSpace, mu) -> float:
     """The quotient (sum mu)^2 / (mu' Z mu)."""
     mu = np.asarray(mu, dtype=float)
-    z = similarity(space).z
+    z = similarity(space)
     denom = float(mu @ z @ mu)
     if abs(denom) <= 1e-14 * float(mu @ mu):
         raise DegenerateQuadraticForm("quadratic form vanishes at this vector")
@@ -160,16 +152,16 @@ def scale_sweep(
         raise InsufficientRecords("scale grid must be nonempty")
     records = []
     for t in ts:
-        scaled = scale_space(space, t)
-        diag = spectrum_diagnostics(scaled)
+        z = similarity(space, t)
+        diag = _spectrum(z)
         mag = None
         div = None
         if diag.verdict == "PositiveDefinite":
-            mag = _weighting(scaled, diag).magnitude
+            mag = _weighting(z, diag).magnitude
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
             from .diversity import _max_diversity
 
-            div = _max_diversity(scaled, diag).diversity
+            div = _max_diversity(z, diag).diversity
         records.append(
             SweepRecord(
                 t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,

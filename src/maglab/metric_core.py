@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -357,25 +358,22 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
 
 
 def random_cloud_spec(
-    n: int, dim: int, p: float = 2.0, seed: int = 0, box: float = 1.0,
-    scale: float = 1.0, snowflake: float = 1.0,
+    n: int, dim: int, p: float = 2.0, seed: int = 0, box: float = 1.0
 ) -> SpaceSpec:
     """A point_cloud_lp spec with seeded uniform coordinates in [0, box]^dim."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, box, size=(n, dim))
-    return SpaceSpec(
-        "point_cloud_lp",
-        {"points": pts.tolist(), "p": p},
-        scale=scale,
-        snowflake=snowflake,
-        seed=seed,
-    )
+    return SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p}, seed=seed)
+
+
+def _check_scale(t: float) -> None:
+    if not t > 0:
+        raise NonpositiveScale(f"scale must be positive, got {t}")
 
 
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Multiply every distance by t > 0."""
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t}")
+    _check_scale(t)
     return FiniteMetricSpace(
         labels=space.labels, dist=t * space.dist,
         provenance=space.provenance, coords=space.coords,
@@ -422,8 +420,14 @@ def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:
 
 
 def read_distance_csv(path) -> np.ndarray:
-    """Read a headerless CSV matrix; ValueError on a non-numeric cell or ragged rows."""
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    """Read a headerless CSV matrix; ValueError on a non-numeric cell, ragged
+    rows or a file with no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" notice
+        d = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    if d.size == 0:
+        raise ValueError("file contains no data")
+    return d
 
 
 def load_distance_csv(path, force: bool = False) -> FiniteMetricSpace:
@@ -434,7 +438,6 @@ def load_distance_csv(path, force: bool = False) -> FiniteMetricSpace:
         raise InvalidMetric(
             f"{path}: metric axioms violated "
             f"(worst triangle {report.worst_triangle_violation:.3g}, "
-            f"worst asymmetry {report.worst_asymmetry:.3g})",
-            report=report,
+            f"worst asymmetry {report.worst_asymmetry:.3g})"
         )
     return FiniteMetricSpace(labels=tuple(range(d.shape[0])), dist=d)

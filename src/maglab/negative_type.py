@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams
-from .magnitude import psd_tolerance, spectrum_diagnostics
-from .metric_core import FiniteMetricSpace, scale_space
+from .magnitude import _spectrum, psd_tolerance, similarity
+from .metric_core import FiniteMetricSpace
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
 
@@ -87,7 +87,7 @@ def stability_scan(
     records = []
     failing = []
     for t in scales:
-        diag = spectrum_diagnostics(scale_space(space, t))
+        diag = _spectrum(similarity(space, t))
         records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)

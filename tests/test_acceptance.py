@@ -12,12 +12,12 @@ import numpy as np
 from maglab import (
     SpaceSpec,
     approx_magnitude,
+    chebyshev_interval,
     diversity_diameter_check,
     fourier_upper_bound_1d,
     gamma_hat_1d,
     generate,
     growth_bound_study,
-    interval_family,
     magnitude,
     magnitude_dimension_estimate,
     max_diversity,
@@ -76,8 +76,8 @@ def test_criterion_02_bipartite_threshold():
 
 def test_criterion_03_interval_convergence():
     nested = [2**k + 1 for k in range(1, 10)]
-    uni = approx_magnitude(interval_family(2.0, "uniform"), nested)
-    che = approx_magnitude(interval_family(2.0, "chebyshev"), nested)
+    uni = approx_magnitude(SpaceSpec("interval_net", {"length": 2.0}), nested)
+    che = approx_magnitude(chebyshev_interval(2.0), nested)
     mags = [r.magnitude for r in uni.records]
     ok = (
         abs(uni.extrapolated_limit - che.extrapolated_limit) <= 1e-4

@@ -6,12 +6,12 @@ import pytest
 from maglab import (
     SpaceSpec,
     approx_magnitude,
+    chebyshev_interval,
     fourier_upper_bound_1d,
     gamma_hat_1d,
     generate,
     growth_bound_study,
     growth_lower_bound,
-    interval_family,
     lp_ball_volume,
     product_counterexample_experiment,
     witness_search,
@@ -54,8 +54,8 @@ class TestCosineTransform:
 class TestApproxMagnitude:
     def test_interval_families_agree(self):
         levels = [11, 101, 501]
-        uni = approx_magnitude(interval_family(2.0, "uniform"), levels)
-        che = approx_magnitude(interval_family(2.0, "chebyshev"), levels)
+        uni = approx_magnitude(SpaceSpec("interval_net", {"length": 2.0}), levels)
+        che = approx_magnitude(chebyshev_interval(2.0), levels)
         assert uni.monotone and che.monotone
         assert uni.extrapolated_limit == pytest.approx(2.0, abs=1e-3)
         assert abs(uni.extrapolated_limit - che.extrapolated_limit) <= 1e-3
@@ -76,13 +76,16 @@ class TestApproxMagnitude:
 
     def test_quadrature_value_is_lower_bound(self):
         levels = [21, 81]
-        solve = approx_magnitude(interval_family(1.0, "uniform"), levels)
-        quad = approx_magnitude(interval_family(1.0, "uniform"), levels, quadrature=True)
+        interval = SpaceSpec("interval_net", {"length": 1.0})
+        solve = approx_magnitude(interval, levels)
+        quad = approx_magnitude(interval, levels, quadrature=True)
         for a, b in zip(quad.records, solve.records):
             assert a.magnitude <= b.magnitude + 1e-12
 
     def test_net_magnitudes_below_limit(self):
-        study = approx_magnitude(interval_family(2.0, "uniform"), [11, 101, 501])
+        study = approx_magnitude(
+            SpaceSpec("interval_net", {"length": 2.0}), [11, 101, 501]
+        )
         for r in study.records:
             assert r.magnitude <= study.extrapolated_limit + 1e-6
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestUsageErrors:
     def test_bad_scales(self, k32_spec_json, capsys):
         assert run(["sweep", "--spec", k32_spec_json, "--scales", "nope"]).exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "1:inf:3"])
+    def test_nonfinite_scales(self, grid, k32_spec_json, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", "--spec", k32_spec_json, "--scales", grid]).exit_code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "maglab sweep: error: argument --scales: scale grid endpoints must be finite"
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -174,12 +185,14 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "missing." in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("text", ["0,1\n1,x\n", "0,1\n1\n"])
+    @pytest.mark.parametrize("text", ["0,1\n1,x\n", "0,1\n1\n", ""])
     @pytest.mark.parametrize("command", [["validate"], ["magnitude", "--matrix"]])
     def test_malformed_csv(self, text, command, tmp_path, capsys):
         path = tmp_path / "dist.csv"
         path.write_text(text)
-        assert run([*command, str(path)]).exit_code == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*command, str(path)]).exit_code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed CSV" in err
         assert len(err.strip().splitlines()) == 1

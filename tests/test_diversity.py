@@ -101,7 +101,7 @@ class TestMaxDiversity:
 
 def subset_oracle(space: FiniteMetricSpace) -> float:
     """Leinster-Meckes: the largest sum(Z_BB^-1 1) over nonnegatively weighted B."""
-    z = similarity(space).z
+    z = similarity(space)
     best = 0.0
     for k in range(1, len(space) + 1):
         for subset in itertools.combinations(range(len(space)), k):

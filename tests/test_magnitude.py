@@ -18,12 +18,14 @@ from maglab import (
     scale_sweep,
     similarity,
     spectrum_diagnostics,
+    stability_scan,
     weighting,
 )
 from maglab.cli import _jsonable, _write_csv
 from maglab.errors import (
     DegenerateQuadraticForm,
     InsufficientRecords,
+    NonpositiveScale,
     NotPositiveDefinite,
 )
 
@@ -43,25 +45,42 @@ def two_point_magnitude(d: float) -> float:
 class TestSimilarity:
     def test_singleton(self):
         s = FiniteMetricSpace(("a",), [[0.0]])
-        assert similarity(s).z.tolist() == [[1.0]]
+        assert similarity(s).tolist() == [[1.0]]
 
     def test_two_points(self):
         s = FiniteMetricSpace((0, 1), [[0, 2.0], [2.0, 0]])
         q = math.exp(-2.0)
-        assert np.allclose(similarity(s).z, [[1, q], [q, 1]])
+        assert np.allclose(similarity(s), [[1, q], [q, 1]])
 
     def test_scaling_is_entrywise_power(self):
         s = random_cloud(3, n_max=5)
-        z1 = similarity(s).z
-        z3 = similarity(scale_space(s, 3.0)).z
+        z1 = similarity(s)
+        z3 = similarity(scale_space(s, 3.0))
         assert np.abs(z3 - z1**3.0).max() <= 1e-14
 
     def test_unit_diagonal_and_range(self):
         s = random_cloud(8)
-        z = similarity(s).z
+        z = similarity(s)
         assert np.all(np.diag(z) == 1.0)
         off = z[~np.eye(len(s), dtype=bool)]
         assert np.all((off > 0) & (off < 1))
+
+    @pytest.mark.parametrize("space", [
+        random_cloud(5),
+        generate(SpaceSpec("grid_net", {"n": 2, "p": 1.0, "m": 5})),
+        generate(SpaceSpec("interval_net", {"length": 2.0, "n": 9},
+                           scale=3.0, snowflake=0.5)),
+    ])
+    def test_scale_matches_scaled_copy_bit_for_bit(self, space):
+        for t in (1e-3, 0.25, 1.0, math.log(2.0), 7.5, 1e3):
+            z = similarity(space, t)
+            assert np.array_equal(z, similarity(scale_space(space, t)))
+            assert not z.flags.writeable
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_scale(self, t):
+        with pytest.raises(NonpositiveScale):
+            similarity(random_cloud(3), t)
 
 
 class TestSpectrumDiagnostics:
@@ -193,6 +212,11 @@ class TestScaleSweep:
         sweep = scale_sweep(s, [1.0])
         assert sweep.records[0].magnitude == pytest.approx(magnitude(s))
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_scale(self, two_points, t):
+        with pytest.raises(NonpositiveScale):
+            scale_sweep(two_points, [t, 1.0])
+
     def test_csv_and_json_round_trip(self, tmp_path, two_points):
         sweep = scale_sweep(two_points, [1.0, 2.0])
         payload = _jsonable(sweep)
@@ -217,23 +241,51 @@ class TestOneEigensolvePerScale:
         monkeypatch.setattr(magnitude_module, "_extremal_eigenvalues", counted)
         return calls
 
+    @pytest.fixture
+    def similarities(self, monkeypatch):
+        """Scales of every `similarity` call, counted at each name binding it."""
+        calls = []
+        original = magnitude_module.similarity
+
+        def counted(space, t=1.0):
+            calls.append(t)
+            return original(space, t)
+
+        for name in ("maglab", "maglab.magnitude", "maglab.diversity",
+                     "maglab.negative_type", "maglab.analysis", "maglab.cli"):
+            module = importlib.import_module(name)
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+        return calls
+
     @pytest.mark.parametrize("with_diversity", [False, True])
-    def test_sweep(self, eigensolves, with_diversity):
+    def test_sweep(self, eigensolves, similarities, with_diversity):
         s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
         assert [r.verdict for r in sweep.records] == ["PositiveDefinite"] * len(ts)
         assert len(eigensolves) == len(ts)
+        assert similarities == ts
         for r in sweep.records:
             scaled = scale_space(s, r.t)
             assert r.magnitude == weighting(scaled).magnitude
             if with_diversity:
                 assert r.diversity == max_diversity(scaled).diversity
 
-    def test_is_positively_weighted(self, eigensolves):
+    def test_stability_scan(self, eigensolves, similarities):
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        ts = [0.25, 0.5, 1.0, 2.0, 4.0]
+        report = stability_scan(s, ts)
+        assert [r.t for r in report.records] == ts
+        assert len(eigensolves) == len(ts)
+        assert similarities == ts
+
+    def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
         flag, certificate = is_positively_weighted(s)
         assert len(eigensolves) == 1
+        assert similarities == [1.0]
         assert certificate == "weighting_sign"
         assert flag == weighting(s).positively_weighted
 

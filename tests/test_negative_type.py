@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from maglab import (
 )
 from maglab import FiniteMetricSpace
 from maglab.cli import _jsonable
-from maglab.errors import InvalidParams
+from maglab.errors import InvalidParams, NonpositiveScale
 
 from conftest import random_cloud, random_metric_4pt
 
@@ -104,6 +106,10 @@ class TestStabilityScan:
             stability_scan(random_cloud(2), scales=[])
         with pytest.raises(InvalidParams):
             stability_scan(random_cloud(2), scales=[-1.0])
+        with pytest.raises(InvalidParams):
+            stability_scan(random_cloud(2), scales=[0.0, 1.0])
+        with pytest.raises(NonpositiveScale):
+            stability_scan(random_cloud(2), scales=[math.nan, 1.0])
 
     def test_json_payload(self):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
