@@ -410,6 +410,8 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
     """
     if budget < 0:
         raise InvalidParams("budget must be nonnegative")
+    if n < 1:
+        raise InvalidParams("n must be at least 1")
     rng = np.random.default_rng(seed)
     tested = 0
     for trial in range(budget):

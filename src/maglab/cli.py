@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (e.g. a non-positive-definite
 similarity matrix), 2 usage or I/O error (bad arguments, a missing file,
-a malformed spec).  Every subcommand can mirror its full
-report as JSON via --json; the human-readable table is derived from the
-same report object.
+a malformed spec).  Each subcommand maps its parsed arguments to a report,
+text lines and an exit code, and prints nothing; `run` writes the report to
+--json (and its records to --csv) before it prints the lines.
 """
 
 from __future__ import annotations
@@ -70,11 +70,9 @@ def _malformed_csv(path, exc: ValueError) -> UsageError:
 
 
 def _load_space(args) -> metric_core.FiniteMetricSpace:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         try:
-            return metric_core.load_distance_csv(
-                args.matrix, force=getattr(args, "force", False)
-            )
+            return metric_core.load_distance_csv(args.matrix, force=args.force)
         except ValueError as exc:
             raise _malformed_csv(args.matrix, exc) from exc
     text = Path(args.spec).read_text()
@@ -113,12 +111,6 @@ def _write_csv(path, records) -> None:
         writer.writerows([getattr(r, name) for name in names] for r in records)
 
 
-def _emit(args, report) -> None:
-    path = getattr(args, "json", None)
-    if path:
-        Path(path).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
-
-
 def _add_space_source(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", help="headerless CSV distance matrix")
@@ -129,73 +121,62 @@ def _add_space_source(parser):
     )
 
 
-def _cmd_validate(args) -> CommandResult:
+def _cmd_validate(args):
     try:
         d = metric_core.read_distance_csv(args.matrix)
     except ValueError as exc:
         raise _malformed_csv(args.matrix, exc) from exc
     report = metric_core.validate_metric(d)
-    _emit(args, report)
-    print(
+    line = (
         f"ok={report.ok} worst_triangle={report.worst_triangle_violation:.3g} "
         f"worst_asymmetry={report.worst_asymmetry:.3g}"
     )
-    return CommandResult(0 if report.ok else 1)
+    return report, [line], 0 if report.ok else 1
 
 
-def _cmd_magnitude(args) -> CommandResult:
-    space = _load_space(args)
-    report = weighting(space)
-    _emit(args, report)
-    print(
+def _cmd_magnitude(args):
+    report = weighting(_load_space(args))
+    line = (
         f"magnitude {report.magnitude:.12g}  residual {report.residual:.3g}  "
         f"positively_weighted {report.positively_weighted}"
     )
-    return CommandResult(0)
+    return report, [line], 0
 
 
-def _cmd_diversity(args) -> CommandResult:
-    space = _load_space(args)
-    report = max_diversity(space, tol=args.tol, max_iters=args.max_iters)
-    _emit(args, report)
-    print(
+def _cmd_diversity(args):
+    report = max_diversity(_load_space(args))
+    line = (
         f"diversity in [{report.diversity:.12g}, {report.upper_bound:.12g}]  "
         f"support {len(report.support)}  iterations {report.iterations}  "
         f"converged {report.converged}"
     )
-    return CommandResult(0 if report.converged else 1)
+    return report, [line], 0 if report.converged else 1
 
 
-def _cmd_sweep(args) -> CommandResult:
-    space = _load_space(args)
-    sweep = scale_sweep(
-        space, args.scales, with_diversity=args.with_diversity
-    )
-    _emit(args, sweep)
-    if args.csv:
-        _write_csv(args.csv, sweep.records)
-    print(f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}")
+def _cmd_sweep(args):
+    sweep = scale_sweep(_load_space(args), args.scales, with_diversity=args.with_diversity)
+    lines = [f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}"]
     for r in sweep.records:
         mag = f"{r.magnitude:.8g}" if r.magnitude is not None else "-"
-        print(f"{r.t:>12.6g} {r.lambda_min:>14.6g} {r.verdict:>22} {mag:>14}")
-    return CommandResult(0)
+        lines.append(f"{r.t:>12.6g} {r.lambda_min:>14.6g} {r.verdict:>22} {mag:>14}")
+    return sweep, lines, 0
 
 
-def _cmd_negtype(args) -> CommandResult:
-    space = _load_space(args)
-    report = negative_type.stability_scan(space)
-    _emit(args, report)
-    print(
+def _failing_lines(report) -> list:
+    failing = report.first_failing_scale()
+    return [] if failing is None else [f"first failing scale: {failing:g}"]
+
+
+def _cmd_negtype(args):
+    report = negative_type.stability_scan(_load_space(args))
+    line = (
         f"negative_type: {str(report.negative_type.negative_type).lower()}  "
         f"classification: {report.classification}"
     )
-    failing = report.first_failing_scale()
-    if failing is not None:
-        print(f"first failing scale: {failing:g}")
-    return CommandResult(0)
+    return report, [line, *_failing_lines(report)], 0
 
 
-def _cmd_approx(args) -> CommandResult:
+def _cmd_approx(args):
     if args.family in ("chebyshev", "interval_chebyshev"):
         template = analysis.chebyshev_interval(args.length)
     else:
@@ -206,66 +187,59 @@ def _cmd_approx(args) -> CommandResult:
     study = analysis.approx_magnitude(
         template, args.levels, quadrature=args.quadrature
     )
-    _emit(args, study)
-    if args.csv:
-        _write_csv(args.csv, study.records)
+    lines = []
     for r in study.records:
         mag = f"{r.magnitude:.10g}" if r.magnitude is not None else f"FAILED: {r.failure}"
         gap = f"{r.gap:.3g}" if r.gap is not None else "-"
-        print(f"level {r.level:>6}  points {r.n_points:>7}  gap {gap:>10}  {mag}")
+        lines.append(f"level {r.level:>6}  points {r.n_points:>7}  gap {gap:>10}  {mag}")
     if study.extrapolated_limit is None:
-        print("no positive definite levels")
-        return CommandResult(1)
-    print(
+        return study, [*lines, "no positive definite levels"], 1
+    lines.append(
         f"extrapolated limit {study.extrapolated_limit:.10g}  "
         f"monotone {study.monotone}"
     )
-    return CommandResult(0)
+    return study, lines, 0
 
 
-def _cmd_fourier(args) -> CommandResult:
+def _cmd_fourier(args):
     if args.upper_bound:
+        radius = args.mollifier_radius
+        if radius is None:
+            radius = 2.0 * args.ell if args.ell > 0 else 1.0
         result = analysis.fourier_upper_bound_1d(
-            args.ell, args.p, args.alpha, args.mollifier_radius, L=args.L, N=args.N
+            args.ell, args.p, args.alpha, radius, L=args.L, N=args.N
         )
-        _emit(args, result)
-        print(
+        line = (
             f"magnitude upper bound {result.bound:.8g} "
             f"(quadrature error ~{result.error_estimate:.3g})"
         )
-        return CommandResult(0)
+        return result, [line], 0
     report = analysis.gamma_hat_1d(args.p, L=args.L, N=args.N)
-    _emit(args, report)
-    print(
+    line = (
         f"p={args.p}  positive {report.positive}  "
         f"radially_decreasing {report.radially_decreasing}  "
         f"fitted_c {report.fitted_c:.6g}"
     )
-    return CommandResult(0)
+    return report, [line], 0
 
 
-def _cmd_experiment(args) -> CommandResult:
+def _cmd_experiment(args):
     if args.which == "product-counterexample":
         report = analysis.product_counterexample_experiment()
-        _emit(args, report)
-        print(f"classification: {report.classification}")
-        failing = report.first_failing_scale()
-        if failing is not None:
-            print(f"first failing scale: {failing:g}")
-        return CommandResult(0)
+        lines = [f"classification: {report.classification}", *_failing_lines(report)]
+        return report, lines, 0
     result = analysis.witness_search(
         p=args.p, n=args.n, budget=args.budget, seed=args.seed
     )
-    _emit(args, result)
     if result.found:
-        print(
+        line = (
             f"witness found at scale {result.witness_scale:g} "
             f"(lambda_min {result.witness_lambda_min:.3g}, "
             f"{result.subsets_tested} subsets tested)"
         )
     else:
-        print(f"no witness found ({result.subsets_tested} subsets tested)")
-    return CommandResult(0)
+        line = f"no witness found ({result.subsets_tested} subsets tested)"
+    return result, [line], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,19 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check metric axioms of a CSV matrix")
     p.add_argument("matrix")
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("magnitude", help="weighting, magnitude, diagnostics")
     _add_space_source(p)
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_magnitude)
 
     p = sub.add_parser("diversity", help="exact maximum diversity (Cholesky, NNLS)")
     _add_space_source(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_diversity)
 
     p = sub.add_parser("sweep", help="scale sweep of diagnostics and magnitude")
@@ -297,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", type=_parse_scales, required=True,
                    help="a:b:n with optional log suffix, e.g. 0.25:4:9log")
     p.add_argument("--with-diversity", action="store_true")
-    p.add_argument("--json")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("negtype", help="negative type test and stability scan")
     _add_space_source(p)
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_negtype)
 
     p = sub.add_parser("approx", help="net-convergence magnitude study")
@@ -315,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", type=_json_object,
                    help="extra family params as a JSON object")
     p.add_argument("--quadrature", action="store_true")
-    p.add_argument("--json")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_approx)
 
@@ -327,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mollifier-radius", type=float, default=None)
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_fourier)
 
     p = sub.add_parser("experiment", help="prepackaged counterexample searches")
@@ -336,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json")
     p.set_defaults(func=_cmd_experiment)
 
+    for p in sub.choices.values():
+        p.add_argument("--json")
     return parser
 
 
@@ -348,10 +314,12 @@ def run(argv) -> CommandResult:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0))
-    if getattr(args, "mollifier_radius", None) is None and hasattr(args, "ell"):
-        args.mollifier_radius = 2.0 * args.ell if args.ell > 0 else 1.0
     try:
-        return args.func(args)
+        report, lines, exit_code = args.func(args)
+        if args.json:
+            Path(args.json).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
+        if getattr(args, "csv", None):
+            _write_csv(args.csv, report.records)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2)
@@ -361,6 +329,8 @@ def run(argv) -> CommandResult:
         if diag is not None:
             print(f"lambda_min: {diag.lambda_min:.6g}", file=sys.stderr)
         return CommandResult(1)
+    print(*lines, sep="\n")
+    return CommandResult(exit_code)
 
 
 def main() -> None:

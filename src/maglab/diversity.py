@@ -21,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IndefiniteForm, Inconsistent, InvalidParams, NotConverged
+from .errors import IndefiniteForm, Inconsistent, NotConverged
 from .magnitude import (
     SpectrumDiagnostics, _spectrum, _weighting, similarity, spectrum_diagnostics,
 )
 from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITERS = 100_000
+GAP_TOL = 1e-8  # converged when the KKT gap is at most GAP_TOL * q(mu)
+NNLS_MAX_ITERS = 100_000  # active-set steps before NotConverged
 AGREEMENT_TOL = 1e-7  # relative |magnitude - diversity| of a positive weighting
 
 
@@ -44,30 +44,21 @@ class DiversityReport:
     upper_bound: float
 
 
-def max_diversity(
-    space: FiniteMetricSpace, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
-) -> DiversityReport:
+def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
     """Minimize mu' Z mu over the probability simplex exactly.
 
     Takes one triangular solve pair when the space is positively weighted
-    and one NNLS solve (at most max_iters active-set steps) otherwise;
+    and one NNLS solve (at most NNLS_MAX_ITERS active-set steps) otherwise;
     `iterations` counts the solves.  `fw_gap` is the KKT gap
     2 mu'Z mu - 2 min(Z mu) at the returned measure, so 1/(q(mu) - gap)
     bounds the maximum diversity from above, and the report is converged
-    when the gap is at most tol * q(mu).
+    when the gap is at most GAP_TOL * q(mu).
     """
-    if not tol > 0:
-        raise InvalidParams("tol must be positive")
-    if max_iters < 1:
-        raise InvalidParams("max_iters must be at least 1")
     diag = spectrum_diagnostics(space)
-    return _max_diversity(similarity(space), diag, tol, max_iters)
+    return _max_diversity(similarity(space), diag)
 
 
-def _max_diversity(
-    z: np.ndarray, diag: SpectrumDiagnostics,
-    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-) -> DiversityReport:
+def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     """`max_diversity`, given the similarity matrix and its spectrum diagnostics."""
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
@@ -104,10 +95,10 @@ def _max_diversity(
         from scipy.optimize import nnls
 
         try:
-            w, _ = nnls(factor.T, b, maxiter=max_iters)
+            w, _ = nnls(factor.T, b, maxiter=NNLS_MAX_ITERS)
         except RuntimeError as exc:
             raise NotConverged(
-                f"nonnegative least squares stopped after max_iters={max_iters}"
+                f"nonnegative least squares stopped after {NNLS_MAX_ITERS} steps"
             ) from exc
         iterations = 2
 
@@ -123,7 +114,7 @@ def _max_diversity(
         support=support,
         fw_gap=gap,
         iterations=iterations,
-        converged=gap <= tol * q,
+        converged=gap <= GAP_TOL * q,
         upper_bound=upper,
     )
 

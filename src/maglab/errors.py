@@ -21,7 +21,7 @@ class InvalidParams(MaglabError):
     pass
 
 
-class NonpositiveScale(MaglabError):
+class NonpositiveScale(InvalidParams):
     pass
 
 

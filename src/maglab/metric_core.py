@@ -55,8 +55,9 @@ class SpaceSpec:
             object.__setattr__(self, "seed", 0)
         if self.family not in FAMILY_TABLE:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
-        if not self.scale > 0:
-            raise InvalidParams("scale must be positive")
+        if not isinstance(self.params, dict):
+            raise TypeError("params must be an object")
+        _check_scale(self.scale)
         if not (0 < self.snowflake <= 1):
             raise InvalidParams("snowflake exponent must lie in (0, 1]")
 
@@ -348,9 +349,15 @@ FAMILY_TABLE = {
 def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     """Build the space described by ``spec``, then apply snowflake and scale.
 
-    The returned metric is d' = scale * d_base**snowflake.
+    The returned metric is d' = scale * d_base**snowflake.  A parameter or
+    seed the family cannot read raises InvalidParams.
     """
-    base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
+    try:
+        base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
+    except KeyError as exc:
+        raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"{spec.family}: {exc}") from exc
     d = base if spec.snowflake == 1.0 else base**spec.snowflake
     d = d if spec.scale == 1.0 else spec.scale * d
     labels = tuple(range(d.shape[0]))
@@ -374,10 +381,7 @@ def _check_scale(t: float) -> None:
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Multiply every distance by t > 0."""
     _check_scale(t)
-    return FiniteMetricSpace(
-        labels=space.labels, dist=t * space.dist,
-        provenance=space.provenance, coords=space.coords,
-    )
+    return FiniteMetricSpace(space.labels, t * space.dist)
 
 
 def snowflake_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
@@ -386,10 +390,7 @@ def snowflake_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace
         raise ExponentOutOfRange(
             f"snowflake exponent must lie in (0, 1], got {alpha}"
         )
-    return FiniteMetricSpace(
-        labels=space.labels, dist=space.dist**alpha,
-        provenance=space.provenance, coords=space.coords,
-    )
+    return FiniteMetricSpace(space.labels, space.dist**alpha)
 
 
 def lp_product(

@@ -82,8 +82,8 @@ def stability_scan(
 ) -> StabilityReport:
     """Classify stable positive definiteness from a scale scan plus Gram test."""
     scales = sorted(float(t) for t in scales)
-    if not scales or scales[0] <= 0:
-        raise InvalidParams("scan scales must be positive")
+    if not scales:
+        raise InvalidParams("scan scales must be nonempty")
     records = []
     failing = []
     for t in scales:

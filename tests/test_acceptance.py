@@ -100,7 +100,7 @@ def test_criterion_05_diversity_magnitude_agreement():
         tree = generate(SpaceSpec("ultrametric_tree", {"n": 3 + seed % 8}, seed=seed))
         for s in (line, tree):
             mag = magnitude(s)
-            rep = max_diversity(s, tol=1e-8, max_iters=100_000)
+            rep = max_diversity(s)
             ok &= rep.converged and rep.fw_gap <= 1e-8 * rep.diversity
             ok &= abs(mag - rep.diversity) <= 1e-6 * mag
     _report(5, "diversity equals magnitude when positively weighted", ok)

@@ -268,3 +268,8 @@ class TestWitnessSearch:
         result = witness_search(p=math.inf, n=3, budget=0, seed=0)
         assert not result.found
         assert result.subsets_tested == 0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_dimension_below_one(self, n):
+        with pytest.raises(InvalidParams):
+            witness_search(p=math.inf, n=n, budget=10, seed=0)

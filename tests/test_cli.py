@@ -149,6 +149,14 @@ class TestExperimentCommand:
         assert result.exit_code == 0
         assert "no witness" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_witness_search_bad_dimension(self, n, capsys):
+        argv = ["experiment", "witness-search", "--p", "inf", "--n", n]
+        assert run(argv).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParams:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -209,6 +217,7 @@ class TestUsageErrors:
             ('{"params": {"m": 3, "n": 2, "r": 1.0}}', "'family'"),
             ('{"family": "complete_bipartite", ', "malformed spec"),
             ("[1, 2]", "malformed spec"),
+            ('{"family": "interval_net", "params": []}', "malformed spec"),
         ],
     )
     def test_malformed_spec(self, text, needle, tmp_path, capsys):
@@ -218,3 +227,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert needle in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": "point_cloud_lp", "params": {"points": "abc"}},
+            {"family": "interval_net", "params": {"n": "abc"}},
+            {"family": "interval_net", "params": {}},
+            {"family": "grid_net", "params": {"m": 3, "p": "x"}},
+            {"family": "ultrametric_tree", "params": {"n": 4}, "seed": -1},
+            None,  # the same fault reached through approx --params
+        ],
+    )
+    def test_unreadable_spec_value(self, spec, tmp_path, capsys):
+        if spec is None:
+            argv = ["approx", "--family", "grid_net", "--params", '{"p": "x"}',
+                    "--levels", "3"]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = ["magnitude", "--spec", str(path)]
+        assert run(argv).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParams:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_json_path(self, two_point_csv, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        argv = ["magnitude", "--matrix", two_point_csv, "--json", str(report)]
+        assert run(argv).exit_code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -20,7 +20,7 @@ from maglab import (
 )
 from maglab import diversity
 from maglab.cli import run
-from maglab.errors import Inconsistent, IndefiniteForm, InvalidParams, NotConverged
+from maglab.errors import Inconsistent, IndefiniteForm, NotConverged
 
 from conftest import random_cloud
 
@@ -189,23 +189,21 @@ class TestExactSolver:
         err = capsys.readouterr().err
         assert "IndefiniteForm" in err and "lambda_min" in err
 
-    def test_nnls_iteration_limit(self, tmp_path, capsys):
+    def test_nnls_iteration_limit(self, tmp_path, monkeypatch, capsys):
         s = random_cloud(0)
         assert max_diversity(s).iterations == 2
+        monkeypatch.setattr(diversity, "NNLS_MAX_ITERS", 1)
         with pytest.raises(NotConverged):
-            max_diversity(s, max_iters=1)
-        assert run_diversity(s, tmp_path, "--max-iters", "1") == 1
+            max_diversity(s)
+        assert run_diversity(s, tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: NotConverged:")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("param", ["tol", "max_iters"])
-    def test_invalid_params(self, param, tmp_path, capsys):
-        s = random_cloud(0)
-        with pytest.raises(InvalidParams):
-            max_diversity(s, **{param: 0})
-        assert run_diversity(s, tmp_path, "--" + param.replace("_", "-"), "0") == 1
-        assert "InvalidParams" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--tol", "--max-iters"])
+    def test_solver_options_removed(self, flag, tmp_path, capsys):
+        assert run_diversity(random_cloud(0), tmp_path, flag, "1") == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPositivelyWeighted:

@@ -17,6 +17,7 @@ from maglab import (
     scale_space,
     scale_sweep,
     similarity,
+    snowflake_space,
     spectrum_diagnostics,
     stability_scan,
     weighting,
@@ -206,6 +207,12 @@ class TestScaleSweep:
         assert by_t[0.25].verdict == "Indefinite"
         assert by_t[0.25].magnitude is None
         assert by_t[1.0].verdict == "PositiveDefinite"
+
+    @pytest.mark.parametrize("transform", [scale_space, snowflake_space])
+    def test_transformed_space_reports_no_spec(self, transform):
+        s = generate(SpaceSpec("interval_net", {"n": 4}))
+        assert scale_sweep(s, [1.0]).spec == s.provenance.to_json()
+        assert scale_sweep(transform(s, 0.5), [1.0]).spec is None
 
     def test_single_point_grid_consistent(self):
         s = random_cloud(77)

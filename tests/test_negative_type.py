@@ -104,10 +104,11 @@ class TestStabilityScan:
     def test_rejects_bad_scales(self):
         with pytest.raises(InvalidParams):
             stability_scan(random_cloud(2), scales=[])
-        with pytest.raises(InvalidParams):
+        with pytest.raises(NonpositiveScale):
             stability_scan(random_cloud(2), scales=[-1.0])
-        with pytest.raises(InvalidParams):
+        with pytest.raises(NonpositiveScale):
             stability_scan(random_cloud(2), scales=[0.0, 1.0])
+        assert issubclass(NonpositiveScale, InvalidParams)
         with pytest.raises(NonpositiveScale):
             stability_scan(random_cloud(2), scales=[math.nan, 1.0])
 
