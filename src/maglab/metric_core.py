@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
+_MIN_PLUS_BLOCK = 128  # k rows per block of the min-plus square
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,6 +55,8 @@ class SpaceSpec:
         # a null seed means the default, so a spec never draws fresh entropy
         if self.seed is None:
             object.__setattr__(self, "seed", 0)
+        elif not _is_integer(self.seed):
+            raise InvalidParams(f"seed must be an integer, got {self.seed!r}")
         if self.family not in FAMILY_TABLE:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if not isinstance(self.params, dict):
@@ -146,31 +150,78 @@ class ValidationReport:
     offending_triples: list
 
 
+def _min_plus_upper(d: np.ndarray) -> np.ndarray:
+    """min_k fl(d[i, k] + d[k, j]) for j >= i; inf below the diagonal.
+
+    Row i takes k in blocks of _MIN_PLUS_BLOCK, so each block's sums fit
+    in a buffer that stays in cache.
+    """
+    n = d.shape[0]
+    m = np.full((n, n), np.inf)
+    buf = np.empty((min(n, _MIN_PLUS_BLOCK), n))
+    for i in range(n):
+        row = m[i, i:]
+        for k0 in range(0, n, _MIN_PLUS_BLOCK):
+            k1 = min(k0 + _MIN_PLUS_BLOCK, n)
+            sums = buf[: k1 - k0, : n - i]
+            np.add(d[i, k0:k1, None], d[k0:k1, i:], out=sums)
+            np.minimum(row, sums.min(axis=0), out=row)
+    return m
+
+
+def _min_plus_square(d: np.ndarray) -> np.ndarray:
+    """M[i, j] = min_k fl(d[i, k] + d[k, j]), the min-plus square of d."""
+    upper = _min_plus_upper(np.ascontiguousarray(d))
+    # M(d)[j, i] = M(d.T)[i, j], and a symmetric d gives a symmetric M
+    if np.array_equal(d, d.T):
+        lower = upper
+    else:
+        lower = _min_plus_upper(np.ascontiguousarray(d.T))
+    return np.minimum(upper, lower.T)
+
+
 def validate_metric(dist) -> ValidationReport:
-    """Check the metric axioms on a square matrix, within declared slacks."""
+    """Check the metric axioms on a square matrix, within declared slacks.
+
+    The worst triangle excess is max over (i, j, k) of
+    fl(d_ij - fl(d_ik + d_kj)).  Subtraction rounds monotonically, so for
+    each pair the max over k is exactly fl(d_ij - M_ij), with M the min-plus
+    square.  The offending triples are, for the first ten k in ascending
+    order whose worst excess passes the slack, that excess's first (i, j)
+    in C order.
+    """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NonSquareMatrix(f"matrix has shape {d.shape}")
+    n = d.shape[0]
+    if n < 1:
+        raise InvalidParams("a metric space needs at least one point")
     if not np.all(np.isfinite(d)):
         raise NonFiniteEntry("distance matrix contains non-finite entries")
-    n = d.shape[0]
-    offending = []
 
     worst_asym = float(np.abs(d - d.T).max()) if n > 1 else 0.0
     diag_bad = float(np.abs(np.diag(d)).max())
-    off = d + np.diag([np.inf] * n)
-    nonpos_off = bool(n > 1 and off.min() <= 0)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    nonpos_off = bool(n > 1 and np.min(d, where=off_diagonal, initial=np.inf) <= 0)
 
     slack = TRIANGLE_SLACK * max(1.0, float(np.abs(d).max()))
-    worst_tri = 0.0
-    for k in range(n):
-        excess = d - (d[:, [k]] + d[[k], :])
-        m = float(excess.max())
-        if m > worst_tri:
-            worst_tri = m
-        if m > slack and len(offending) < 10:
-            i, j = np.unravel_index(np.argmax(excess), excess.shape)
-            offending.append((int(i), int(j), int(k)))
+    excess = d - _min_plus_square(d)
+    worst_tri = max(0.0, float(excess.max()))
+    offending = []
+    if worst_tri > slack:
+        # a k whose worst excess passes the slack passes it only on pairs
+        # whose excess does; their rows and columns, ascending, keep the C
+        # order that breaks ties in argmax
+        over = excess > slack
+        rows, cols = np.flatnonzero(over.any(axis=1)), np.flatnonzero(over.any(axis=0))
+        sub = d[np.ix_(rows, cols)]
+        for k in range(n):
+            e = sub - (d[rows, k, None] + d[k, cols])
+            a, b = np.unravel_index(np.argmax(e), e.shape)
+            if e[a, b] > slack:
+                offending.append((int(rows[a]), int(cols[b]), k))
+                if len(offending) == 10:
+                    break
 
     ok = (
         worst_asym <= slack
@@ -196,6 +247,18 @@ def _lp_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return (diff**p).sum(axis=2)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither a count nor a seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _count(params: dict, key: str, default: Optional[int] = None) -> int:
+    value = params[key] if default is None else params.get(key, default)
+    if not _is_integer(value):
+        raise InvalidParams(f"parameter {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise InvalidParams(msg)
@@ -203,7 +266,7 @@ def _require(cond: bool, msg: str):
 
 def _gen_interval(params, seed):
     length = float(params.get("length", 1.0))
-    n = int(params["n"])
+    n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
     x = np.linspace(0.0, length, n) if n > 1 else np.array([0.0])
     return np.abs(x[:, None] - x[None, :]), x[:, None]
@@ -211,7 +274,7 @@ def _gen_interval(params, seed):
 
 def _gen_circle(params, seed):
     circumference = float(params.get("circumference", 2 * math.pi))
-    n = int(params["n"])
+    n = _count(params, "n")
     _require(circumference > 0 and n >= 1, "circle_net needs circumference > 0, n >= 1")
     k = np.arange(n)
     frac = np.abs(k[:, None] - k[None, :]) / n
@@ -221,7 +284,7 @@ def _gen_circle(params, seed):
 
 def _gen_cantor(params, seed):
     length = float(params.get("length", 1.0))
-    level = int(params["level"])
+    level = _count(params, "level")
     _require(length > 0 and level >= 1, "cantor_net needs length > 0 and level >= 1")
     pts = np.array([0.0, 1.0])
     for _ in range(level - 1):
@@ -231,9 +294,9 @@ def _gen_cantor(params, seed):
 
 
 def _gen_grid(params, seed):
-    n = int(params.get("n", 2))
+    n = _count(params, "n", 2)
     p = float(params.get("p", 2.0))
-    m = int(params["m"])
+    m = _count(params, "m")
     _require(n >= 1 and m >= 1 and p > 0, "grid_net needs n,m >= 1 and p > 0")
     axis = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.0])
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -243,7 +306,7 @@ def _gen_grid(params, seed):
 
 def _gen_sphere(params, seed):
     radius = float(params.get("radius", 1.0))
-    n = int(params["n"])
+    n = _count(params, "n")
     _require(radius > 0 and n >= 1, "sphere_fibonacci_net needs radius > 0, n >= 1")
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
@@ -256,8 +319,8 @@ def _gen_sphere(params, seed):
 
 def _gen_hyperbolic(params, seed):
     r_max = float(params.get("r_max", 1.0))
-    n_r = int(params.get("n_r", 3))
-    n_theta = int(params.get("n_theta", 6))
+    n_r = _count(params, "n_r", 3)
+    n_theta = _count(params, "n_theta", 6)
     _require(r_max > 0 and n_r >= 1 and n_theta >= 1, "hyperbolic_disk_net params out of range")
     rs = [0.0] + [r_max * j / n_r for j in range(1, n_r + 1)]
     polar = [(0.0, 0.0)]
@@ -276,8 +339,8 @@ def _gen_hyperbolic(params, seed):
 
 
 def _gen_bipartite(params, seed):
-    m = int(params["m"])
-    n = int(params["n"])
+    m = _count(params, "m")
+    n = _count(params, "n")
     r = float(params.get("r", 1.0))
     _require(m >= 1 and n >= 1 and r > 0, "complete_bipartite needs m,n >= 1 and r > 0")
     total = m + n
@@ -289,7 +352,7 @@ def _gen_bipartite(params, seed):
 
 
 def _gen_ultrametric(params, seed):
-    n = int(params["n"])
+    n = _count(params, "n")
     _require(n >= 1, "ultrametric_tree needs n >= 1")
     rng = np.random.default_rng(seed)
     d = np.zeros((n, n))
@@ -307,7 +370,7 @@ def _gen_ultrametric(params, seed):
 
 
 def _gen_weighted_tree(params, seed):
-    n = int(params["n"])
+    n = _count(params, "n")
     _require(n >= 1, "weighted_tree needs n >= 1")
     rng = np.random.default_rng(seed)
     d = np.zeros((n, n))

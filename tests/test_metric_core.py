@@ -27,10 +27,83 @@ from maglab.errors import (
     UnsupportedFamily,
 )
 
+from maglab.metric_core import TRIANGLE_SLACK, _lp_distances
+
 from conftest import random_cloud
 
 
+def _brute_force_report(d):
+    """validate_metric's fields by one pass over the pivots k, each a dense
+    n x n excess matrix: the reference the min-plus square must match."""
+    n = d.shape[0]
+    offending = []
+    worst_asym = float(np.abs(d - d.T).max()) if n > 1 else 0.0
+    diag_bad = float(np.abs(np.diag(d)).max())
+    off = d + np.diag([np.inf] * n)
+    nonpos_off = bool(n > 1 and off.min() <= 0)
+    slack = TRIANGLE_SLACK * max(1.0, float(np.abs(d).max()))
+    worst_tri = 0.0
+    for k in range(n):
+        excess = d - (d[:, [k]] + d[[k], :])
+        m = float(excess.max())
+        if m > worst_tri:
+            worst_tri = m
+        if m > slack and len(offending) < 10:
+            i, j = np.unravel_index(np.argmax(excess), excess.shape)
+            offending.append((int(i), int(j), int(k)))
+    ok = worst_asym <= slack and diag_bad == 0.0 and not nonpos_off and worst_tri <= slack
+    return ok, worst_tri, worst_asym, offending
+
+
+def _validation_corpus():
+    """Seeded matrices, metric and not, at sizes around k-block edges."""
+    rng = np.random.default_rng(20100)
+
+    def cloud(n, p):
+        pts = rng.uniform(0.0, 4.0, size=(n, 2))
+        return _lp_distances(pts, pts, p)
+
+    for n in (1, 2, 3, 63, 64, 65, 127, 128, 129, 200):
+        for p in (0.5, 1.0, 2.0, math.inf):
+            yield cloud(n, p)
+        euclid = cloud(n, 2.0)
+        if n >= 3:  # one side lengthened past a triangle
+            broken = euclid.copy()
+            broken[0, 1] = broken[1, 0] = (broken[0, 2:] + broken[2:, 1]).min() + 1.0
+            yield broken
+        if n >= 2:
+            asym = euclid.copy()
+            asym[n - 1, n // 2] += 1e-3
+            yield asym
+        negative = euclid.copy()
+        negative[n // 2, n // 2] = -0.25
+        yield negative
+        yield rng.uniform(-1.0, 3.0, size=(n, n))
+        yield np.ones((n, n)) - np.eye(n)  # every triangle is a tie
+    for m in (3, 8, 11):
+        axis = np.linspace(0.0, 1.0, m)
+        grid = np.array([(x, y) for x in axis for y in axis])
+        yield _lp_distances(grid, grid, 1.0)
+
+
 class TestValidateMetric:
+    def test_matches_brute_force(self):
+        for d in _validation_corpus():
+            report = validate_metric(d)
+            fields = (
+                report.ok,
+                report.worst_triangle_violation,
+                report.worst_asymmetry,
+                report.offending_triples,
+            )
+            expected = _brute_force_report(d)
+            assert fields == expected, d.shape
+            assert repr(fields) == repr(expected), d.shape  # types and signed zeros
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidParams, match="at least one point"):
+            validate_metric(np.zeros((0, 0)))
+
     def test_two_point_ok(self):
         assert validate_metric([[0, 1], [1, 0]]).ok
 
