@@ -22,10 +22,12 @@ from .errors import (
     QuadratureDivergence,
 )
 from .magnitude import (
-    _spectrum, magnitude_dimension_estimate, rayleigh, scale_sweep, similarity, weighting,
+    _similarities, _verdict_index, magnitude_dimension_estimate, rayleigh, scale_sweep,
+    weighting,
 )
 from .metric_core import (
-    FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _lp_distances, generate, lp_product,
+    FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _is_integer, _lp_distances, generate,
+    lp_product,
 )
 from .negative_type import StabilityReport, stability_scan
 
@@ -33,6 +35,7 @@ TAIL_TOLERANCE = 1e-9
 GROWTH_MARGIN = 0.05  # slack on the volume-ratio lower bound
 WITNESS_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 WITNESS_MAX_POINTS = 8
+_WITNESS_BLOCK = 256  # trials drawn, grouped by size and eigensolved together
 
 
 @dataclass(frozen=True)
@@ -406,33 +409,49 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
 
     Each trial draws 3 to WITNESS_MAX_POINTS points and checks Z(tX) at
     every t in WITNESS_SCALES.  Absence of a witness is a valid (and for
-    p <= 2, the expected) result.
+    p <= 2, the expected) result.  Trials are drawn in blocks of
+    _WITNESS_BLOCK, in the same order as one at a time; the trials of a
+    block that share a size get one distance call and one stacked eigvalsh,
+    and the first witness by trial, then by scale, is returned.
     """
     if budget < 0:
         raise InvalidParams("budget must be nonnegative")
     if n < 1:
         raise InvalidParams("n must be at least 1")
+    if not p > 0:
+        raise InvalidParams(f"witness search needs p > 0, got {p}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
+    p = float(p)
     rng = np.random.default_rng(seed)
-    tested = 0
-    for trial in range(budget):
-        size = int(rng.integers(3, WITNESS_MAX_POINTS + 1))
-        pts = rng.uniform(-1.0, 1.0, size=(size, n))
-        space = generate(
-            SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p})
-        )
-        tested += 1
-        for t in WITNESS_SCALES:
-            diag = _spectrum(similarity(space, t))
-            if diag.verdict == "Indefinite":
-                return WitnessSearchResult(
-                    found=True,
-                    subsets_tested=tested,
-                    scales_tested=len(WITNESS_SCALES),
-                    witness_points=pts.tolist(),
-                    witness_scale=float(t),
-                    witness_lambda_min=diag.lambda_min,
-                    witness_seed_index=trial,
-                )
+    for start in range(0, budget, _WITNESS_BLOCK):
+        trials = []
+        for _ in range(min(_WITNESS_BLOCK, budget - start)):
+            size = int(rng.integers(3, WITNESS_MAX_POINTS + 1))
+            trials.append(rng.uniform(-1.0, 1.0, size=(size, n)))
+        hits = []  # (trial, scale, lambda_min): each size's first witness
+        for size in set(map(len, trials)):
+            index = [i for i, pts in enumerate(trials) if len(pts) == size]
+            pts = np.stack([trials[i] for i in index])
+            # (scale, trial, size, size) -> (trial, scale) spectra
+            vals = np.linalg.eigvalsh(
+                _similarities(_lp_distances(pts, pts, p), WITNESS_SCALES)
+            ).swapaxes(0, 1)
+            indefinite = _verdict_index(vals[..., 0], vals[..., -1]) == 0  # Indefinite
+            if indefinite.any():
+                j, k = np.argwhere(indefinite)[0]
+                hits.append((index[j], int(k), float(vals[j, k, 0])))
+        if hits:
+            trial, k, lambda_min = min(hits)
+            return WitnessSearchResult(
+                found=True,
+                subsets_tested=start + trial + 1,
+                scales_tested=len(WITNESS_SCALES),
+                witness_points=trials[trial].tolist(),
+                witness_scale=WITNESS_SCALES[k],
+                witness_lambda_min=lambda_min,
+                witness_seed_index=start + trial,
+            )
     return WitnessSearchResult(
-        found=False, subsets_tested=tested, scales_tested=len(WITNESS_SCALES)
+        found=False, subsets_tested=budget, scales_tested=len(WITNESS_SCALES)
     )

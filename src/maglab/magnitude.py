@@ -8,6 +8,7 @@ and the diversity all read one Z, which the private helpers take as given.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,10 +19,26 @@ import scipy.linalg
 from .errors import DegenerateQuadraticForm, InsufficientRecords, NotPositiveDefinite
 from .metric_core import FiniteMetricSpace, _check_scale
 
+logger = logging.getLogger("maglab")
 
-def psd_tolerance(lambda_max: float) -> float:
-    """Verdict band: scale-invariant and conservative for entries <= 1."""
-    return 1e-9 * max(1.0, lambda_max)
+_STACK_ENTRIES = 2**20  # similarity entries per stacked eigensolve of a sweep or scan
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+_VERDICTS = ("Indefinite", "PositiveSemidefinite", "PositiveDefinite")
+
+
+def psd_tolerance(lambda_max):
+    """Verdict band: scale-invariant and conservative for entries <= 1.
+
+    Elementwise on arrays; fmax, like max(1.0, nan), ignores a NaN.
+    """
+    return 1e-9 * np.fmax(1.0, lambda_max)
+
+
+def _verdict_index(lambda_min, lambda_max):
+    """Index into _VERDICTS of each spectrum: PD above the band, PSD in it."""
+    tau = psd_tolerance(lambda_max)
+    return np.add(lambda_min >= -tau, lambda_min > tau, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -59,16 +76,22 @@ class ScaleSweep:
 
 def similarity(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
     """Z(tX): entrywise exp(-t d), read-only, with an exactly unit diagonal."""
-    _check_scale(t)
-    z = np.exp(-t * space.dist)
-    np.fill_diagonal(z, 1.0)
+    return _similarities(space.dist, [t])[0]
+
+
+def _similarities(dist: np.ndarray, ts) -> np.ndarray:
+    """Z(t d) for each t in ts, stacked on a new leading axis.
+
+    `dist` may itself be a stack of (..., n, n) distance matrices.
+    """
+    for t in ts:
+        _check_scale(t)
+    z = np.multiply.outer(-np.asarray(ts, dtype=float), dist)
+    np.exp(z, out=z)
+    i = np.arange(dist.shape[-1])
+    z[..., i, i] = 1.0
     z.setflags(write=False)
     return z
-
-
-def _extremal_eigenvalues(z: np.ndarray) -> tuple[float, float]:
-    vals = np.linalg.eigvalsh(z)
-    return float(vals[0]), float(vals[-1])
 
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
@@ -78,22 +101,39 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
 
 def _spectrum(z: np.ndarray) -> SpectrumDiagnostics:
     """`spectrum_diagnostics`, given the similarity matrix."""
-    lo, hi = _extremal_eigenvalues(z)
-    tau = psd_tolerance(hi)
-    if lo > tau:
-        verdict = "PositiveDefinite"
-    elif lo >= -tau:
-        verdict = "PositiveSemidefinite"
-    else:
-        verdict = "Indefinite"
-    cond = hi / lo if lo > 0 else math.inf
-    return SpectrumDiagnostics(
-        lambda_min=lo,
-        lambda_max=hi,
-        condition_estimate=cond,
-        verdict=verdict,
-        tolerance_used=tau,
-    )
+    return _spectra(z[None])[0]
+
+
+def _spectra(zs: np.ndarray) -> list:
+    """`_spectrum` of each matrix in a (k, n, n) stack, from one eigvalsh."""
+    vals = np.linalg.eigvalsh(zs)
+    lo, hi = vals[:, 0], vals[:, -1]
+    return [
+        SpectrumDiagnostics(
+            lambda_min=l,
+            lambda_max=h,
+            condition_estimate=h / l if l > 0 else math.inf,
+            verdict=_VERDICTS[v],
+            tolerance_used=tau,
+        )
+        for l, h, v, tau in zip(
+            lo.tolist(), hi.tolist(), _verdict_index(lo, hi).tolist(),
+            psd_tolerance(hi).tolist(),
+        )
+    ]
+
+
+def _spectra_by_scale(dist: np.ndarray, ts: list):
+    """Yield (Z(t d), its SpectrumDiagnostics) for each t in ts, in order.
+
+    Scales go in blocks of at most _STACK_ENTRIES similarity entries, each
+    built as one stack and eigensolved by one eigvalsh call; from n = 725
+    on, a block holds a single scale.
+    """
+    k = max(1, _STACK_ENTRIES // dist.shape[0] ** 2)
+    for i in range(0, len(ts), k):
+        zs = _similarities(dist, ts[i : i + k])
+        yield from zip(zs, _spectra(zs))
 
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
@@ -110,13 +150,18 @@ def _weighting(z: np.ndarray, diag: SpectrumDiagnostics) -> MagnitudeReport:
             diagnostics=diag,
         )
     ones = np.ones(z.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(z, lower=True)
-        w = scipy.linalg.cho_solve(factor, ones)
-        w = w + scipy.linalg.cho_solve(factor, ones - z @ w)
-    except scipy.linalg.LinAlgError:
+    # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
+    factor, info = _POTRF(z, lower=True, clean=False)
+    if info == 0:
+        w = _POTRS(factor, ones, lower=True)[0]
+        w = w + _POTRS(factor, ones - z @ w, lower=True)[0]
+    else:
         # Marginally PD matrices can fail to factor; least squares still
         # yields a usable weighting with an honest residual.
+        logger.debug(
+            "Cholesky factor failed (potrf info %d, lambda_min %.3g); "
+            "weighting by least squares", info, diag.lambda_min,
+        )
         w, *_ = np.linalg.lstsq(z, ones, rcond=None)
     residual = float(np.abs(z @ w - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
@@ -150,17 +195,15 @@ def scale_sweep(
     ts = sorted(float(t) for t in grid)
     if not ts:
         raise InsufficientRecords("scale grid must be nonempty")
+    from .diversity import _max_diversity
+
     records = []
-    for t in ts:
-        z = similarity(space, t)
-        diag = _spectrum(z)
+    for t, (z, diag) in zip(ts, _spectra_by_scale(space.dist, ts)):
         mag = None
         div = None
         if diag.verdict == "PositiveDefinite":
             mag = _weighting(z, diag).magnitude
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            from .diversity import _max_diversity
-
             div = _max_diversity(z, diag).diversity
         records.append(
             SweepRecord(

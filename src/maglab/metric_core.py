@@ -238,13 +238,16 @@ def validate_metric(dist) -> ValidationReport:
 
 
 def _lp_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b; p may be inf."""
-    diff = np.abs(a[:, None, :] - b[None, :, :])
+    """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b; p may be inf.
+
+    Leading axes broadcast: (..., k, dim) and (..., m, dim) give (..., k, m).
+    """
+    diff = np.abs(a[..., :, None, :] - b[..., None, :, :])
     if math.isinf(p):
-        return diff.max(axis=2)
+        return diff.max(axis=-1)
     if p >= 1:
-        return (diff**p).sum(axis=2) ** (1.0 / p)
-    return (diff**p).sum(axis=2)
+        return (diff**p).sum(axis=-1) ** (1.0 / p)
+    return (diff**p).sum(axis=-1)
 
 
 def _is_integer(value) -> bool:

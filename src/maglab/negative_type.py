@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams
-from .magnitude import _spectrum, psd_tolerance, similarity
+from .magnitude import _spectra_by_scale, psd_tolerance
 from .metric_core import FiniteMetricSpace
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
@@ -86,8 +86,7 @@ def stability_scan(
         raise InvalidParams("scan scales must be nonempty")
     records = []
     failing = []
-    for t in scales:
-        diag = _spectrum(similarity(space, t))
+    for t, (_, diag) in zip(scales, _spectra_by_scale(space.dist, scales)):
         records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)

@@ -16,8 +16,11 @@ from maglab import (
     product_counterexample_experiment,
     witness_search,
 )
-from maglab.analysis import _cosine_transform
+from maglab.analysis import (
+    WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
+)
 from maglab.errors import InvalidParams, QuadratureDivergence
+from maglab.magnitude import _spectrum, similarity
 
 
 def _trapezoid_cosine(f, x, omegas):
@@ -273,3 +276,64 @@ class TestWitnessSearch:
     def test_rejects_dimension_below_one(self, n):
         with pytest.raises(InvalidParams):
             witness_search(p=math.inf, n=n, budget=10, seed=0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_rejects_nonpositive_p_whatever_the_budget(self, p, budget):
+        with pytest.raises(InvalidParams):
+            witness_search(p=p, n=3, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidParams):
+            witness_search(p=2.0, n=3, budget=3, seed=seed)
+
+
+def reference_witness_search(p, n, budget, seed=0):
+    """`witness_search` one trial at a time: a space and six eigensolves each."""
+    rng = np.random.default_rng(seed)
+    for trial in range(budget):
+        size = int(rng.integers(3, WITNESS_MAX_POINTS + 1))
+        pts = rng.uniform(-1.0, 1.0, size=(size, n))
+        space = generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p}))
+        for t in WITNESS_SCALES:
+            diag = _spectrum(similarity(space, t))
+            if diag.verdict == "Indefinite":
+                return WitnessSearchResult(
+                    True, trial + 1, len(WITNESS_SCALES), pts.tolist(), float(t),
+                    diag.lambda_min, trial,
+                )
+    return WitnessSearchResult(False, budget, len(WITNESS_SCALES))
+
+
+class TestWitnessBlocks:
+    """Blocks of trials give bit-for-bit the one-at-a-time results."""
+
+    # 0, 1 and 7 stay inside the first block; 255, 256 and 257 end one
+    # trial short of, at, and one trial past its edge
+    BUDGETS = (0, 1, 7, 255, 256, 257)
+
+    def check_budgets(self, p, n, seed, budgets):
+        # the loop stops at its first witness, so each smaller budget's
+        # result follows from the largest budget's
+        full = reference_witness_search(p, n, max(budgets), seed)
+        for budget in budgets:
+            if full.found and full.witness_seed_index < budget:
+                expected = full
+            else:
+                expected = WitnessSearchResult(False, budget, len(WITNESS_SCALES))
+            assert repr(witness_search(p, n, budget, seed)) == repr(expected)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_per_trial_loop(self, p, n):
+        self.check_budgets(p, n, 0, self.BUDGETS)
+
+    # the first witness of each of these searches is at trial 39 or 235
+    # (first block), 300 (second) or 742 (third)
+    @pytest.mark.parametrize("n, seed", [(4, 3), (3, 1), (3, 0), (3, 3)])
+    def test_witnesses_across_blocks(self, n, seed):
+        self.check_budgets(math.inf, n, seed, self.BUDGETS + (1000,))
+
+    def test_no_witness_past_several_blocks(self):
+        self.check_budgets(2.0, 3, 5, (1000,))

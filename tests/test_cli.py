@@ -157,6 +157,18 @@ class TestExperimentCommand:
         assert err.startswith("error: InvalidParams:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--p", "2", "--seed", "-1"],
+        ["--p", "-1", "--budget", "0"],
+        ["--p", "-1", "--budget", "3"],
+        ["--p", "nan", "--budget", "0"],
+    ])
+    def test_witness_search_bad_seed_or_p(self, args, capsys):
+        assert run(["experiment", "witness-search", *args]).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParams:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -1,4 +1,5 @@
 import importlib
+import logging
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from maglab import (
     weighting,
 )
 from maglab.cli import _jsonable, _write_csv
+from maglab.magnitude import ScaleSweep, SweepRecord, _spectrum, _weighting
+from maglab.negative_type import ScanRecord
 from maglab.errors import (
     DegenerateQuadraticForm,
     InsufficientRecords,
@@ -238,25 +241,27 @@ class TestScaleSweep:
 class TestOneEigensolvePerScale:
     @pytest.fixture
     def eigensolves(self, monkeypatch):
+        """Matrices per stacked eigensolve, one entry per `_spectra` call."""
         calls = []
-        original = magnitude_module._extremal_eigenvalues
+        original = magnitude_module._spectra
 
-        def counted(z):
-            calls.append(z.shape[0])
-            return original(z)
+        def counted(zs):
+            calls.append(zs.shape[0])
+            return original(zs)
 
-        monkeypatch.setattr(magnitude_module, "_extremal_eigenvalues", counted)
+        monkeypatch.setattr(magnitude_module, "_spectra", counted)
         return calls
 
     @pytest.fixture
     def similarities(self, monkeypatch):
-        """Scales of every `similarity` call, counted at each name binding it."""
+        """Scales of every similarity matrix built, counted at each name
+        binding the one builder."""
         calls = []
-        original = magnitude_module.similarity
+        original = magnitude_module._similarities
 
-        def counted(space, t=1.0):
-            calls.append(t)
-            return original(space, t)
+        def counted(dist, ts):
+            calls.extend(ts)
+            return original(dist, ts)
 
         for name in ("maglab", "maglab.magnitude", "maglab.diversity",
                      "maglab.negative_type", "maglab.analysis", "maglab.cli"):
@@ -272,7 +277,7 @@ class TestOneEigensolvePerScale:
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
         assert [r.verdict for r in sweep.records] == ["PositiveDefinite"] * len(ts)
-        assert len(eigensolves) == len(ts)
+        assert sum(eigensolves) == len(ts)
         assert similarities == ts
         for r in sweep.records:
             scaled = scale_space(s, r.t)
@@ -285,16 +290,121 @@ class TestOneEigensolvePerScale:
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
         report = stability_scan(s, ts)
         assert [r.t for r in report.records] == ts
-        assert len(eigensolves) == len(ts)
+        assert sum(eigensolves) == len(ts)
         assert similarities == ts
 
     def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
         flag, certificate = is_positively_weighted(s)
-        assert len(eigensolves) == 1
+        assert eigensolves == [1]
         assert similarities == [1.0]
         assert certificate == "weighting_sign"
         assert flag == weighting(s).positively_weighted
+
+    def test_k32_threshold_sweep_is_one_eigvalsh(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+        sweep = scale_sweep(s, np.linspace(0.2, 0.5, 4000))
+        assert calls == [(4000, 5, 5)]
+        first = next(r.t for r in sweep.records if r.verdict != "Indefinite")
+        assert first == pytest.approx(LOG_SQRT_2, abs=0.3 / 3999)
+
+
+def reference_sweep(space, grid, with_diversity=False):
+    """`scale_sweep` as a per-scale loop: one Z and one eigensolve each."""
+    from maglab.diversity import _max_diversity
+
+    records = []
+    for t in sorted(float(t) for t in grid):
+        z = similarity(space, t)
+        diag = _spectrum(z)
+        mag = div = None
+        if diag.verdict == "PositiveDefinite":
+            mag = _weighting(z, diag).magnitude
+        if with_diversity and diag.verdict != "Indefinite":
+            div = _max_diversity(z, diag).diversity
+        records.append(SweepRecord(t, diag.lambda_min, diag.verdict, mag, div))
+    spec = space.provenance
+    return ScaleSweep(records, None if spec is None else spec.to_json())
+
+
+def reference_scan(space, grid):
+    """`stability_scan`'s records and failing scales as a per-scale loop."""
+    records, failing = [], []
+    for t in sorted(float(t) for t in grid):
+        diag = _spectrum(similarity(space, t))
+        records.append(ScanRecord(t, diag.lambda_min))
+        if diag.verdict == "Indefinite":
+            failing.append(t)
+    return records, tuple(failing)
+
+
+class TestStackedBlocks:
+    """Blocks of scales give bit-for-bit the per-scale results."""
+
+    CASES = [
+        (generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0})),
+         np.linspace(0.2, 0.5, 9)),
+        (generate(SpaceSpec("grid_net", {"m": 4, "n": 2, "p": 2.0})),
+         np.geomspace(0.05, 20.0, 7)),
+        (random_cloud(12, n_max=9, p=math.inf, box=3.0), np.geomspace(0.01, 4.0, 8)),
+        (generate(SpaceSpec("sphere_fibonacci_net", {"n": 30})), [0.5, 1.0, 2.0, 3.0]),
+    ]
+
+    @pytest.fixture(params=["one", "two", "all_but_one", "all"])
+    def blocks(self, request, monkeypatch):
+        """Set the entry cap so that a block holds this many scales."""
+        def cap(space, k):
+            per_block = {"one": 1, "two": 2, "all_but_one": k - 1, "all": k}[request.param]
+            monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES",
+                                per_block * len(space) ** 2)
+        return cap
+
+    @pytest.mark.parametrize("space, grid", CASES)
+    @pytest.mark.parametrize("with_diversity", [False, True])
+    def test_sweep_matches_per_scale_loop(self, blocks, space, grid, with_diversity):
+        expected = reference_sweep(space, grid, with_diversity)
+        blocks(space, len(grid))
+        assert repr(scale_sweep(space, grid, with_diversity)) == repr(expected)
+
+    @pytest.mark.parametrize("space, grid", CASES)
+    def test_scan_matches_per_scale_loop(self, blocks, space, grid):
+        records, failing = reference_scan(space, grid)
+        blocks(space, len(grid))
+        report = stability_scan(space, grid)
+        assert repr(report.records) == repr(records)
+        assert report.failing_scales == failing
+
+    def test_large_space_takes_one_scale_per_block(self):
+        assert magnitude_module._STACK_ENTRIES // 725**2 == 1
+        assert magnitude_module._STACK_ENTRIES // 724**2 == 2
+
+    def test_diagnostics_are_python_floats(self):
+        diag = spectrum_diagnostics(random_cloud(3))
+        assert type(diag.tolerance_used) is float
+        assert type(diag.lambda_min) is float and type(diag.lambda_max) is float
+
+
+class TestWeightingFallback:
+    def test_failed_factor_takes_least_squares_and_logs(self, monkeypatch, caplog):
+        s = random_cloud(44)
+        expected = weighting(s)
+        monkeypatch.setattr(magnitude_module, "_POTRF",
+                            lambda z, **kwargs: (np.zeros_like(z), 1))
+        with caplog.at_level(logging.DEBUG, logger="maglab"):
+            rep = weighting(s)
+        assert rep.residual <= 1e-10
+        assert rep.magnitude == pytest.approx(expected.magnitude, rel=1e-10)
+        [record] = caplog.records
+        assert record.name == "maglab" and record.levelno == logging.DEBUG
+        assert "least squares" in record.getMessage()
 
 
 class TestDimensionEstimate:
