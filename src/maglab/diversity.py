@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import IndefiniteForm, Inconsistent, NotConverged
 from .magnitude import (
-    SpectrumDiagnostics, _spectrum, _weighting, similarity, spectrum_diagnostics,
+    _POTRF, SpectrumDiagnostics, _spectrum, _weighting, similarity, spectrum_diagnostics,
 )
 from .metric_core import FiniteMetricSpace
 
@@ -66,9 +66,9 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             "the quadratic form is nonconvex",
             diagnostics=diag,
         )
-    try:
-        factor = scipy.linalg.cholesky(z + 1.0, lower=True)
-    except scipy.linalg.LinAlgError:
+    # clean=True zeroes the upper triangle, which NNLS reads through factor.T
+    factor, info = _POTRF(z + 1.0, lower=True)
+    if info != 0:
         # A semidefinite Z can be singular along a mean-zero direction, which
         # adding 11' does not lift (K_{n,n} at its threshold log(n-1)).  The
         # verdict bounds lambda_min below by -tau, so 2 tau I restores a
@@ -79,15 +79,12 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             RuntimeWarning,
             stacklevel=2,
         )
-        try:
-            factor = scipy.linalg.cholesky(
-                z + 1.0 + shift * np.eye(z.shape[0]), lower=True
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise IndefiniteForm(
-                f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
-                diagnostics=diag,
-            ) from exc
+        factor, info = _POTRF(z + 1.0 + shift * np.eye(z.shape[0]), lower=True)
+    if info != 0:
+        raise IndefiniteForm(
+            f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
+            diagnostics=diag,
+        )
     b = scipy.linalg.solve_triangular(factor, np.ones(z.shape[0]), lower=True)
     w = scipy.linalg.solve_triangular(factor, b, lower=True, trans="T")
     iterations = 1

@@ -7,6 +7,7 @@ are pure functions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -66,31 +67,16 @@ class SpaceSpec:
             raise InvalidParams("snowflake exponent must lie in (0, 1]")
 
     def with_params(self, **overrides) -> "SpaceSpec":
-        params = dict(self.params)
-        params.update(overrides)
-        return SpaceSpec(self.family, params, self.scale, self.snowflake, self.seed)
+        return dataclasses.replace(self, params={**self.params, **overrides})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "params": self.params,
-                "scale": self.scale,
-                "snowflake": self.snowflake,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "SpaceSpec":
         obj = json.loads(text)
-        return SpaceSpec(
-            family=obj["family"],
-            params=obj.get("params", {}),
-            scale=obj.get("scale", 1.0),
-            snowflake=obj.get("snowflake", 1.0),
-            seed=obj.get("seed", 0),
-        )
+        optional = [f.name for f in dataclasses.fields(SpaceSpec)[1:]]
+        return SpaceSpec(obj["family"], **{k: obj[k] for k in optional if k in obj})
 
 
 @dataclass(frozen=True)
@@ -98,8 +84,10 @@ class FiniteMetricSpace:
     """A finite metric space: point labels plus a symmetric distance matrix.
 
     ``coords`` carries ambient coordinates when the generating family has a
-    natural embedding (intervals, grids, point clouds); it is metadata only
-    and never consulted by the engines.
+    natural embedding (intervals, Cantor sets, grids, spheres, point clouds).
+    The magnitude, diversity and negative type engines read only ``dist``;
+    the net-convergence study reads ``coords`` for each level's Hausdorff
+    gap and for its 1-D quadrature cells.
     """
 
     labels: tuple
@@ -199,10 +187,10 @@ def validate_metric(dist) -> ValidationReport:
     if not np.all(np.isfinite(d)):
         raise NonFiniteEntry("distance matrix contains non-finite entries")
 
-    worst_asym = float(np.abs(d - d.T).max()) if n > 1 else 0.0
+    worst_asym = float(np.abs(d - d.T).max())
     diag_bad = float(np.abs(np.diag(d)).max())
     off_diagonal = ~np.eye(n, dtype=bool)
-    nonpos_off = bool(n > 1 and np.min(d, where=off_diagonal, initial=np.inf) <= 0)
+    nonpos_off = bool(np.min(d, where=off_diagonal, initial=np.inf) <= 0)
 
     slack = TRIANGLE_SLACK * max(1.0, float(np.abs(d).max()))
     excess = d - _min_plus_square(d)
@@ -271,8 +259,8 @@ def _gen_interval(params, seed):
     length = float(params.get("length", 1.0))
     n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
-    x = np.linspace(0.0, length, n) if n > 1 else np.array([0.0])
-    return np.abs(x[:, None] - x[None, :]), x[:, None]
+    x = np.linspace(0.0, length, n)[:, None]
+    return _lp_distances(x, x, 1.0), x
 
 
 def _gen_circle(params, seed):
@@ -292,8 +280,8 @@ def _gen_cantor(params, seed):
     pts = np.array([0.0, 1.0])
     for _ in range(level - 1):
         pts = np.concatenate([pts / 3.0, 2.0 / 3.0 + pts / 3.0])
-    pts = np.sort(pts) * length
-    return np.abs(pts[:, None] - pts[None, :]), pts[:, None]
+    x = np.sort(pts)[:, None] * length
+    return _lp_distances(x, x, 1.0), x
 
 
 def _gen_grid(params, seed):
@@ -301,7 +289,7 @@ def _gen_grid(params, seed):
     p = float(params.get("p", 2.0))
     m = _count(params, "m")
     _require(n >= 1 and m >= 1 and p > 0, "grid_net needs n,m >= 1 and p > 0")
-    axis = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.0])
+    axis = np.linspace(0.0, 1.0, m)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     return _lp_distances(pts, pts, p), pts
@@ -325,13 +313,11 @@ def _gen_hyperbolic(params, seed):
     n_r = _count(params, "n_r", 3)
     n_theta = _count(params, "n_theta", 6)
     _require(r_max > 0 and n_r >= 1 and n_theta >= 1, "hyperbolic_disk_net params out of range")
-    rs = [0.0] + [r_max * j / n_r for j in range(1, n_r + 1)]
-    polar = [(0.0, 0.0)]
-    for r in rs[1:]:
-        for k in range(n_theta):
-            polar.append((r, 2 * math.pi * k / n_theta))
-    r = np.array([q[0] for q in polar])
-    th = np.array([q[1] for q in polar])
+    # the centre, then n_theta equally spaced angles on each of n_r rings
+    rings = r_max * np.arange(1, n_r + 1) / n_r
+    angles = 2 * math.pi * np.arange(n_theta) / n_theta
+    r = np.concatenate([[0.0], np.repeat(rings, n_theta)])
+    th = np.concatenate([[0.0], np.tile(angles, n_r)])
     cosh_d = (
         np.cosh(r)[:, None] * np.cosh(r)[None, :]
         - np.sinh(r)[:, None] * np.sinh(r)[None, :] * np.cos(th[:, None] - th[None, :])
@@ -346,7 +332,6 @@ def _gen_bipartite(params, seed):
     n = _count(params, "n")
     r = float(params.get("r", 1.0))
     _require(m >= 1 and n >= 1 and r > 0, "complete_bipartite needs m,n >= 1 and r > 0")
-    total = m + n
     side = np.array([0] * m + [1] * n)
     cross = side[:, None] != side[None, :]
     d = np.where(cross, r, 2.0 * r)
@@ -364,9 +349,8 @@ def _gen_ultrametric(params, seed):
     while len(clusters) > 1:
         height += float(rng.uniform(0.1, 1.0))  # strictly increasing merge heights
         i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
-        for a in clusters[i]:
-            for b in clusters[j]:
-                d[a, b] = d[b, a] = 2.0 * height
+        d[np.ix_(clusters[i], clusters[j])] = 2.0 * height
+        d[np.ix_(clusters[j], clusters[i])] = 2.0 * height
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
     return d, None
@@ -380,9 +364,8 @@ def _gen_weighted_tree(params, seed):
     for i in range(1, n):
         parent = int(rng.integers(0, i))
         w = float(rng.uniform(0.5, 2.0))
-        for j in range(i):
-            d[i, j] = d[j, i] = d[parent, j] + w
-        d[i, parent] = d[parent, i] = w
+        # d[parent, parent] + w is exactly w
+        d[i, :i] = d[:i, i] = d[parent, :i] + w
     return d, None
 
 

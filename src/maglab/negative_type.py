@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams
-from .magnitude import _spectra_by_scale, psd_tolerance
+from .magnitude import _spectra_by_scale, _verdict_index
 from .metric_core import FiniteMetricSpace
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
@@ -65,8 +65,7 @@ def negative_type_test(
     g = 0.5 * (d0[:, None] + d0[None, :] - d[np.ix_(others, others)])
     vals = np.linalg.eigvalsh(g)
     lam_min = float(vals[0])
-    tau = psd_tolerance(float(vals[-1]))
-    if lam_min >= -tau:
+    if _verdict_index(vals[0], vals[-1]):  # PSD or PD: not Indefinite
         return NegativeTypeReport(True, lam_min, basepoint)
     # Mean-zero vector x with x' D x = -2 u' G u > 0, from the most
     # negative eigenvector u of G; only a failing test needs eigenvectors.

@@ -27,7 +27,7 @@ from maglab.errors import (
     UnsupportedFamily,
 )
 
-from maglab.metric_core import TRIANGLE_SLACK, _lp_distances
+from maglab.metric_core import FAMILY_TABLE, TRIANGLE_SLACK, _lp_distances
 
 from conftest import random_cloud
 
@@ -128,6 +128,172 @@ class TestValidateMetric:
 
     def test_zero_offdiagonal_rejected(self):
         assert not validate_metric([[0, 0], [0, 0]]).ok
+
+
+def _ref_interval(params, seed):
+    length, n = float(params.get("length", 1.0)), params["n"]
+    x = np.linspace(0.0, length, n) if n > 1 else np.array([0.0])
+    return np.abs(x[:, None] - x[None, :]), x[:, None]
+
+
+def _ref_circle(params, seed):
+    circumference, n = float(params.get("circumference", 2 * math.pi)), params["n"]
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            frac = abs(i - j) / n
+            d[i, j] = circumference * min(frac, 1.0 - frac)
+    return d, None
+
+
+def _ref_cantor(params, seed):
+    pts = np.array([0.0, 1.0])
+    for _ in range(params["level"] - 1):
+        pts = np.concatenate([pts / 3.0, 2.0 / 3.0 + pts / 3.0])
+    pts = np.sort(pts) * float(params.get("length", 1.0))
+    return np.abs(pts[:, None] - pts[None, :]), pts[:, None]
+
+
+def _ref_grid(params, seed):
+    dim, p, m = params.get("n", 2), float(params.get("p", 2.0)), params["m"]
+    axis = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.0])
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    return _lp_distances(pts, pts, p), pts
+
+
+def _ref_sphere(params, seed):
+    radius, n = float(params.get("radius", 1.0)), params["n"]
+    i = np.arange(n)
+    z = 1.0 - 2.0 * (i + 0.5) / n
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z**2))
+    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    return radius * np.arccos(np.clip(pts @ pts.T, -1.0, 1.0)), radius * pts
+
+
+def _ref_hyperbolic(params, seed):
+    r_max = float(params.get("r_max", 1.0))
+    n_r, n_theta = params.get("n_r", 3), params.get("n_theta", 6)
+    rs = [0.0] + [r_max * j / n_r for j in range(1, n_r + 1)]
+    polar = [(0.0, 0.0)]
+    for r in rs[1:]:
+        for k in range(n_theta):
+            polar.append((r, 2 * math.pi * k / n_theta))
+    r = np.array([q[0] for q in polar])
+    th = np.array([q[1] for q in polar])
+    cosh_d = (
+        np.cosh(r)[:, None] * np.cosh(r)[None, :]
+        - np.sinh(r)[:, None] * np.sinh(r)[None, :] * np.cos(th[:, None] - th[None, :])
+    )
+    d = np.arccosh(np.maximum(1.0, cosh_d))
+    np.fill_diagonal(d, 0.0)
+    return d, None
+
+
+def _ref_bipartite(params, seed):
+    m, n, r = params["m"], params["n"], float(params.get("r", 1.0))
+    d = np.zeros((m + n, m + n))
+    for a in range(m + n):
+        for b in range(m + n):
+            if a != b:
+                d[a, b] = r if (a < m) != (b < m) else 2.0 * r
+    return d, None
+
+
+def _ref_ultrametric(params, seed):
+    n = params["n"]
+    rng = np.random.default_rng(seed)
+    d = np.zeros((n, n))
+    clusters = [[i] for i in range(n)]
+    height = 0.0
+    while len(clusters) > 1:
+        height += float(rng.uniform(0.1, 1.0))
+        i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
+        for a in clusters[i]:
+            for b in clusters[j]:
+                d[a, b] = d[b, a] = 2.0 * height
+        clusters[i] = clusters[i] + clusters[j]
+        del clusters[j]
+    return d, None
+
+
+def _ref_weighted_tree(params, seed):
+    n = params["n"]
+    rng = np.random.default_rng(seed)
+    d = np.zeros((n, n))
+    for i in range(1, n):
+        parent = int(rng.integers(0, i))
+        w = float(rng.uniform(0.5, 2.0))
+        for j in range(i):
+            d[i, j] = d[j, i] = d[parent, j] + w
+        d[i, parent] = d[parent, i] = w
+    return d, None
+
+
+def _ref_point_cloud(params, seed):
+    pts = np.asarray(params["points"], dtype=float)
+    return _lp_distances(pts, pts, float(params.get("p", 2.0))), pts
+
+
+# family -> (reference generator, params of a net of about `size` points);
+# the references fill distances by per-point or per-pair loops
+_REFERENCE_FAMILIES = {
+    "interval_net": (_ref_interval, lambda size, seed: {"length": 2.5, "n": size}),
+    "circle_net": (_ref_circle, lambda size, seed: {"circumference": 3.0, "n": size}),
+    "cantor_net": (
+        _ref_cantor, lambda size, seed: {"length": 1.5, "level": min(size, 6)}
+    ),
+    "grid_net": (
+        _ref_grid,
+        lambda size, seed: {"n": 2, "p": (1.0, 2.0, 0.5)[seed % 3], "m": min(size, 8)},
+    ),
+    "sphere_fibonacci_net": (
+        _ref_sphere, lambda size, seed: {"radius": 2.0, "n": size}
+    ),
+    "hyperbolic_disk_net": (
+        _ref_hyperbolic,
+        lambda size, seed: {
+            "r_max": 1.3, "n_r": min(size, 9), "n_theta": min(size + 3, 6)
+        },
+    ),
+    "complete_bipartite": (
+        _ref_bipartite, lambda size, seed: {"m": size, "n": size // 2 + 1, "r": 0.7}
+    ),
+    "ultrametric_tree": (_ref_ultrametric, lambda size, seed: {"n": size}),
+    "weighted_tree": (_ref_weighted_tree, lambda size, seed: {"n": size}),
+    "point_cloud_lp": (
+        _ref_point_cloud,
+        lambda size, seed: {
+            "points": np.random.default_rng(seed).uniform(-1, 1, (size, 3)).tolist(),
+            "p": (1.0, math.inf, 3.0)[seed % 3],
+        },
+    ),
+}
+
+
+class TestGeneratorsMatchReference:
+    """Every family's generator gives the reference loops' bits."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_TABLE))
+    def test_bit_identical(self, family):
+        reference, params_for = _REFERENCE_FAMILIES[family]
+        for size in (1, 2, 3, 60):
+            for seed in (0, 3, 17):
+                params = params_for(size, seed)
+                for scale, snowflake in ((1.0, 1.0), (2.5, 0.5)):
+                    spec = SpaceSpec(family, params, scale, snowflake, seed)
+                    base, coords = reference(params, seed)
+                    d = base if snowflake == 1.0 else base**snowflake
+                    d = d if scale == 1.0 else scale * d
+                    expected = FiniteMetricSpace(range(len(d)), d, coords=coords)
+                    got = generate(spec)
+                    assert got.dist.tobytes() == expected.dist.tobytes(), spec
+                    if coords is None:
+                        assert got.coords is None
+                    else:
+                        assert got.coords.tobytes() == expected.coords.tobytes()
+                        assert got.coords.shape == expected.coords.shape
 
 
 class TestGenerate:
@@ -330,6 +496,21 @@ class TestCantorNesting:
 
 
 class TestSerialization:
+    def test_spec_json_text(self):
+        spec = SpaceSpec("weighted_tree", {"n": 5}, scale=2.5, snowflake=0.5, seed=3)
+        assert spec.to_json() == (
+            '{"family": "weighted_tree", "params": {"n": 5}, '
+            '"scale": 2.5, "snowflake": 0.5, "seed": 3}'
+        )
+
+    def test_with_params_keeps_other_fields(self):
+        spec = SpaceSpec("grid_net", {"n": 2, "m": 4}, scale=2.5, snowflake=0.5, seed=9)
+        finer = spec.with_params(m=8, p=1.0)
+        assert finer == SpaceSpec(
+            "grid_net", {"n": 2, "m": 8, "p": 1.0}, scale=2.5, snowflake=0.5, seed=9
+        )
+        assert spec.params == {"n": 2, "m": 4}
+
     def test_spec_json_round_trip(self):
         spec = SpaceSpec(
             "grid_net", {"n": 2, "p": 1.0, "m": 4}, scale=2.0, snowflake=0.5, seed=7
