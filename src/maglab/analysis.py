@@ -17,7 +17,6 @@ import scipy.special
 
 from .errors import (
     InvalidParams,
-    NegativeRatioOnly,
     NotPositiveDefinite,
     QuadratureDivergence,
 )
@@ -95,10 +94,10 @@ def _ambient_gap(coarse: FiniteMetricSpace, fine: FiniteMetricSpace) -> Optional
     return float(gap)
 
 
-def _voronoi_cell_measure(space: FiniteMetricSpace) -> Optional[np.ndarray]:
+def _voronoi_cell_measure(space: FiniteMetricSpace) -> np.ndarray:
     """1-D cell lengths for a quadrature-weighted Rayleigh lower bound."""
     if space.coords is None or space.coords.shape[1] != 1:
-        return None
+        raise InvalidParams("quadrature weighting needs 1-D ambient coordinates")
     x = np.sort(space.coords[:, 0])
     mid = (x[1:] + x[:-1]) / 2.0
     edges = np.concatenate([[x[0]], mid, [x[-1]]])
@@ -125,12 +124,7 @@ def approx_magnitude(
         gap = _ambient_gap(space, finest)
         try:
             if quadrature:
-                mu = _voronoi_cell_measure(space)
-                if mu is None:
-                    raise InvalidParams(
-                        "quadrature weighting needs 1-D ambient coordinates"
-                    )
-                value = rayleigh(space, mu)
+                value = rayleigh(space, _voronoi_cell_measure(space))
             else:
                 value = weighting(space).magnitude
             records.append(StudyRecord(k, len(space), gap, value))
@@ -168,8 +162,6 @@ def lp_ball_volume(n: int, p: float) -> float:
     """Volume of the unit l_p ball in R^n: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
     if n < 1 or not p > 0:
         raise InvalidParams("lp_ball_volume needs n >= 1 and p > 0")
-    if math.isinf(p):
-        return 2.0**n
     g = scipy.special.gamma
     return float((2.0 * g(1.0 + 1.0 / p)) ** n / g(1.0 + n / p))
 
@@ -367,8 +359,6 @@ def fourier_upper_bound_1d(
         )
     psi_hat = indicator_hat * bump_hat
     ratio = psi_hat / gamma.values
-    if ratio.max() <= 0:
-        raise NegativeRatioOnly("mollifier quotient is nonpositive on the grid")
     idx = int(np.argmax(ratio))
     # quadrature error: tail truncation of the denominator, relative
     err = float(ratio[idx]) * gamma.tail_estimate / float(gamma.values[idx])

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,6 @@ def _parse_scales(text: str):
         raise argparse.ArgumentTypeError("scale grid endpoints must be finite")
     if a <= 0 or b <= 0 or n < 1:
         raise argparse.ArgumentTypeError("scale grid endpoints must be positive")
-    if n == 1:
-        return [a]
     if log:
         return list(np.geomspace(a, b, n))
     return list(np.linspace(a, b, n))
@@ -83,23 +81,6 @@ def _load_space(args) -> metric_core.FiniteMetricSpace:
     except KeyError as exc:
         raise UsageError(f"{args.spec}: spec has no {exc} field") from exc
     return metric_core.generate(spec)
-
-
-def _jsonable(obj):
-    """A report as JSON values.
-
-    A dataclass becomes the dict of its fields, an array or a tuple a list,
-    and a numpy scalar a Python scalar.
-    """
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 def _write_csv(path, records) -> None:
@@ -317,7 +298,8 @@ def run(argv) -> CommandResult:
     try:
         report, lines, exit_code = args.func(args)
         if args.json:
-            Path(args.json).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
+            text = json.dumps(report, indent=2, default=metric_core._json_default)
+            Path(args.json).write_text(text + "\n")
         if getattr(args, "csv", None):
             _write_csv(args.csv, report.records)
     except (UsageError, OSError) as exc:

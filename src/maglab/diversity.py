@@ -116,10 +116,10 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     )
 
 
-def is_positively_weighted(space: FiniteMetricSpace) -> tuple[bool, str]:
+def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     """Decide whether magnitude equals maximum diversity.
 
-    The certificate is the sign of the weighting.  The diversity solve
+    The verdict is the sign of the weighting.  The diversity solve
     cross-checks it: its NNLS branch runs exactly when Z^-1 1 has a negative
     entry, so a negative weighting must have taken that branch.  The values
     cannot confirm a negative sign, because the diversity deficit is second
@@ -142,7 +142,7 @@ def is_positively_weighted(space: FiniteMetricSpace) -> tuple[bool, str]:
             f"{div.iterations} step(s) and |magnitude - diversity| = {gap:.3g} "
             f"(magnitude {report.magnitude:.6g}, diversity {div.diversity:.6g})"
         )
-    return flag_w, "weighting_sign"
+    return flag_w
 
 
 def diversity_diameter_check(space: FiniteMetricSpace) -> bool:

@@ -72,7 +72,3 @@ class Inconsistent(MaglabError):
 
 class QuadratureDivergence(MaglabError):
     pass
-
-
-class NegativeRatioOnly(MaglabError):
-    pass

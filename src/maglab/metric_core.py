@@ -32,6 +32,16 @@ TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_BLOCK = 128  # k rows per block of the min-plus square
 
 
+def _json_default(obj):
+    """json.dumps's hook: a dataclass becomes the dict of its fields, in
+    field order, and an array or a numpy scalar its Python value."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -70,7 +80,7 @@ class SpaceSpec:
         return dataclasses.replace(self, params={**self.params, **overrides})
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+        return json.dumps(self, default=_json_default)
 
     @staticmethod
     def from_json(text: str) -> "SpaceSpec":
@@ -106,6 +116,8 @@ class FiniteMetricSpace:
         # canonical symmetrization: copy the upper triangle to the lower
         d = np.triu(d, 1)
         d = d + d.T
+        if not np.all(np.isfinite(d)):
+            raise NonFiniteEntry("distance matrix contains non-finite entries")
         object.__setattr__(self, "dist", _readonly(d))
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.coords is not None:
@@ -322,9 +334,7 @@ def _gen_hyperbolic(params, seed):
         np.cosh(r)[:, None] * np.cosh(r)[None, :]
         - np.sinh(r)[:, None] * np.sinh(r)[None, :] * np.cos(th[:, None] - th[None, :])
     )
-    d = np.arccosh(np.maximum(1.0, cosh_d))
-    np.fill_diagonal(d, 0.0)
-    return d, None
+    return np.arccosh(np.maximum(1.0, cosh_d)), None
 
 
 def _gen_bipartite(params, seed):
@@ -334,9 +344,7 @@ def _gen_bipartite(params, seed):
     _require(m >= 1 and n >= 1 and r > 0, "complete_bipartite needs m,n >= 1 and r > 0")
     side = np.array([0] * m + [1] * n)
     cross = side[:, None] != side[None, :]
-    d = np.where(cross, r, 2.0 * r)
-    np.fill_diagonal(d, 0.0)
-    return d, None
+    return np.where(cross, r, 2.0 * r), None
 
 
 def _gen_ultrametric(params, seed):
@@ -375,7 +383,7 @@ def _gen_point_cloud(params, seed):
     _require(p > 0, "point_cloud_lp needs p > 0")
     if pts.ndim == 1:
         pts = pts[:, None]
-    _require(pts.shape[0] >= 1, "point_cloud_lp needs at least one point")
+    _require(pts.ndim == 2 and len(pts) >= 1, "point_cloud_lp needs at least one point")
     return _lp_distances(pts, pts, p), pts
 
 
@@ -399,16 +407,18 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     """Build the space described by ``spec``, then apply snowflake and scale.
 
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
-    seed the family cannot read raises InvalidParams.
+    seed the family cannot read raises InvalidParams, and a distance that
+    overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
     """
-    try:
-        base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
-    except KeyError as exc:
-        raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"{spec.family}: {exc}") from exc
-    d = base if spec.snowflake == 1.0 else base**spec.snowflake
-    d = d if spec.scale == 1.0 else spec.scale * d
+    with np.errstate(all="ignore"):
+        try:
+            base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
+        except KeyError as exc:
+            raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"{spec.family}: {exc}") from exc
+        d = base if spec.snowflake == 1.0 else base**spec.snowflake
+        d = d if spec.scale == 1.0 else spec.scale * d
     labels = tuple(range(d.shape[0]))
     return FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
 

@@ -61,8 +61,10 @@ def negative_type_test(
     if n == 1:
         return NegativeTypeReport(True, 0.0, basepoint)
     others = [i for i in range(n) if i != basepoint]
-    d0 = d[basepoint, others]
-    g = 0.5 * (d0[:, None] + d0[None, :] - d[np.ix_(others, others)])
+    # halving before the sums keeps every entry finite when distances near
+    # the float range would overflow d0_i + d0_j
+    h0 = 0.5 * d[basepoint, others]
+    g = h0[:, None] + h0[None, :] - 0.5 * d[np.ix_(others, others)]
     vals = np.linalg.eigvalsh(g)
     lam_min = float(vals[0])
     if _verdict_index(vals[0], vals[-1]):  # PSD or PD: not Indefinite

@@ -112,6 +112,23 @@ class TestApproxMagnitude:
         study = approx_magnitude(family, [2, 3])
         assert all(r.failure is not None for r in study.records)
 
+    def test_family_without_refinement_parameter(self):
+        k32 = SpaceSpec("complete_bipartite", {"m": 3, "n": 2})
+        with pytest.raises(InvalidParams, match="no refinement parameter"):
+            approx_magnitude(k32, [2, 3])
+
+    def test_empty_levels(self):
+        with pytest.raises(InvalidParams, match="nonempty"):
+            approx_magnitude(SpaceSpec("interval_net", {}), [])
+
+    @pytest.mark.parametrize("template", [
+        SpaceSpec("circle_net", {}),  # no coordinates
+        SpaceSpec("grid_net", {"n": 2}),  # 2-D coordinates
+    ])
+    def test_quadrature_needs_1d_coordinates(self, template):
+        with pytest.raises(InvalidParams, match="1-D ambient coordinates"):
+            approx_magnitude(template, [3, 4], quadrature=True)
+
 
 class TestBallVolume:
     def test_diamond(self):
@@ -126,6 +143,11 @@ class TestBallVolume:
 
     def test_cube(self):
         assert lp_ball_volume(3, math.inf) == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cube_is_exact(self, n):
+        # the general formula at p = inf: 1/p = 0 and Gamma(1) = 1
+        assert lp_ball_volume(n, math.inf) == 2.0**n
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
@@ -147,6 +169,14 @@ class TestGrowthLowerBound:
 
     def test_vanishes_at_zero(self):
         assert growth_lower_bound(2, 1.0, 1.0, 1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n,p,alpha,vol_a,t", [
+        (0, 1.0, 1.0, 1.0, 1.0), (2, 0.0, 1.0, 1.0, 1.0), (2, 1.0, 0.0, 1.0, 1.0),
+        (2, 1.0, 1.5, 1.0, 1.0), (2, 1.0, 1.0, 0.0, 1.0), (2, 1.0, 1.0, 1.0, -1.0),
+    ])
+    def test_rejects_out_of_range(self, n, p, alpha, vol_a, t):
+        with pytest.raises(InvalidParams):
+            growth_lower_bound(n, p, alpha, vol_a, t)
 
 
 class TestGrowthBoundStudy:
@@ -231,6 +261,13 @@ class TestFourierUpperBound:
         with pytest.raises(InvalidParams):
             fourier_upper_bound_1d(2.0, 1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("length,p,alpha", [
+        (2.0, 0.0, 1.0), (2.0, 2.5, 1.0), (2.0, 1.0, 0.0), (2.0, 1.0, 1.5), (-1.0, 1.0, 1.0),
+    ])
+    def test_rejects_out_of_range(self, length, p, alpha):
+        with pytest.raises(InvalidParams):
+            fourier_upper_bound_1d(length, p, alpha, 4.0)
+
 
 class TestProductCounterexample:
     def test_not_stably_pd(self):
@@ -271,6 +308,10 @@ class TestWitnessSearch:
         result = witness_search(p=math.inf, n=3, budget=0, seed=0)
         assert not result.found
         assert result.subsets_tested == 0
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(InvalidParams, match="budget"):
+            witness_search(p=math.inf, n=3, budget=-1, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_dimension_below_one(self, n):

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from maglab import SpaceSpec, generate
-from maglab.cli import run
+from maglab.cli import _parse_scales, run
 
 
 @pytest.fixture
@@ -86,6 +87,19 @@ class TestSweepCommand:
         assert "Indefinite" in rows[1]
 
 
+class TestParseScales:
+    @pytest.mark.parametrize("grid", ["0.3:4:1", "0.3:4:1log"])
+    def test_one_point_is_the_start(self, grid):
+        assert _parse_scales(grid) == [0.3]
+
+    @pytest.mark.parametrize("grid,expected", [
+        ("0.2:3:6", np.linspace(0.2, 3.0, 6)),
+        ("0.25:4:9log", np.geomspace(0.25, 4.0, 9)),
+    ])
+    def test_grid_is_numpys(self, grid, expected):
+        assert _parse_scales(grid) == list(expected)
+
+
 class TestValidateCommand:
     def test_good_matrix(self, two_point_csv, capsys):
         assert run(["validate", two_point_csv]).exit_code == 0
@@ -106,6 +120,20 @@ class TestApproxCommand:
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload["extrapolated_limit"] == pytest.approx(2.0, abs=5e-3)
+
+    def test_chebyshev_nets(self, capsys):
+        argv = ["approx", "--family", "chebyshev", "--length", "2", "--levels", "5,9,17"]
+        assert run(argv).exit_code == 0
+        assert "extrapolated limit" in capsys.readouterr().out
+
+    def test_no_positive_definite_level(self, capsys):
+        # l_inf^3 grids of 3 and 4 points a side are indefinite at scale 1
+        argv = ["approx", "--family", "grid_net", "--params", '{"n": 3, "p": Infinity}',
+                "--levels", "3,4"]
+        assert run(argv).exit_code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "no positive definite levels"
+        assert all("FAILED" in line for line in out[:-1])
 
 
 class TestFourierCommand:
@@ -179,6 +207,12 @@ class TestUsageErrors:
 
     def test_bad_scales(self, k32_spec_json, capsys):
         assert run(["sweep", "--spec", k32_spec_json, "--scales", "nope"]).exit_code == 2
+
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3", "1:0:3log", "1:2:0"])
+    def test_nonpositive_scales(self, grid, k32_spec_json, capsys):
+        # "--scales=" keeps argparse from reading "-1:1:3" as an option
+        assert run(["sweep", "--spec", k32_spec_json, f"--scales={grid}"]).exit_code == 2
+        assert "scale grid endpoints must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "1:inf:3"])
     def test_nonfinite_scales(self, grid, k32_spec_json, capsys):
@@ -276,3 +310,99 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# spec values for the no-traceback tests: counts and reals a family can use,
+# and values that no parameter can (non-finite, extreme, of the wrong type)
+COUNTS = (1, 2, 3, 4, 6)  # at most 6^3 = 216 grid points
+REALS = (0.5, 1.0, 3.0, 1000.0)
+EXPONENTS = (0.5, 1.0, 2.0, math.inf)
+WEIRD = (math.nan, math.inf, -math.inf, 1e308, 1e-300, 0, -1, "x", None, [1, 2])
+FAMILY_PARAMS = {
+    "interval_net": {"n": COUNTS, "length": REALS},
+    "circle_net": {"n": COUNTS, "circumference": REALS},
+    "cantor_net": {"level": COUNTS, "length": REALS},
+    "grid_net": {"n": (1, 2, 3), "m": COUNTS, "p": EXPONENTS},
+    "sphere_fibonacci_net": {"n": COUNTS, "radius": REALS},
+    "hyperbolic_disk_net": {"r_max": REALS, "n_r": COUNTS, "n_theta": COUNTS},
+    "complete_bipartite": {"m": COUNTS, "n": COUNTS, "r": REALS},
+    "ultrametric_tree": {"n": COUNTS},
+    "weighted_tree": {"n": COUNTS},
+    "point_cloud_lp": {"points": None, "p": EXPONENTS},
+}
+NONFINITE_SPECS = [
+    {"family": "hyperbolic_disk_net", "params": {"r_max": 1000.0, "n_r": 2, "n_theta": 3}},
+    {"family": "interval_net", "params": {"n": 3, "length": math.inf}},
+    {"family": "interval_net", "params": {"n": 5, "length": 1e308}, "scale": 2.0},
+    {"family": "point_cloud_lp", "params": {"points": [[0.0], [math.nan], [1.0]]}},
+]
+
+
+def _draw(rng, valid):
+    """A valid value most of the time, else one from WEIRD."""
+    return rng.choice(valid) if rng.random() < 0.85 else rng.choice(WEIRD)
+
+
+def _coordinate(rng):
+    return rng.uniform(-2.0, 2.0) if rng.random() < 0.95 else rng.choice(WEIRD)
+
+
+def _random_points(rng):
+    if rng.random() < 0.1:
+        return rng.choice(WEIRD)
+    dim = rng.choice((1, 2, 3))
+    return [[_coordinate(rng) for _ in range(dim)] for _ in range(rng.choice(COUNTS))]
+
+
+def _random_spec(rng) -> dict:
+    family = rng.choice(sorted(FAMILY_PARAMS))
+    params = {}
+    for key, valid in FAMILY_PARAMS[family].items():
+        if rng.random() < 0.1:
+            continue  # a missing parameter
+        params[key] = _random_points(rng) if key == "points" else _draw(rng, valid)
+    spec = {"family": family, "params": params}
+    for key, valid in (("scale", (0.5, 1.0, 4.0)), ("snowflake", (1.0, 0.5, 0.25)),
+                       ("seed", (0, 5, None))):
+        if rng.random() < 0.7:
+            spec[key] = _draw(rng, valid)
+    return spec
+
+
+def _spec_argvs(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return [
+        ["magnitude", "--spec", str(path)],
+        ["diversity", "--spec", str(path)],
+        ["negtype", "--spec", str(path)],
+        ["sweep", "--spec", str(path), "--scales", "0.05:20:4log"],
+    ]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("spec", NONFINITE_SPECS)
+    def test_nonfinite_distances_refused(self, spec, tmp_path, capsys):
+        for argv in _spec_argvs(spec, tmp_path):
+            assert run(argv).exit_code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: NonFiniteEntry:")
+            assert len(err.strip().splitlines()) == 1
+
+    # the 2 tau I shift of a singular Z + 11' (distances scaled to 1e-300)
+    # warns by design; any other warning escapes as a fault
+    @pytest.mark.filterwarnings("ignore:Z \\+ 11' is singular:RuntimeWarning")
+    def test_random_specs_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(0)
+        escaped = []
+        for _ in range(200):
+            spec = _random_spec(rng)
+            for argv in _spec_argvs(spec, tmp_path):
+                try:
+                    code = run(argv).exit_code
+                except Exception as exc:  # the fault under test
+                    escaped.append((spec, argv[0], repr(exc)))
+                else:
+                    assert code in (0, 1, 2), (spec, argv[0])
+        capsys.readouterr()
+        assert not escaped, escaped[:5]

@@ -210,21 +210,17 @@ class TestPositivelyWeighted:
     def test_ultrametric_trees(self):
         for seed in range(25):
             s = generate(SpaceSpec("ultrametric_tree", {"n": 8}, seed=seed))
-            flag, _ = is_positively_weighted(s)
-            assert flag
+            assert is_positively_weighted(s)
 
     def test_interval_nets(self):
         for n in (2, 5, 20):
             s = generate(SpaceSpec("interval_net", {"length": 1.0, "n": n}))
-            flag, certificate = is_positively_weighted(s)
-            assert flag
-            assert certificate == "weighting_sign"
+            assert is_positively_weighted(s)
 
     def test_l1_plane_counterexample(self):
         s = negative_weight_cloud()
         assert weighting(s).weighting.min() < -1e-6
-        flag, _ = is_positively_weighted(s)
-        assert not flag
+        assert not is_positively_weighted(s)
 
     @pytest.mark.parametrize(
         "seed,p,n",
@@ -235,7 +231,7 @@ class TestPositivelyWeighted:
         # relative, since the deficit is second order in the negative weight
         s = generate(random_cloud_spec(n, 2, p=p, seed=seed, box=3.0))
         assert weighting(s).weighting.min() < -1e-4
-        assert is_positively_weighted(s) == (False, "weighting_sign")
+        assert is_positively_weighted(s) is False
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_disagreement_is_inconsistent(self, negative, monkeypatch):

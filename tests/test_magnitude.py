@@ -1,4 +1,5 @@
 import importlib
+import json
 import logging
 import math
 
@@ -23,8 +24,9 @@ from maglab import (
     stability_scan,
     weighting,
 )
-from maglab.cli import _jsonable, _write_csv
+from maglab.cli import _write_csv
 from maglab.magnitude import ScaleSweep, SweepRecord, _spectrum, _weighting
+from maglab.metric_core import _json_default
 from maglab.negative_type import ScanRecord
 from maglab.errors import (
     DegenerateQuadraticForm,
@@ -222,6 +224,10 @@ class TestScaleSweep:
         sweep = scale_sweep(s, [1.0])
         assert sweep.records[0].magnitude == pytest.approx(magnitude(s))
 
+    def test_rejects_empty_grid(self, two_points):
+        with pytest.raises(InsufficientRecords):
+            scale_sweep(two_points, [])
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_scale(self, two_points, t):
         with pytest.raises(NonpositiveScale):
@@ -229,7 +235,7 @@ class TestScaleSweep:
 
     def test_csv_and_json_round_trip(self, tmp_path, two_points):
         sweep = scale_sweep(two_points, [1.0, 2.0])
-        payload = _jsonable(sweep)
+        payload = json.loads(json.dumps(sweep, default=_json_default))
         assert len(payload["records"]) == 2
         out = tmp_path / "sweep.csv"
         _write_csv(out, sweep.records)
@@ -295,10 +301,9 @@ class TestOneEigensolvePerScale:
 
     def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
-        flag, certificate = is_positively_weighted(s)
+        flag = is_positively_weighted(s)
         assert eigensolves == [1]
         assert similarities == [1.0]
-        assert certificate == "weighting_sign"
         assert flag == weighting(s).positively_weighted
 
     def test_k32_threshold_sweep_is_one_eigvalsh(self, monkeypatch):

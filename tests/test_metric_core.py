@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from maglab import (
     FiniteMetricSpace,
     SpaceSpec,
     generate,
+    scale_sweep,
     hausdorff_distance,
     load_distance_csv,
     lp_product,
@@ -365,11 +367,58 @@ class TestGenerate:
         for k in range(n):
             assert np.all(d <= np.maximum(d[:, [k]], d[[k], :]) + 1e-12)
 
+    @pytest.mark.parametrize("snowflake", [0.0, -0.5, 1.5, math.nan])
+    def test_snowflake_out_of_range(self, snowflake):
+        with pytest.raises(InvalidParams, match="snowflake"):
+            SpaceSpec("interval_net", {"n": 3}, snowflake=snowflake)
+
+    @pytest.mark.parametrize("spec", [
+        SpaceSpec("hyperbolic_disk_net", {"r_max": 1000.0, "n_r": 2, "n_theta": 3}),
+        SpaceSpec("interval_net", {"n": 3, "length": math.inf}),
+        SpaceSpec("interval_net", {"n": 5, "length": 1e308}, scale=2.0),
+        SpaceSpec("point_cloud_lp", {"points": [[0.0], [math.nan], [1.0]]}),
+    ])
+    def test_nonfinite_distances_refused(self, spec):
+        # the overflow or NaN itself raises no warning: the refusal says it
+        with pytest.raises(NonFiniteEntry):
+            generate(spec)
+
+    def test_point_cloud_needs_a_list_of_points(self):
+        with pytest.raises(InvalidParams, match="at least one point"):
+            generate(SpaceSpec("point_cloud_lp", {"points": 1.0}))
+
     def test_snowflake_and_scale_applied(self):
         spec = SpaceSpec(
             "interval_net", {"length": 1.0, "n": 2}, scale=3.0, snowflake=0.5
         )
         assert generate(spec).dist[0, 1] == pytest.approx(3.0)
+
+
+class TestFiniteMetricSpace:
+    def test_rejects_nonsquare(self):
+        with pytest.raises(NonSquareMatrix):
+            FiniteMetricSpace((0, 1), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+
+    def test_rejects_wrong_label_count(self):
+        with pytest.raises(InvalidParams, match="label count"):
+            FiniteMetricSpace((0, 1, 2), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_zero_points(self):
+        with pytest.raises(InvalidParams, match="at least one point"):
+            FiniteMetricSpace((), np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_distance(self, value):
+        with pytest.raises(NonFiniteEntry):
+            FiniteMetricSpace((0, 1), [[0.0, value], [value, 0.0]])
+
+    def test_only_the_upper_triangle_is_read(self):
+        s = FiniteMetricSpace((0, 1), [[math.nan, 2.0], [math.inf, math.nan]])
+        assert s.dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+
+    def test_empty_subspace(self, two_points):
+        with pytest.raises(EmptySubset):
+            two_points.subspace([])
 
 
 class TestTransforms:
@@ -428,6 +477,12 @@ class TestLpProduct:
         prod = lp_product(a, b, 1.0)
         expected = np.kron(similarity(a), similarity(b))
         assert np.abs(similarity(prod) - expected).max() <= 1e-14
+
+    def test_q_inf_is_max(self):
+        a, b = random_cloud(5), random_cloud(6)
+        prod = lp_product(a, b, math.inf)
+        expected = np.maximum(a.dist[:, None, :, None], b.dist[None, :, None, :])
+        assert np.array_equal(prod.dist, expected.reshape(len(prod), len(prod)))
 
     def test_rejects_q_below_one(self, two_points):
         with pytest.raises(ExponentOutOfRange):
@@ -516,6 +571,21 @@ class TestSerialization:
             "grid_net", {"n": 2, "p": 1.0, "m": 4}, scale=2.0, snowflake=0.5, seed=7
         )
         assert SpaceSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("numpy_spec,plain_spec", [
+        (SpaceSpec("interval_net", {"n": np.int64(5)}, seed=np.int64(2)),
+         SpaceSpec("interval_net", {"n": 5}, seed=2)),
+        (SpaceSpec("point_cloud_lp", {"points": np.array([[0.0, 1.0], [2.0, 0.5]]),
+                                      "p": np.float64(1.0)}),
+         SpaceSpec("point_cloud_lp", {"points": [[0.0, 1.0], [2.0, 0.5]], "p": 1.0})),
+    ])
+    def test_numpy_values_serialize(self, numpy_spec, plain_spec):
+        text = numpy_spec.to_json()
+        assert text == plain_spec.to_json()
+        assert SpaceSpec.from_json(text) == plain_spec
+        sweep = scale_sweep(generate(numpy_spec), [1.0, 2.0])
+        assert sweep.spec == text
+        assert json.loads(sweep.spec)["params"] == plain_spec.params
 
     def test_csv_loader_accepts_valid(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from maglab import (
     stability_scan,
 )
 from maglab import FiniteMetricSpace
-from maglab.cli import _jsonable
 from maglab.errors import InvalidParams, NonpositiveScale
+from maglab.metric_core import _json_default
 
 from conftest import random_cloud, random_metric_4pt
 
@@ -33,6 +34,14 @@ class TestNegativeTypeTest:
         x = rep.witness_vector
         assert abs(x.sum()) <= 1e-10
         assert x @ s.dist @ x > 0
+
+    def test_distances_near_the_float_range(self):
+        # d0_i + d0_j would overflow; the Gram entries themselves do not
+        a = 8e307
+        line = FiniteMetricSpace((0, 1, 2), [[0, a, 2 * a], [a, 0, a], [2 * a, a, 0]])
+        rep = negative_type_test(line)
+        assert rep.negative_type
+        assert math.isfinite(rep.gram_lambda_min) and rep.gram_lambda_min > 0
 
     def test_witness_is_most_negative_gram_eigenvector(self):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
@@ -112,9 +121,18 @@ class TestStabilityScan:
         with pytest.raises(NonpositiveScale):
             stability_scan(random_cloud(2), scales=[math.nan, 1.0])
 
+    def test_k32_at_large_r_is_undetermined(self):
+        # every failing scale of K_{3,2} lies below log(sqrt 2) / r < 2^-10,
+        # the smallest default scale, so only the Gram test can decide
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1000.0}))
+        report = stability_scan(s)
+        assert report.failing_scales == ()
+        assert report.negative_type.negative_type is False
+        assert report.classification == "Undetermined"
+
     def test_json_payload(self):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
-        payload = _jsonable(stability_scan(s))
+        payload = json.loads(json.dumps(stability_scan(s), default=_json_default))
         assert payload["classification"] == "NotStablyPD"
         assert payload["failing_scales"]
         assert payload["negative_type"]["negative_type"] is False
