@@ -42,7 +42,6 @@ from .analysis import (
     ConvergenceStudy,
     FourierReport,
     approx_magnitude,
-    chebyshev_interval,
     fourier_upper_bound_1d,
     gamma_hat_1d,
     growth_bound_study,

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.special
 
 from .errors import (
     InvalidParams,
+    NonFiniteEntry,
     NotPositiveDefinite,
     QuadratureDivergence,
 )
@@ -54,44 +55,20 @@ class ConvergenceStudy:
     monotone: bool
 
 
-def chebyshev_interval(length: float) -> Callable[[int], SpaceSpec]:
-    """Level n -> spec of the n-point cosine-clustered net of [0, length]."""
-    def build(n: int) -> SpaceSpec:
-        k = np.arange(n)
-        pts = 0.5 * length * (1.0 - np.cos(math.pi * k / max(n - 1, 1)))
-        return SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 2.0})
-    return build
-
-
-def _spec_for_level(template, level: int) -> SpaceSpec:
-    if callable(template):
-        return template(level)
-    key = FAMILY_TABLE[template.family][1]
-    if key is None:
-        raise InvalidParams(
-            f"family {template.family!r} has no refinement parameter; "
-            "pass a callable template"
-        )
-    return template.with_params(**{key: level})
-
-
 def _ambient_gap(coarse: FiniteMetricSpace, fine: FiniteMetricSpace) -> Optional[float]:
     """Hausdorff distance between two nets of one family, in the net metric."""
     if coarse.coords is None or fine.coords is None:
         return None
     spec = fine.provenance
-    params = {} if spec is None else spec.params
-    cross = _lp_distances(coarse.coords, fine.coords, float(params.get("p", 2.0)))
+    cross = _lp_distances(coarse.coords, fine.coords, float(spec.params.get("p", 2.0)))
     gap = max(cross.min(axis=1).max(), cross.min(axis=0).max())
     # monotone distance transforms commute with the sup-inf structure: the
     # sphere's geodesic distance is 2r asin(chord / 2r), whose arccos form
     # would read about 1e-8 for a net against itself
-    if spec is not None and spec.family == "sphere_fibonacci_net":
-        radius = float(params.get("radius", 1.0))
+    if spec.family == "sphere_fibonacci_net":
+        radius = float(spec.params.get("radius", 1.0))
         gap = 2.0 * radius * math.asin(min(1.0, gap / (2.0 * radius)))
-    if spec is not None:
-        gap = spec.scale * gap**spec.snowflake
-    return float(gap)
+    return float(spec.scale * gap**spec.snowflake)
 
 
 def _voronoi_cell_measure(space: FiniteMetricSpace) -> np.ndarray:
@@ -105,9 +82,7 @@ def _voronoi_cell_measure(space: FiniteMetricSpace) -> np.ndarray:
 
 
 def approx_magnitude(
-    template: Union[SpaceSpec, Callable[[int], SpaceSpec]],
-    levels,
-    quadrature: bool = False,
+    template: SpaceSpec, levels, quadrature: bool = False
 ) -> ConvergenceStudy:
     """Magnitude per refinement level, with a gap-fitted extrapolated limit.
 
@@ -117,10 +92,13 @@ def approx_magnitude(
     levels = sorted(int(k) for k in levels)
     if not levels:
         raise InvalidParams("levels must be nonempty")
+    key = FAMILY_TABLE[template.family][1]
+    if key is None:
+        raise InvalidParams(f"family {template.family!r} has no refinement parameter")
     records = []
-    finest = generate(_spec_for_level(template, levels[-1]))
+    finest = generate(template.with_params(**{key: levels[-1]}))
     for k in levels:
-        space = finest if k == levels[-1] else generate(_spec_for_level(template, k))
+        space = finest if k == levels[-1] else generate(template.with_params(**{key: k}))
         gap = _ambient_gap(space, finest)
         try:
             if quadrature:
@@ -285,9 +263,9 @@ def gamma_hat_1d(
     """
     if not (0 < p <= 2):
         raise InvalidParams("gamma_hat_1d needs 0 < p <= 2")
-    if not (L > 0 and N >= 1 and n_omega >= 2 and omega_max > 0):
+    if not (0 < L < math.inf and N >= 1 and n_omega >= 2 and 0 < omega_max < math.inf):
         raise InvalidParams(
-            "gamma_hat_1d needs L > 0, N >= 1, n_omega >= 2 and omega_max > 0"
+            "gamma_hat_1d needs finite L > 0 and omega_max > 0, N >= 1 and n_omega >= 2"
         )
     tail = _stable_density_tail(p, L)
     if tail > TAIL_TOLERANCE:
@@ -331,8 +309,8 @@ def fourier_upper_bound_1d(
     """
     if not (0 < p <= 2) or not (0 < alpha <= 1):
         raise InvalidParams("need 0 < p <= 2 and 0 < alpha <= 1")
-    if not mollifier_radius > length:
-        raise InvalidParams("mollifier_radius must exceed the interval length")
+    if not length < mollifier_radius < math.inf:
+        raise InvalidParams("need length < mollifier_radius < inf")
     if length < 0:
         raise InvalidParams("length must be nonnegative")
     r = alpha * min(1.0, p)
@@ -423,10 +401,12 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
         for size in set(map(len, trials)):
             index = [i for i, pts in enumerate(trials) if len(pts) == size]
             pts = np.stack([trials[i] for i in index])
+            with np.errstate(over="ignore"):
+                dist = _lp_distances(pts, pts, p)
+            if not np.isfinite(dist).all():
+                raise NonFiniteEntry(f"l_p distances overflow at p = {p:g}")
             # (scale, trial, size, size) -> (trial, scale) spectra
-            vals = np.linalg.eigvalsh(
-                _similarities(_lp_distances(pts, pts, p), WITNESS_SCALES)
-            ).swapaxes(0, 1)
+            vals = np.linalg.eigvalsh(_similarities(dist, WITNESS_SCALES)).swapaxes(0, 1)
             indefinite = _verdict_index(vals[..., 0], vals[..., -1]) == 0  # Indefinite
             if indefinite.any():
                 j, k = np.argwhere(indefinite)[0]

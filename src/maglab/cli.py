@@ -158,13 +158,11 @@ def _cmd_negtype(args):
 
 
 def _cmd_approx(args):
-    if args.family in ("chebyshev", "interval_chebyshev"):
-        template = analysis.chebyshev_interval(args.length)
-    else:
-        family = "interval_net" if args.family == "interval" else args.family
-        params = args.params or {}
-        params.setdefault("length", args.length)
-        template = metric_core.SpaceSpec(family, params)
+    aliases = {"interval": "interval_net", "chebyshev": "interval_chebyshev_net"}
+    family = aliases.get(args.family, args.family)
+    params = args.params or {}
+    params.setdefault("length", args.length)
+    template = metric_core.SpaceSpec(family, params)
     study = analysis.approx_magnitude(
         template, args.levels, quadrature=args.quadrature
     )

@@ -275,6 +275,14 @@ def _gen_interval(params, seed):
     return _lp_distances(x, x, 1.0), x
 
 
+def _gen_interval_chebyshev(params, seed):
+    length = float(params.get("length", 1.0))
+    n = _count(params, "n")
+    _require(length > 0 and n >= 1, "interval_chebyshev_net needs length > 0, n >= 1")
+    x = 0.5 * length * (1.0 - np.cos(math.pi * np.arange(n) / max(n - 1, 1)))[:, None]
+    return _lp_distances(x, x, 2.0), x
+
+
 def _gen_circle(params, seed):
     circumference = float(params.get("circumference", 2 * math.pi))
     n = _count(params, "n")
@@ -391,6 +399,7 @@ def _gen_point_cloud(params, seed):
 # every generator maps (params, seed) to (distances, coordinates or None)
 FAMILY_TABLE = {
     "interval_net": (_gen_interval, "n"),
+    "interval_chebyshev_net": (_gen_interval_chebyshev, "n"),
     "circle_net": (_gen_circle, "n"),
     "cantor_net": (_gen_cantor, "level"),
     "grid_net": (_gen_grid, "m"),

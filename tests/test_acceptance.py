@@ -12,7 +12,6 @@ import numpy as np
 from maglab import (
     SpaceSpec,
     approx_magnitude,
-    chebyshev_interval,
     diversity_diameter_check,
     fourier_upper_bound_1d,
     gamma_hat_1d,
@@ -77,7 +76,7 @@ def test_criterion_02_bipartite_threshold():
 def test_criterion_03_interval_convergence():
     nested = [2**k + 1 for k in range(1, 10)]
     uni = approx_magnitude(SpaceSpec("interval_net", {"length": 2.0}), nested)
-    che = approx_magnitude(chebyshev_interval(2.0), nested)
+    che = approx_magnitude(SpaceSpec("interval_chebyshev_net", {"length": 2.0}), nested)
     mags = [r.magnitude for r in uni.records]
     ok = (
         abs(uni.extrapolated_limit - che.extrapolated_limit) <= 1e-4

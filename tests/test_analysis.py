@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from maglab import (
     SpaceSpec,
     approx_magnitude,
-    chebyshev_interval,
     fourier_upper_bound_1d,
     gamma_hat_1d,
     generate,
@@ -19,7 +19,7 @@ from maglab import (
 from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
 )
-from maglab.errors import InvalidParams, QuadratureDivergence
+from maglab.errors import InvalidParams, NonFiniteEntry, QuadratureDivergence
 from maglab.magnitude import _spectrum, similarity
 
 
@@ -58,7 +58,7 @@ class TestApproxMagnitude:
     def test_interval_families_agree(self):
         levels = [11, 101, 501]
         uni = approx_magnitude(SpaceSpec("interval_net", {"length": 2.0}), levels)
-        che = approx_magnitude(chebyshev_interval(2.0), levels)
+        che = approx_magnitude(SpaceSpec("interval_chebyshev_net", {"length": 2.0}), levels)
         assert uni.monotone and che.monotone
         assert uni.extrapolated_limit == pytest.approx(2.0, abs=1e-3)
         assert abs(uni.extrapolated_limit - che.extrapolated_limit) <= 1e-3
@@ -103,13 +103,8 @@ class TestApproxMagnitude:
         assert study.records[1].gap == 0.0
 
     def test_indefinite_level_recorded_not_raised(self):
-        # bipartite spaces scaled far down are indefinite; the study keeps going
-        def family(level):
-            return SpaceSpec(
-                "complete_bipartite", {"m": 3, "n": level, "r": 1.0}, scale=0.01
-            )
-
-        study = approx_magnitude(family, [2, 3])
+        # l_inf^3 grids of 3 and 4 points a side are indefinite; the study keeps going
+        study = approx_magnitude(SpaceSpec("grid_net", {"n": 3, "p": math.inf}), [3, 4])
         assert all(r.failure is not None for r in study.records)
 
     def test_family_without_refinement_parameter(self):
@@ -232,6 +227,8 @@ class TestGammaHat:
             {"n_omega": 0},
             {"omega_max": 0.0},
             {"omega_max": -1.0},
+            {"L": math.inf},
+            {"omega_max": math.inf},
         ],
     )
     def test_invalid_grid(self, kwargs):
@@ -260,6 +257,11 @@ class TestFourierUpperBound:
     def test_requires_radius_beyond_interval(self):
         with pytest.raises(InvalidParams):
             fourier_upper_bound_1d(2.0, 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_requires_finite_radius(self, radius):
+        with pytest.raises(InvalidParams, match="mollifier_radius"):
+            fourier_upper_bound_1d(2.0, 1.0, 1.0, radius)
 
     @pytest.mark.parametrize("length,p,alpha", [
         (2.0, 0.0, 1.0), (2.0, 2.5, 1.0), (2.0, 1.0, 0.0), (2.0, 1.0, 1.5), (-1.0, 1.0, 1.0),
@@ -328,6 +330,15 @@ class TestWitnessSearch:
     def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
         with pytest.raises(InvalidParams):
             witness_search(p=2.0, n=3, budget=3, seed=seed)
+
+    def test_overflowing_p_is_refused_like_a_spec(self):
+        # |x - y|**1e308 overflows: no metric to search, as for a point cloud spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntry):
+                witness_search(p=1e308, n=3, budget=50, seed=0)
+            with pytest.raises(NonFiniteEntry):
+                generate(SpaceSpec("point_cloud_lp", {"points": [[0.0], [2.0]], "p": 1e308}))
 
 
 def reference_witness_search(p, n, budget, seed=0):

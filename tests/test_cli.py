@@ -126,6 +126,31 @@ class TestApproxCommand:
         assert run(argv).exit_code == 0
         assert "extrapolated limit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("left,right", [
+        # the CLI name and the family name build the same nets
+        (["--family", "chebyshev"], ["--family", "interval_chebyshev_net"]),
+        # --params sets the length as it does for every other family
+        (["--family", "chebyshev", "--params", '{"length": 3}'],
+         ["--family", "chebyshev", "--length", "3"]),
+    ])
+    def test_chebyshev_json_matches(self, left, right, tmp_path, capsys):
+        outputs = []
+        for extra in (left, right):
+            out = tmp_path / "study.json"
+            argv = ["approx", "--length", "2", "--levels", "5,9,17", *extra,
+                    "--json", str(out)]
+            assert run(argv).exit_code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("length", ["0", "-2"])
+    def test_chebyshev_needs_positive_length(self, length, capsys):
+        argv = ["approx", "--family", "chebyshev", f"--length={length}", "--levels", "5,9"]
+        assert run(argv).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParams:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_no_positive_definite_level(self, capsys):
         # l_inf^3 grids of 3 and 4 points a side are indefinite at scale 1
         argv = ["approx", "--family", "grid_net", "--params", '{"n": 3, "p": Infinity}',
@@ -157,7 +182,11 @@ class TestFourierCommand:
         bound = json.loads(out.read_text())["bound"]
         assert math.isfinite(bound) and bound >= 2.0
 
-    @pytest.mark.parametrize("grid", [["--N", "0"], ["--N", "-3"], ["--L", "-5"]])
+    @pytest.mark.parametrize("grid", [
+        ["--N", "0"], ["--N", "-3"], ["--L", "-5"], ["--L", "inf"],
+        ["--upper-bound", "--ell", "2", "--L", "inf"],
+        ["--upper-bound", "--ell", "2", "--mollifier-radius", "inf"],
+    ])
     def test_bad_grid_is_domain_error(self, grid, capsys):
         assert run(["fourier", "--p", "1", *grid]).exit_code == 1
         assert "InvalidParams" in capsys.readouterr().err
@@ -195,6 +224,15 @@ class TestExperimentCommand:
         assert run(["experiment", "witness-search", *args]).exit_code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidParams:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_witness_search_overflowing_p(self, capsys):
+        argv = ["experiment", "witness-search", "--p", "1e308", "--n", "3", "--budget", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteEntry:")
         assert len(err.strip().splitlines()) == 1
 
 

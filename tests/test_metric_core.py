@@ -138,6 +138,15 @@ def _ref_interval(params, seed):
     return np.abs(x[:, None] - x[None, :]), x[:, None]
 
 
+def _ref_chebyshev(params, seed):
+    # the cosine-clustered net as a point_cloud_lp spec builds it (p = 2)
+    length, n = float(params.get("length", 1.0)), params["n"]
+    k = np.arange(n)
+    pts = 0.5 * length * (1.0 - np.cos(math.pi * k / max(n - 1, 1)))
+    x = np.asarray(pts.tolist(), dtype=float)[:, None]
+    return _lp_distances(x, x, 2.0), x
+
+
 def _ref_circle(params, seed):
     circumference, n = float(params.get("circumference", 2 * math.pi)), params["n"]
     d = np.zeros((n, n))
@@ -242,6 +251,9 @@ def _ref_point_cloud(params, seed):
 # the references fill distances by per-point or per-pair loops
 _REFERENCE_FAMILIES = {
     "interval_net": (_ref_interval, lambda size, seed: {"length": 2.5, "n": size}),
+    "interval_chebyshev_net": (
+        _ref_chebyshev, lambda size, seed: {"length": 2.5, "n": size}
+    ),
     "circle_net": (_ref_circle, lambda size, seed: {"circumference": 3.0, "n": size}),
     "cantor_net": (
         _ref_cantor, lambda size, seed: {"length": 1.5, "level": min(size, 6)}
