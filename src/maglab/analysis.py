@@ -17,7 +17,6 @@ import scipy.special
 
 from .errors import (
     InvalidParams,
-    NonFiniteEntry,
     NotPositiveDefinite,
     QuadratureDivergence,
 )
@@ -382,10 +381,10 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
     block that share a size get one distance call and one stacked eigvalsh,
     and the first witness by trial, then by scale, is returned.
     """
-    if budget < 0:
-        raise InvalidParams("budget must be nonnegative")
-    if n < 1:
-        raise InvalidParams("n must be at least 1")
+    if not (_is_integer(budget) and budget >= 0):
+        raise InvalidParams(f"budget must be a nonnegative integer, got {budget!r}")
+    if not (_is_integer(n) and n >= 1):
+        raise InvalidParams(f"n must be an integer at least 1, got {n!r}")
     if not p > 0:
         raise InvalidParams(f"witness search needs p > 0, got {p}")
     if not (_is_integer(seed) and seed >= 0):
@@ -401,10 +400,7 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
         for size in set(map(len, trials)):
             index = [i for i, pts in enumerate(trials) if len(pts) == size]
             pts = np.stack([trials[i] for i in index])
-            with np.errstate(over="ignore"):
-                dist = _lp_distances(pts, pts, p)
-            if not np.isfinite(dist).all():
-                raise NonFiniteEntry(f"l_p distances overflow at p = {p:g}")
+            dist = _lp_distances(pts, pts, p)
             # (scale, trial, size, size) -> (trial, scale) spectra
             vals = np.linalg.eigvalsh(_similarities(dist, WITNESS_SCALES)).swapaxes(0, 1)
             indefinite = _verdict_index(vals[..., 0], vals[..., -1]) == 0  # Indefinite

@@ -29,7 +29,6 @@ from .errors import (
 )
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
-_MIN_PLUS_BLOCK = 128  # k rows per block of the min-plus square
 
 
 def _json_default(obj):
@@ -150,34 +149,15 @@ class ValidationReport:
     offending_triples: list
 
 
-def _min_plus_upper(d: np.ndarray) -> np.ndarray:
-    """min_k fl(d[i, k] + d[k, j]) for j >= i; inf below the diagonal.
-
-    Row i takes k in blocks of _MIN_PLUS_BLOCK, so each block's sums fit
-    in a buffer that stays in cache.
-    """
-    n = d.shape[0]
-    m = np.full((n, n), np.inf)
-    buf = np.empty((min(n, _MIN_PLUS_BLOCK), n))
-    for i in range(n):
-        row = m[i, i:]
-        for k0 in range(0, n, _MIN_PLUS_BLOCK):
-            k1 = min(k0 + _MIN_PLUS_BLOCK, n)
-            sums = buf[: k1 - k0, : n - i]
-            np.add(d[i, k0:k1, None], d[k0:k1, i:], out=sums)
-            np.minimum(row, sums.min(axis=0), out=row)
-    return m
-
-
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """M[i, j] = min_k fl(d[i, k] + d[k, j]), the min-plus square of d."""
-    upper = _min_plus_upper(np.ascontiguousarray(d))
-    # M(d)[j, i] = M(d.T)[i, j], and a symmetric d gives a symmetric M
-    if np.array_equal(d, d.T):
-        lower = upper
-    else:
-        lower = _min_plus_upper(np.ascontiguousarray(d.T))
-    return np.minimum(upper, lower.T)
+    n = d.shape[0]
+    symmetric = np.array_equal(d, d.T)
+    m = np.full((n, n), np.inf)
+    for i in range(n):
+        j0 = i if symmetric else 0  # a symmetric d gives a symmetric M
+        m[i, j0:] = (d[i, :, None] + d[:, j0:]).min(axis=0)
+    return np.minimum(m, m.T) if symmetric else m
 
 
 def validate_metric(dist) -> ValidationReport:
@@ -237,17 +217,29 @@ def validate_metric(dist) -> ValidationReport:
     )
 
 
+def _lp_norm(v: np.ndarray, p: float) -> np.ndarray:
+    """||v||_p^min(1,p) over the last axis of v >= 0; p may be inf."""
+    if math.isinf(p):
+        return v.max(axis=-1)
+    with np.errstate(over="ignore", under="ignore"):
+        s = (v**p).sum(axis=-1)
+        norm = s ** (1.0 / p) if p >= 1 else s
+        # a power sum below tiny or at inf lost the norm: redo it from v / max(v)
+        redo = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
+        if redo.size:
+            w = v.reshape(-1, v.shape[-1])[redo]
+            m = w.max(axis=-1, keepdims=True)
+            r = (np.divide(w, m, out=np.zeros_like(w), where=m > 0) ** p).sum(axis=-1)
+            norm.flat[redo] = m[:, 0] * r ** (1.0 / p) if p >= 1 else m[:, 0] ** p * r
+    return norm
+
+
 def _lp_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b; p may be inf.
 
     Leading axes broadcast: (..., k, dim) and (..., m, dim) give (..., k, m).
     """
-    diff = np.abs(a[..., :, None, :] - b[..., None, :, :])
-    if math.isinf(p):
-        return diff.max(axis=-1)
-    if p >= 1:
-        return (diff**p).sum(axis=-1) ** (1.0 / p)
-    return (diff**p).sum(axis=-1)
+    return _lp_norm(np.abs(a[..., :, None, :] - b[..., None, :, :]), p)
 
 
 def _is_integer(value) -> bool:
@@ -426,8 +418,7 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
             raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
-        d = base if spec.snowflake == 1.0 else base**spec.snowflake
-        d = d if spec.scale == 1.0 else spec.scale * d
+        d = spec.scale * base**spec.snowflake
     labels = tuple(range(d.shape[0]))
     return FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
 
@@ -467,11 +458,8 @@ def lp_product(
     """The l_q product: d((a,b),(a',b')) = (d_A^q + d_B^q)^(1/q)."""
     if not q >= 1:
         raise ExponentOutOfRange(f"product exponent must be >= 1, got {q}")
-    da, db = a.dist, b.dist
-    if math.isinf(q):
-        d = np.maximum(da[:, None, :, None], db[None, :, None, :])
-    else:
-        d = (da[:, None, :, None] ** q + db[None, :, None, :] ** q) ** (1.0 / q)
+    pair = np.broadcast_arrays(a.dist[:, None, :, None], b.dist[None, :, None, :])
+    d = _lp_norm(np.stack(pair, axis=-1), q)
     n = len(a) * len(b)
     d = d.reshape(n, n)
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)

@@ -19,7 +19,7 @@ from maglab import (
 from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
 )
-from maglab.errors import InvalidParams, NonFiniteEntry, QuadratureDivergence
+from maglab.errors import InvalidParams, QuadratureDivergence
 from maglab.magnitude import _spectrum, similarity
 
 
@@ -315,7 +315,12 @@ class TestWitnessSearch:
         with pytest.raises(InvalidParams, match="budget"):
             witness_search(p=math.inf, n=3, budget=-1, seed=0)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_rejects_budget_that_is_not_an_integer(self, budget):
+        with pytest.raises(InvalidParams, match="budget"):
+            witness_search(p=math.inf, n=3, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
     def test_rejects_dimension_below_one(self, n):
         with pytest.raises(InvalidParams):
             witness_search(p=math.inf, n=n, budget=10, seed=0)
@@ -331,14 +336,15 @@ class TestWitnessSearch:
         with pytest.raises(InvalidParams):
             witness_search(p=2.0, n=3, budget=3, seed=seed)
 
-    def test_overflowing_p_is_refused_like_a_spec(self):
-        # |x - y|**1e308 overflows: no metric to search, as for a point cloud spec
+    def test_overflowing_p_searches_like_inf(self):
+        # |x - y|**1e308 leaves the float range, yet the norm is the max norm
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteEntry):
-                witness_search(p=1e308, n=3, budget=50, seed=0)
-            with pytest.raises(NonFiniteEntry):
-                generate(SpaceSpec("point_cloud_lp", {"points": [[0.0], [2.0]], "p": 1e308}))
+            found = witness_search(p=1e308, n=3, budget=400, seed=0)
+            assert found == witness_search(p=math.inf, n=3, budget=400, seed=0)
+            space = generate(SpaceSpec("point_cloud_lp", {"points": [[0.0], [2.0]], "p": 1e308}))
+        assert found.found
+        assert space.dist[0, 1] == 2.0
 
 
 def reference_witness_search(p, n, budget, seed=0):

@@ -58,7 +58,7 @@ def _brute_force_report(d):
 
 
 def _validation_corpus():
-    """Seeded matrices, metric and not, at sizes around k-block edges."""
+    """Seeded matrices, metric and not, symmetric and not, at sizes 1 to 200."""
     rng = np.random.default_rng(20100)
 
     def cloud(n, p):
@@ -130,6 +130,14 @@ class TestValidateMetric:
 
     def test_zero_offdiagonal_rejected(self):
         assert not validate_metric([[0, 0], [0, 0]]).ok
+
+    def test_memory_layout_keeps_the_report(self):
+        d = np.random.default_rng(5).uniform(0.1, 1.0, size=(70, 70))  # asymmetric
+        np.fill_diagonal(d, 0.0)
+        expected = validate_metric(d)
+        assert expected.offending_triples
+        for same in (np.asfortranarray(d), np.ascontiguousarray(d.T).T):
+            assert repr(validate_metric(same)) == repr(expected)
 
 
 def _ref_interval(params, seed):
@@ -469,6 +477,44 @@ class TestTransforms:
         assert np.abs(lhs.dist - rhs.dist).max() <= 1e-12
 
 
+def _two_term_product(da, db, q):
+    """The l_q product as defined, (d_A^q + d_B^q)^(1/q), with max at q = inf."""
+    if math.isinf(q):
+        d = np.maximum(da[:, None, :, None], db[None, :, None, :])
+    else:
+        d = (da[:, None, :, None] ** q + db[None, :, None, :] ** q) ** (1.0 / q)
+    n = len(da) * len(db)
+    return d.reshape(n, n)
+
+
+class TestLpNorm:
+    def test_tiny_coordinates_keep_their_distance(self):
+        space = generate(SpaceSpec("point_cloud_lp", {"points": [[0, 0], [3e-170, 4e-170]]}))
+        assert space.dist[0, 1] == pytest.approx(5e-170, rel=1e-15, abs=0)
+
+    def test_huge_coordinates_keep_their_distance(self):
+        space = generate(SpaceSpec("point_cloud_lp", {"points": [[0.0], [1e200]]}))
+        assert space.dist[0, 1] == 1e200
+
+    def test_large_p_separates_every_pair(self):
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
+        space = generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 1000.0}))
+        linf = _lp_distances(pts, pts, math.inf)
+        off = ~np.eye(8, dtype=bool)
+        assert np.all(space.dist[off] >= linf[off])
+        assert np.all(space.dist[off] <= linf[off] * 3 ** 0.001)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 8.0, 1000.0, 1e308])
+    def test_homogeneous(self, k, p):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1.0, 1.0, size=(30, 3)), rng.uniform(-1.0, 1.0, size=(20, 3))
+        c = 2.0**k
+        scaled = _lp_distances(c * x, c * y, p)
+        assert np.all(scaled > 0)
+        np.testing.assert_allclose(scaled, c * _lp_distances(x, y, p), rtol=1e-14, atol=0)
+
+
 class TestLpProduct:
     def test_taxicab_two_by_two(self, two_points):
         prod = lp_product(two_points, two_points, 1.0)
@@ -490,11 +536,21 @@ class TestLpProduct:
         expected = np.kron(similarity(a), similarity(b))
         assert np.abs(similarity(prod) - expected).max() <= 1e-14
 
-    def test_q_inf_is_max(self):
-        a, b = random_cloud(5), random_cloud(6)
-        prod = lp_product(a, b, math.inf)
-        expected = np.maximum(a.dist[:, None, :, None], b.dist[None, :, None, :])
-        assert np.array_equal(prod.dist, expected.reshape(len(prod), len(prod)))
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_matches_two_term_formula(self, q):
+        for n in range(1, 7):
+            a = generate(random_cloud_spec(n, 2, seed=n))
+            b = generate(random_cloud_spec(7 - n, 3, seed=10 + n))
+            prod = lp_product(a, b, q)
+            assert prod.dist.tobytes() == _two_term_product(a.dist, b.dist, q).tobytes()
+
+    def test_power_sums_out_of_range(self):
+        # 0.3**1000 underflows: each factor alone must still count
+        near = FiniteMetricSpace((0, 1), [[0.0, 0.3], [0.3, 0.0]])
+        prod = lp_product(near, near, 1000.0)
+        off = prod.dist[~np.eye(4, dtype=bool)]
+        assert off.min() == 0.3
+        assert off.max() == pytest.approx(0.3 * 2 ** 0.001, rel=1e-15, abs=0)
 
     def test_rejects_q_below_one(self, two_points):
         with pytest.raises(ExponentOutOfRange):
