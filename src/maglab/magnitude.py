@@ -4,10 +4,17 @@ The similarity matrix of a finite metric space X at scale t is
 Z(tX) = exp(-t d(x, y)).  When it is positive definite the magnitude of tX
 is the sum of the weighting w solving  Z w = 1.  The verdict, the weighting
 and the diversity all read one Z, which the private helpers take as given.
+
+For a space with factors, an l_1 sum of factor metrics, Z(tX) is the
+Kronecker product of the factors' similarity matrices, and the helpers take
+it as the tuple of those, never formed: its eigenvalues are the products of
+the factors' eigenvalues, and its weighting is the Kronecker product of
+theirs (Leinster, arXiv:1012.5857).  The diversity solve stays dense.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -94,20 +101,37 @@ def _similarities(dist: np.ndarray, ts) -> np.ndarray:
     return z
 
 
+def _similarity(space: FiniteMetricSpace, t: float = 1.0):
+    """Z(tX) as the private helpers take it: the tuple of the factors'
+    similarity matrices for a space with factors, else `similarity`."""
+    if space.factors:
+        return tuple(_similarities(d, [t])[0] for d in space.factors)
+    return similarity(space, t)
+
+
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     """Extremal eigenvalues of the similarity matrix and a PSD verdict."""
-    return _spectrum(similarity(space))
+    return _spectrum(_similarity(space))
 
 
-def _spectrum(z: np.ndarray) -> SpectrumDiagnostics:
-    """`spectrum_diagnostics`, given the similarity matrix."""
+def _spectrum(z) -> SpectrumDiagnostics:
+    """`spectrum_diagnostics`, given the similarity matrix or its factors."""
+    if isinstance(z, tuple):
+        # the extremes of all n products of the factors' eigenvalues, which
+        # may have either sign
+        vals = functools.reduce(np.multiply.outer, map(np.linalg.eigvalsh, z)).ravel()
+        return _diagnostics(vals.min(keepdims=True), vals.max(keepdims=True))[0]
     return _spectra(z[None])[0]
 
 
 def _spectra(zs: np.ndarray) -> list:
     """`_spectrum` of each matrix in a (k, n, n) stack, from one eigvalsh."""
     vals = np.linalg.eigvalsh(zs)
-    lo, hi = vals[:, 0], vals[:, -1]
+    return _diagnostics(vals[:, 0], vals[:, -1])
+
+
+def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
+    """SpectrumDiagnostics of each pair of extreme eigenvalues."""
     return [
         SpectrumDiagnostics(
             lambda_min=l,
@@ -123,55 +147,84 @@ def _spectra(zs: np.ndarray) -> list:
     ]
 
 
-def _spectra_by_scale(dist: np.ndarray, ts: list):
-    """Yield (Z(t d), its SpectrumDiagnostics) for each t in ts, in order.
+def _spectra_by_scale(space: FiniteMetricSpace, ts: list):
+    """Yield (Z(tX), its SpectrumDiagnostics) for each t in ts, in order.
 
-    Scales go in blocks of at most _STACK_ENTRIES similarity entries, each
+    A space with factors takes one eigensolve per factor and scale.  Other
+    scales go in blocks of at most _STACK_ENTRIES similarity entries, each
     built as one stack and eigensolved by one eigvalsh call; from n = 725
     on, a block holds a single scale.
     """
-    k = max(1, _STACK_ENTRIES // dist.shape[0] ** 2)
+    if space.factors:
+        for t in ts:
+            z = _similarity(space, t)
+            yield z, _spectrum(z)
+        return
+    k = max(1, _STACK_ENTRIES // len(space) ** 2)
     for i in range(0, len(ts), k):
-        zs = _similarities(dist, ts[i : i + k])
+        zs = _similarities(space.dist, ts[i : i + k])
         yield from zip(zs, _spectra(zs))
 
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     """Solve Z w = 1 by Cholesky with one step of iterative refinement."""
     diag = spectrum_diagnostics(space)
-    return _weighting(similarity(space), diag)
+    return _weighting(_similarity(space), diag)
 
 
-def _weighting(z: np.ndarray, diag: SpectrumDiagnostics) -> MagnitudeReport:
-    """`weighting`, given the similarity matrix and its spectrum diagnostics."""
+def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
+    """`weighting`, given the similarity matrix or its factors, and its
+    spectrum diagnostics."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    ones = np.ones(z.shape[0])
-    # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
-    factor, info = _POTRF(z, lower=True, clean=False)
-    if info == 0:
-        w = _POTRS(factor, ones, lower=True)[0]
-        w = w + _POTRS(factor, ones - z @ w, lower=True)[0]
+    if isinstance(z, tuple):
+        # every factor of a PD product is PD: a factor's lambda_max is at
+        # least its mean eigenvalue 1, and the product's extremes are the
+        # products of the factors' extremes
+        ws = [_solve(f, diag) for f in z]
+        w = functools.reduce(np.multiply.outer, ws).ravel()
+        mag = math.prod(float(f.sum()) for f in ws)
+        residual = float(np.abs(_kronecker_matvec(z, w) - 1.0).max())
     else:
-        # Marginally PD matrices can fail to factor; least squares still
-        # yields a usable weighting with an honest residual.
-        logger.debug(
-            "Cholesky factor failed (potrf info %d, lambda_min %.3g); "
-            "weighting by least squares", info, diag.lambda_min,
-        )
-        w, *_ = np.linalg.lstsq(z, ones, rcond=None)
-    residual = float(np.abs(z @ w - 1.0).max())
+        w = _solve(z, diag)
+        mag = float(w.sum())
+        residual = float(np.abs(z @ w - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
     return MagnitudeReport(
-        magnitude=float(w.sum()),
+        magnitude=mag,
         weighting=w,
         residual=residual,
         positively_weighted=bool(w.min() >= -tau_w),
         diagnostics=diag,
     )
+
+
+def _solve(z: np.ndarray, diag: SpectrumDiagnostics) -> np.ndarray:
+    """w with Z w = 1: Cholesky with one step of iterative refinement."""
+    ones = np.ones(z.shape[0])
+    # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
+    factor, info = _POTRF(z, lower=True, clean=False)
+    if info == 0:
+        w = _POTRS(factor, ones, lower=True)[0]
+        return w + _POTRS(factor, ones - z @ w, lower=True)[0]
+    # Marginally PD matrices can fail to factor; least squares still
+    # yields a usable weighting with an honest residual.
+    logger.debug(
+        "Cholesky factor failed (potrf info %d, lambda_min %.3g); "
+        "weighting by least squares", info, diag.lambda_min,
+    )
+    return np.linalg.lstsq(z, ones, rcond=None)[0]
+
+
+def _kronecker_matvec(zs: tuple, w: np.ndarray) -> np.ndarray:
+    """(Z_1 x ... x Z_k) w, each symmetric factor applied along its axis."""
+    x = w.reshape([len(f) for f in zs])
+    for k, f in enumerate(zs):
+        x = np.moveaxis(np.tensordot(f, x, axes=(1, k)), 0, k)
+    return x.ravel()
 
 
 def magnitude(space: FiniteMetricSpace) -> float:
@@ -198,13 +251,14 @@ def scale_sweep(
     from .diversity import _max_diversity
 
     records = []
-    for t, (z, diag) in zip(ts, _spectra_by_scale(space.dist, ts)):
+    for t, (z, diag) in zip(ts, _spectra_by_scale(space, ts)):
         mag = None
         div = None
         if diag.verdict == "PositiveDefinite":
             mag = _weighting(z, diag).magnitude
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            div = _max_diversity(z, diag).diversity
+            dense = similarity(space, t) if space.factors else z
+            div = _max_diversity(dense, diag).diversity
         records.append(
             SweepRecord(
                 t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,
@@ -223,9 +277,10 @@ def magnitude_dimension_estimate(sweep: ScaleSweep, window) -> tuple[float, floa
         for r in sweep.records
         if r.magnitude is not None and lo <= r.t <= hi
     ]
-    if len(pts) < 3:
+    distinct = len({t for t, _ in pts})
+    if distinct < 3:
         raise InsufficientRecords(
-            f"need at least 3 magnitude records in window, have {len(pts)}"
+            f"need magnitude records at 3 distinct scales in window, have {distinct}"
         )
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])

@@ -96,13 +96,18 @@ class FiniteMetricSpace:
     natural embedding (intervals, Cantor sets, grids, spheres, point clouds).
     The magnitude, diversity and negative type engines read only ``dist``;
     the net-convergence study reads ``coords`` for each level's Hausdorff
-    gap and for its 1-D quadrature cells.
+    gap and for its 1-D quadrature cells.  ``factors`` holds, for a space
+    that is an l_1 sum of factor metrics (an l_1 grid_net, an l_1 product),
+    the factors' distance matrices, first factor slowest in the point order,
+    so that Z(tX) is the Kronecker product of the factors' Z; only
+    `generate` and `lp_product` set it, and every other space has none.
     """
 
     labels: tuple
     dist: np.ndarray
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
+    factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -410,6 +415,7 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
     seed the family cannot read raises InvalidParams, and a distance that
     overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
+    An l_1 grid_net with snowflake 1 carries its factors.
     """
     with np.errstate(all="ignore"):
         try:
@@ -420,7 +426,14 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
         d = spec.scale * base**spec.snowflake
     labels = tuple(range(d.shape[0]))
-    return FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
+    space = FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
+    l1_grid = spec.family == "grid_net" and float(spec.params.get("p", 2.0)) == 1.0
+    if l1_grid and spec.snowflake == 1.0:
+        # the l_1 sum of n copies of the scaled axis metric
+        axis = np.linspace(0.0, 1.0, _count(spec.params, "m"))[:, None]
+        factor = _readonly(spec.scale * _lp_distances(axis, axis, 1.0))
+        object.__setattr__(space, "factors", (factor,) * _count(spec.params, "n", 2))
+    return space
 
 
 def random_cloud_spec(
@@ -433,8 +446,8 @@ def random_cloud_spec(
 
 
 def _check_scale(t: float) -> None:
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise NonpositiveScale(f"scale must be positive and finite, got {t}")
 
 
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
@@ -463,7 +476,11 @@ def lp_product(
     n = len(a) * len(b)
     d = d.reshape(n, n)
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return FiniteMetricSpace(labels=labels, dist=d)
+    space = FiniteMetricSpace(labels=labels, dist=d)
+    if q == 1:
+        factors = (a.factors or (a.dist,)) + (b.factors or (b.dist,))
+        object.__setattr__(space, "factors", factors)
+    return space
 
 
 def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:

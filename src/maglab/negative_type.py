@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .magnitude import _spectra_by_scale, _verdict_index
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, _is_integer
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
 
@@ -55,8 +55,10 @@ def negative_type_test(
 ) -> NegativeTypeReport:
     """Gram PSD test for negative type, with a mean-zero witness on failure."""
     n = len(space)
-    if not (0 <= basepoint < n):
-        raise InvalidParams(f"basepoint {basepoint} out of range for {n} points")
+    if not (_is_integer(basepoint) and 0 <= basepoint < n):
+        raise InvalidParams(
+            f"basepoint must be an integer in [0, {n}), got {basepoint!r}"
+        )
     d = space.dist
     if n == 1:
         return NegativeTypeReport(True, 0.0, basepoint)
@@ -87,7 +89,7 @@ def stability_scan(
         raise InvalidParams("scan scales must be nonempty")
     records = []
     failing = []
-    for t, (_, diag) in zip(scales, _spectra_by_scale(space.dist, scales)):
+    for t, (_, diag) in zip(scales, _spectra_by_scale(space, scales)):
         records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)

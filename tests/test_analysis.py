@@ -19,7 +19,7 @@ from maglab import (
 from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
 )
-from maglab.errors import InvalidParams, QuadratureDivergence
+from maglab.errors import InsufficientRecords, InvalidParams, QuadratureDivergence
 from maglab.magnitude import _spectrum, similarity
 
 
@@ -188,6 +188,12 @@ class TestGrowthBoundStudy:
     def test_requires_grid_template(self):
         with pytest.raises(InvalidParams):
             growth_bound_study(SpaceSpec("interval_net", {"n": 5}), [1.0])
+
+    def test_repeated_scales_are_insufficient(self):
+        # three checks at one scale give no slope
+        grid = SpaceSpec("grid_net", {"n": 2, "p": 1.0, "m": 5})
+        with pytest.raises(InsufficientRecords, match="3 distinct scales"):
+            growth_bound_study(grid, [2.0, 2.0, 2.0])
 
 
 class TestGammaHat:

@@ -1,6 +1,9 @@
-"""Every name a maglab module imports is used in that module."""
+"""Every name a maglab module imports is used in that module, and importing
+maglab loads no scipy subpackage that its setup does not need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,17 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+HEAVY = ("scipy.fft", "scipy.sparse", "scipy.optimize", "scipy.integrate")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # the NNLS solve imports scipy.optimize when a diversity solve needs it
+    code = f"import sys, maglab; print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unused_import_is_caught(tmp_path):

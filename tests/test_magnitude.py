@@ -89,6 +89,22 @@ class TestSimilarity:
             similarity(random_cloud(3), t)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])  # the Kronecker path and the dense one
+@pytest.mark.parametrize("call", [
+    lambda s: similarity(s, math.inf),
+    lambda s: scale_sweep(s, [1.0, math.inf]),
+    lambda s: stability_scan(s, [math.inf]),
+    lambda s: scale_space(s, math.inf),
+], ids=["similarity", "scale_sweep", "stability_scan", "scale_space"])
+def test_rejects_infinite_scale(call, p):
+    # exp(-inf * 0) on the diagonal would give NaN, and the rest Z = I
+    s = generate(SpaceSpec("grid_net", {"m": 3, "n": 2, "p": p}))
+    with pytest.raises(NonpositiveScale, match="positive and finite"):
+        call(s)
+    with pytest.raises(NonpositiveScale, match="positive and finite"):
+        SpaceSpec("grid_net", {"m": 3, "p": p}, scale=math.inf)
+
+
 class TestSpectrumDiagnostics:
     def test_singleton(self):
         diag = spectrum_diagnostics(FiniteMetricSpace(("a",), [[0.0]]))
@@ -258,15 +274,14 @@ class TestOneEigensolvePerScale:
         monkeypatch.setattr(magnitude_module, "_spectra", counted)
         return calls
 
-    @pytest.fixture
-    def similarities(self, monkeypatch):
-        """Scales of every similarity matrix built, counted at each name
-        binding the one builder."""
-        calls = []
+    @staticmethod
+    def _record_similarities(monkeypatch, record):
+        """Call record(dist, ts) for every similarity stack built, at each
+        name binding the one builder."""
         original = magnitude_module._similarities
 
         def counted(dist, ts):
-            calls.extend(ts)
+            record(dist, ts)
             return original(dist, ts)
 
         for name in ("maglab", "maglab.magnitude", "maglab.diversity",
@@ -275,11 +290,26 @@ class TestOneEigensolvePerScale:
             for attr, obj in list(vars(module).items()):
                 if obj is original:
                     monkeypatch.setattr(module, attr, counted)
+
+    @pytest.fixture
+    def similarities(self, monkeypatch):
+        """Scales of every similarity matrix built."""
+        calls = []
+        self._record_similarities(monkeypatch, lambda dist, ts: calls.extend(ts))
         return calls
+
+    @pytest.fixture
+    def similarity_sides(self, monkeypatch):
+        """Side of every similarity matrix built, one entry per scale."""
+        sides = []
+        self._record_similarities(
+            monkeypatch, lambda dist, ts: sides.extend([dist.shape[-1]] * len(ts))
+        )
+        return sides
 
     @pytest.mark.parametrize("with_diversity", [False, True])
     def test_sweep(self, eigensolves, similarities, with_diversity):
-        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 2.0}))
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
         assert [r.verdict for r in sweep.records] == ["PositiveDefinite"] * len(ts)
@@ -292,12 +322,42 @@ class TestOneEigensolvePerScale:
                 assert r.diversity == max_diversity(scaled).diversity
 
     def test_stability_scan(self, eigensolves, similarities):
-        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 2.0}))
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
         report = stability_scan(s, ts)
         assert [r.t for r in report.records] == ts
         assert sum(eigensolves) == len(ts)
         assert similarities == ts
+
+    @pytest.mark.parametrize("with_diversity", [False, True])
+    def test_l1_grid_sweep_builds_factors(self, eigensolves, similarity_sides,
+                                          with_diversity):
+        """The l_1 grid's sweep builds and eigensolves only its two 6 x 6
+        factors per scale; the diversity solve alone builds the 36 x 36 Z."""
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        ts = [0.5, 1.0, 2.0, 4.0]
+        sweep = scale_sweep(s, ts, with_diversity=with_diversity)
+        assert eigensolves == []
+        assert similarity_sides == ([6, 6, 36] if with_diversity else [6, 6]) * len(ts)
+        for r in sweep.records:
+            dense = scale_space(s, r.t)
+            diag = spectrum_diagnostics(dense)
+            assert r.verdict == diag.verdict == "PositiveDefinite"
+            assert abs(r.lambda_min - diag.lambda_min) <= 1e-12 * diag.lambda_max
+            assert r.magnitude == pytest.approx(weighting(dense).magnitude, rel=1e-12)
+            if with_diversity:
+                assert r.diversity == max_diversity(dense).diversity
+
+    def test_l1_grid_scan_builds_factors(self, eigensolves, similarity_sides):
+        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
+        ts = [0.25, 0.5, 1.0, 2.0, 4.0]
+        report = stability_scan(s, ts)
+        assert eigensolves == []
+        assert similarity_sides == [6, 6] * len(ts)
+        for r in report.records:
+            diag = spectrum_diagnostics(scale_space(s, r.t))
+            assert abs(r.lambda_min - diag.lambda_min) <= 1e-12 * diag.lambda_max
+        assert report.classification == "StablyPositiveDefinite"
 
     def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
@@ -436,3 +496,13 @@ class TestDimensionEstimate:
         sweep = scale_sweep(two_points, [1.0, 2.0])
         with pytest.raises(InsufficientRecords):
             magnitude_dimension_estimate(sweep, (1.0, 2.0))
+
+    @pytest.mark.parametrize("grid", [[1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 1.0]])
+    def test_repeated_scales_are_insufficient(self, grid):
+        s = generate(SpaceSpec("grid_net", {"m": 4, "n": 2, "p": 1.0}))
+        sweep = scale_sweep(s, grid)
+        with pytest.raises(InsufficientRecords, match="3 distinct scales"):
+            magnitude_dimension_estimate(sweep, (0.5, 2.0))
+        sweep = scale_sweep(s, [*grid, 0.5, 1.5])
+        slope, stderr = magnitude_dimension_estimate(sweep, (0.5, 2.0))
+        assert math.isfinite(slope) and math.isfinite(stderr)

@@ -76,6 +76,12 @@ class TestNegativeTypeTest:
         with pytest.raises(InvalidParams):
             negative_type_test(random_cloud(1), basepoint=99)
 
+    @pytest.mark.parametrize("basepoint", [1.5, True, -1, 2.0, "0"])
+    def test_basepoint_must_be_an_index(self, basepoint):
+        with pytest.raises(InvalidParams, match="basepoint must be an integer"):
+            negative_type_test(random_metric_4pt(0), basepoint=basepoint)
+        assert negative_type_test(random_metric_4pt(0), basepoint=np.int64(3)).basepoint == 3
+
     def test_snowflake_closure(self):
         for seed in range(100):
             s = random_cloud(seed + 40, n_max=7)
