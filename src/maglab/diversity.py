@@ -129,8 +129,8 @@ def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     Inconsistent.  One similarity matrix serves the verdict and both solves.
     """
     z = similarity(space)
-    diag = _spectrum(z)
-    report = _weighting(z, diag)  # raises NotPositiveDefinite when not PD
+    diag = _spectrum((z,))
+    report = _weighting((z,), diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
     div = _max_diversity(z, diag)
     gap = abs(report.magnitude - div.diversity)

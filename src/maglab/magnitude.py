@@ -5,11 +5,12 @@ Z(tX) = exp(-t d(x, y)).  When it is positive definite the magnitude of tX
 is the sum of the weighting w solving  Z w = 1.  The verdict, the weighting
 and the diversity all read one Z, which the private helpers take as given.
 
-For a space with factors, an l_1 sum of factor metrics, Z(tX) is the
-Kronecker product of the factors' similarity matrices, and the helpers take
-it as the tuple of those, never formed: its eigenvalues are the products of
-the factors' eigenvalues, and its weighting is the Kronecker product of
-theirs (Leinster, arXiv:1012.5857).  The diversity solve stays dense.
+The private helpers take Z(tX) as the tuple of its Kronecker factors'
+similarity matrices, never formed: for a space with factors, an l_1 sum of
+factor metrics, one matrix per factor, and for any other space the 1-tuple
+of Z itself.  The eigenvalues of Z are the products of the factors'
+eigenvalues, and its weighting is the Kronecker product of theirs
+(Leinster, arXiv:1012.5857).  The diversity solve stays dense.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateQuadraticForm, InsufficientRecords, NotPositiveDefinite
+from .errors import (
+    DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NotPositiveDefinite,
+)
 from .metric_core import FiniteMetricSpace, _check_scale
 
 logger = logging.getLogger("maglab")
@@ -101,12 +104,12 @@ def _similarities(dist: np.ndarray, ts) -> np.ndarray:
     return z
 
 
-def _similarity(space: FiniteMetricSpace, t: float = 1.0):
+def _similarity(space: FiniteMetricSpace, t: float = 1.0) -> tuple:
     """Z(tX) as the private helpers take it: the tuple of the factors'
-    similarity matrices for a space with factors, else `similarity`."""
+    similarity matrices, or (`similarity`,) for a space without factors."""
     if space.factors:
         return tuple(_similarities(d, [t])[0] for d in space.factors)
-    return similarity(space, t)
+    return (similarity(space, t),)
 
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
@@ -114,20 +117,19 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     return _spectrum(_similarity(space))
 
 
-def _spectrum(z) -> SpectrumDiagnostics:
-    """`spectrum_diagnostics`, given the similarity matrix or its factors."""
-    if isinstance(z, tuple):
-        # the extremes of all n products of the factors' eigenvalues, which
-        # may have either sign
-        vals = functools.reduce(np.multiply.outer, map(np.linalg.eigvalsh, z)).ravel()
-        return _diagnostics(vals.min(keepdims=True), vals.max(keepdims=True))[0]
-    return _spectra(z[None])[0]
+def _spectrum(z: tuple) -> SpectrumDiagnostics:
+    """`spectrum_diagnostics`, given the similarity matrix's factors."""
+    return _spectra(tuple(f[None] for f in z))[0]
 
 
-def _spectra(zs: np.ndarray) -> list:
-    """`_spectrum` of each matrix in a (k, n, n) stack, from one eigvalsh."""
-    vals = np.linalg.eigvalsh(zs)
-    return _diagnostics(vals[:, 0], vals[:, -1])
+def _spectra(zs: tuple) -> list:
+    """`_spectrum` at each of k scales, given one (k, m, m) stack per factor,
+    from one eigvalsh per factor: the extremes of the products of the
+    factors' eigenvalues, which may have either sign."""
+    vals = np.linalg.eigvalsh(zs[0])
+    for z in zs[1:]:
+        vals = (vals[..., None] * np.linalg.eigvalsh(z)[:, None]).reshape(len(z), -1)
+    return _diagnostics(vals.min(axis=1), vals.max(axis=1))
 
 
 def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
@@ -148,22 +150,18 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
 
 
 def _spectra_by_scale(space: FiniteMetricSpace, ts: list):
-    """Yield (Z(tX), its SpectrumDiagnostics) for each t in ts, in order.
+    """Yield (Z(tX) as `_similarity` gives it, its SpectrumDiagnostics) for
+    each t in ts, in order.
 
-    A space with factors takes one eigensolve per factor and scale.  Other
-    scales go in blocks of at most _STACK_ENTRIES similarity entries, each
-    built as one stack and eigensolved by one eigvalsh call; from n = 725
-    on, a block holds a single scale.
+    Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
+    each factor's block is built as one stack and eigensolved by one
+    eigvalsh call.  A dense space from n = 725 on takes one scale per block.
     """
-    if space.factors:
-        for t in ts:
-            z = _similarity(space, t)
-            yield z, _spectrum(z)
-        return
-    k = max(1, _STACK_ENTRIES // len(space) ** 2)
+    factors = space.factors or (space.dist,)
+    k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
     for i in range(0, len(ts), k):
-        zs = _similarities(space.dist, ts[i : i + k])
-        yield from zip(zs, _spectra(zs))
+        zs = tuple(_similarities(d, ts[i : i + k]) for d in factors)
+        yield from zip(zip(*zs), _spectra(zs))
 
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
@@ -172,33 +170,25 @@ def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     return _weighting(_similarity(space), diag)
 
 
-def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
-    """`weighting`, given the similarity matrix or its factors, and its
-    spectrum diagnostics."""
+def _weighting(z: tuple, diag: SpectrumDiagnostics) -> MagnitudeReport:
+    """`weighting`, given the similarity matrix's factors and its spectrum
+    diagnostics."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    if isinstance(z, tuple):
-        # every factor of a PD product is PD: a factor's lambda_max is at
-        # least its mean eigenvalue 1, and the product's extremes are the
-        # products of the factors' extremes
-        ws = [_solve(f, diag) for f in z]
-        w = functools.reduce(np.multiply.outer, ws).ravel()
-        mag = math.prod(float(f.sum()) for f in ws)
-        residual = float(np.abs(_kronecker_matvec(z, w) - 1.0).max())
-    else:
-        w = _solve(z, diag)
-        mag = float(w.sum())
-        residual = float(np.abs(z @ w - 1.0).max())
+    # every factor of a PD product is PD: a factor's lambda_max is at least
+    # its mean eigenvalue 1, and the product's extremes are the products of
+    # the factors' extremes
+    ws = [_solve(f, diag) for f in z]
+    w = functools.reduce(np.multiply.outer, ws).ravel()
+    mag = math.prod(float(f.sum()) for f in ws)
+    residual = float(np.abs(_kronecker_matvec(z, w) - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
     return MagnitudeReport(
-        magnitude=mag,
-        weighting=w,
-        residual=residual,
-        positively_weighted=bool(w.min() >= -tau_w),
-        diagnostics=diag,
+        magnitude=mag, weighting=w, residual=residual,
+        positively_weighted=bool(w.min() >= -tau_w), diagnostics=diag,
     )
 
 
@@ -220,11 +210,10 @@ def _solve(z: np.ndarray, diag: SpectrumDiagnostics) -> np.ndarray:
 
 
 def _kronecker_matvec(zs: tuple, w: np.ndarray) -> np.ndarray:
-    """(Z_1 x ... x Z_k) w, each symmetric factor applied along its axis."""
-    x = w.reshape([len(f) for f in zs])
-    for k, f in enumerate(zs):
-        x = np.moveaxis(np.tensordot(f, x, axes=(1, k)), 0, k)
-    return x.ravel()
+    """(Z_1 x ... x Z_k) w: apply each factor on the leading axis, then rotate it last."""
+    for f in zs:
+        w = (f @ w.reshape(len(f), -1)).T
+    return w.ravel()
 
 
 def magnitude(space: FiniteMetricSpace) -> float:
@@ -234,8 +223,9 @@ def magnitude(space: FiniteMetricSpace) -> float:
 def rayleigh(space: FiniteMetricSpace, mu) -> float:
     """The quotient (sum mu)^2 / (mu' Z mu)."""
     mu = np.asarray(mu, dtype=float)
-    z = similarity(space)
-    denom = float(mu @ z @ mu)
+    if mu.shape != (len(space),):
+        raise InvalidParams(f"mu must have {len(space)} entries, got shape {mu.shape}")
+    denom = float(mu @ similarity(space) @ mu)
     if abs(denom) <= 1e-14 * float(mu @ mu):
         raise DegenerateQuadraticForm("quadratic form vanishes at this vector")
     return float(mu.sum()) ** 2 / denom
@@ -252,12 +242,11 @@ def scale_sweep(
 
     records = []
     for t, (z, diag) in zip(ts, _spectra_by_scale(space, ts)):
-        mag = None
-        div = None
+        mag = div = None
         if diag.verdict == "PositiveDefinite":
             mag = _weighting(z, diag).magnitude
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            dense = similarity(space, t) if space.factors else z
+            dense = similarity(space, t) if space.factors else z[0]
             div = _max_diversity(dense, diag).diversity
         records.append(
             SweepRecord(

@@ -71,6 +71,9 @@ class SpaceSpec:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if not isinstance(self.params, dict):
             raise TypeError("params must be an object")
+        for key in ("scale", "snowflake"):
+            if isinstance(getattr(self, key), bool):
+                raise InvalidParams(f"{key} must be a number, got {getattr(self, key)!r}")
         _check_scale(self.scale)
         if not (0 < self.snowflake <= 1):
             raise InvalidParams("snowflake exponent must lie in (0, 1]")
@@ -138,11 +141,11 @@ class FiniteMetricSpace:
         idx = list(indices)
         if not idx:
             raise EmptySubset("subspace needs at least one point")
-        coords = self.coords[idx] if self.coords is not None else None
+        _check_indices(idx, len(self), distinct=True)
         return FiniteMetricSpace(
             labels=tuple(self.labels[i] for i in idx),
             dist=self.dist[np.ix_(idx, idx)],
-            coords=coords,
+            coords=None if self.coords is None else self.coords[idx],
         )
 
 
@@ -257,6 +260,15 @@ def _count(params: dict, key: str, default: Optional[int] = None) -> int:
     if not _is_integer(value):
         raise InvalidParams(f"parameter {key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_indices(idx: list, n: int, name: str = "index", distinct: bool = False) -> None:
+    """InvalidParams unless each index is an integer in range(n), distinct if asked."""
+    for i in idx:
+        if not (_is_integer(i) and 0 <= i < n):
+            raise InvalidParams(f"{name} must be an integer in [0, {n}), got {i!r}")
+    if distinct and len(set(idx)) < len(idx):
+        raise InvalidParams("indices must be distinct")
 
 
 def _require(cond: bool, msg: str):
@@ -489,6 +501,7 @@ def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:
     j_idx = list(j_set)
     if not i_idx or not j_idx:
         raise EmptySubset("Hausdorff distance needs nonempty subsets")
+    _check_indices(i_idx + j_idx, len(space))
     sub = space.dist[np.ix_(i_idx, j_idx)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .magnitude import _spectra_by_scale, _verdict_index
-from .metric_core import FiniteMetricSpace, _is_integer
+from .metric_core import FiniteMetricSpace, _check_indices
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
 
@@ -55,10 +55,7 @@ def negative_type_test(
 ) -> NegativeTypeReport:
     """Gram PSD test for negative type, with a mean-zero witness on failure."""
     n = len(space)
-    if not (_is_integer(basepoint) and 0 <= basepoint < n):
-        raise InvalidParams(
-            f"basepoint must be an integer in [0, {n}), got {basepoint!r}"
-        )
+    _check_indices([basepoint], n, "basepoint")
     d = space.dist
     if n == 1:
         return NegativeTypeReport(True, 0.0, basepoint)

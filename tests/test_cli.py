@@ -325,6 +325,8 @@ class TestUsageErrors:
             {"family": "interval_net", "params": {"n": 3}, "seed": "x"},
             {"family": "interval_net", "params": {"n": 3}, "seed": 1.5},
             {"family": "interval_net", "params": {"n": 3}, "seed": True},
+            {"family": "interval_net", "params": {"n": 3}, "scale": True},
+            {"family": "interval_net", "params": {"n": 3}, "scale": True, "snowflake": True},
             {"family": "interval_net", "params": {"n": 2.7}},
             {"family": "hyperbolic_disk_net", "params": {"n_theta": 6.0}},
             None,  # the same fault reached through approx --params

@@ -12,6 +12,7 @@ from maglab import (
     SpaceSpec,
     generate,
     is_positively_weighted,
+    lp_product,
     magnitude,
     magnitude_dimension_estimate,
     max_diversity,
@@ -25,12 +26,15 @@ from maglab import (
     weighting,
 )
 from maglab.cli import _write_csv
-from maglab.magnitude import ScaleSweep, SweepRecord, _spectrum, _weighting
+from maglab.magnitude import (
+    ScaleSweep, SweepRecord, _kronecker_matvec, _similarity, _spectrum, _weighting,
+)
 from maglab.metric_core import _json_default
 from maglab.negative_type import ScanRecord
 from maglab.errors import (
     DegenerateQuadraticForm,
     InsufficientRecords,
+    InvalidParams,
     NonpositiveScale,
     NotPositiveDefinite,
 )
@@ -173,6 +177,11 @@ class TestRayleigh:
         with pytest.raises(DegenerateQuadraticForm):
             rayleigh(s, [0.0])
 
+    @pytest.mark.parametrize("mu", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0])
+    def test_wrong_length_rejected(self, two_points, mu):
+        with pytest.raises(InvalidParams, match="2 entries"):
+            rayleigh(two_points, mu)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_never_exceeds_magnitude(self, seed):
@@ -263,12 +272,12 @@ class TestScaleSweep:
 class TestOneEigensolvePerScale:
     @pytest.fixture
     def eigensolves(self, monkeypatch):
-        """Matrices per stacked eigensolve, one entry per `_spectra` call."""
+        """Scales per stacked eigensolve, one entry per `_spectra` call."""
         calls = []
         original = magnitude_module._spectra
 
         def counted(zs):
-            calls.append(zs.shape[0])
+            calls.append(zs[0].shape[0])
             return original(zs)
 
         monkeypatch.setattr(magnitude_module, "_spectra", counted)
@@ -333,12 +342,13 @@ class TestOneEigensolvePerScale:
     def test_l1_grid_sweep_builds_factors(self, eigensolves, similarity_sides,
                                           with_diversity):
         """The l_1 grid's sweep builds and eigensolves only its two 6 x 6
-        factors per scale; the diversity solve alone builds the 36 x 36 Z."""
+        factors, every scale in one stack each; the diversity solve alone
+        builds the 36 x 36 Z, once per scale."""
         s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
-        assert eigensolves == []
-        assert similarity_sides == ([6, 6, 36] if with_diversity else [6, 6]) * len(ts)
+        assert eigensolves == [len(ts)]
+        assert similarity_sides == [6, 6] * len(ts) + ([36] * len(ts) if with_diversity else [])
         for r in sweep.records:
             dense = scale_space(s, r.t)
             diag = spectrum_diagnostics(dense)
@@ -352,7 +362,7 @@ class TestOneEigensolvePerScale:
         s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
         report = stability_scan(s, ts)
-        assert eigensolves == []
+        assert eigensolves == [len(ts)]
         assert similarity_sides == [6, 6] * len(ts)
         for r in report.records:
             diag = spectrum_diagnostics(scale_space(s, r.t))
@@ -388,13 +398,13 @@ def reference_sweep(space, grid, with_diversity=False):
 
     records = []
     for t in sorted(float(t) for t in grid):
-        z = similarity(space, t)
+        z = _similarity(space, t)
         diag = _spectrum(z)
         mag = div = None
         if diag.verdict == "PositiveDefinite":
             mag = _weighting(z, diag).magnitude
         if with_diversity and diag.verdict != "Indefinite":
-            div = _max_diversity(z, diag).diversity
+            div = _max_diversity(similarity(space, t), diag).diversity
         records.append(SweepRecord(t, diag.lambda_min, diag.verdict, mag, div))
     spec = space.provenance
     return ScaleSweep(records, None if spec is None else spec.to_json())
@@ -404,7 +414,7 @@ def reference_scan(space, grid):
     """`stability_scan`'s records and failing scales as a per-scale loop."""
     records, failing = [], []
     for t in sorted(float(t) for t in grid):
-        diag = _spectrum(similarity(space, t))
+        diag = _spectrum(_similarity(space, t))
         records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)
@@ -421,6 +431,13 @@ class TestStackedBlocks:
          np.geomspace(0.05, 20.0, 7)),
         (random_cloud(12, n_max=9, p=math.inf, box=3.0), np.geomspace(0.01, 4.0, 8)),
         (generate(SpaceSpec("sphere_fibonacci_net", {"n": 30})), [0.5, 1.0, 2.0, 3.0]),
+        # l_1 sums of two Kronecker factors; the second's K_{3,2} factor is
+        # indefinite below t = log(sqrt 2) / 0.3
+        (generate(SpaceSpec("grid_net", {"m": 5, "n": 2, "p": 1.0})),
+         np.geomspace(0.05, 20.0, 7)),
+        (lp_product(generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 0.3})),
+                    generate(SpaceSpec("interval_net", {"n": 4})), 1.0),
+         np.geomspace(0.5, 4.0, 8)),
     ]
 
     @pytest.fixture(params=["one", "two", "all_but_one", "all"])
@@ -428,8 +445,9 @@ class TestStackedBlocks:
         """Set the entry cap so that a block holds this many scales."""
         def cap(space, k):
             per_block = {"one": 1, "two": 2, "all_but_one": k - 1, "all": k}[request.param]
+            sides = [len(d) for d in space.factors or (space.dist,)]
             monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES",
-                                per_block * len(space) ** 2)
+                                per_block * sum(m * m for m in sides))
         return cap
 
     @pytest.mark.parametrize("space, grid", CASES)
@@ -447,6 +465,12 @@ class TestStackedBlocks:
         assert repr(report.records) == repr(records)
         assert report.failing_scales == failing
 
+    def test_factored_cases_include_an_indefinite_factor(self):
+        assert [len(space.factors) for space, _ in self.CASES] == [0, 0, 0, 0, 2, 2]
+        space, grid = self.CASES[-1]
+        verdicts = {r.verdict for r in scale_sweep(space, grid).records}
+        assert verdicts == {"Indefinite", "PositiveDefinite"}
+
     def test_large_space_takes_one_scale_per_block(self):
         assert magnitude_module._STACK_ENTRIES // 725**2 == 1
         assert magnitude_module._STACK_ENTRIES // 724**2 == 2
@@ -455,6 +479,25 @@ class TestStackedBlocks:
         diag = spectrum_diagnostics(random_cloud(3))
         assert type(diag.tolerance_used) is float
         assert type(diag.lambda_min) is float and type(diag.lambda_max) is float
+
+
+class TestOneFactor:
+    """A space without factors is the one-factor Kronecker product, and
+    gives the bits of plain numpy."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matvec_is_matmul(self, seed):
+        z = similarity(random_cloud(seed, n_max=40))
+        w = np.random.default_rng(seed).normal(size=len(z))
+        assert _kronecker_matvec((z,), w).tobytes() == (z @ w).tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weighting_sums_and_residual(self, seed):
+        z = similarity(random_cloud(seed, n_max=40))
+        report = _weighting((z,), _spectrum((z,)))
+        w = report.weighting
+        assert report.magnitude == float(w.sum())
+        assert report.residual == float(np.abs(z @ w - 1.0).max())
 
 
 class TestWeightingFallback:

@@ -392,6 +392,15 @@ class TestGenerate:
         with pytest.raises(InvalidParams, match="snowflake"):
             SpaceSpec("interval_net", {"n": 3}, snowflake=snowflake)
 
+    @pytest.mark.parametrize("key", ["scale", "snowflake"])
+    def test_bool_scale_or_snowflake_rejected(self, key):
+        # True == 1 would pass the range checks, then fail the report schema
+        with pytest.raises(InvalidParams, match=f"{key} must be a number"):
+            SpaceSpec("interval_net", {"n": 3}, **{key: True})
+        text = '{"family": "interval_net", "params": {"n": 3}, "%s": true}' % key
+        with pytest.raises(InvalidParams, match=f"{key} must be a number"):
+            SpaceSpec.from_json(text)
+
     @pytest.mark.parametrize("spec", [
         SpaceSpec("hyperbolic_disk_net", {"r_max": 1000.0, "n_r": 2, "n_theta": 3}),
         SpaceSpec("interval_net", {"n": 3, "length": math.inf}),
@@ -439,6 +448,22 @@ class TestFiniteMetricSpace:
     def test_empty_subspace(self, two_points):
         with pytest.raises(EmptySubset):
             two_points.subspace([])
+
+    # a negative index would wrap, one past the end would reach numpy's
+    # IndexError, and a repeated one would give two labels at distance 0
+    @pytest.mark.parametrize("indices", [[-1], [4], [0, 0, 1], [1, 2.0], [True]])
+    def test_subspace_rejects_bad_indices(self, indices):
+        s = random_cloud(7, n_max=5)
+        assert len(s) == 4
+        with pytest.raises(InvalidParams):
+            s.subspace(indices)
+
+    def test_subspace_takes_numpy_indices(self):
+        s = random_cloud(7, n_max=5)
+        sub = s.subspace(np.array([3, 0]))
+        assert sub.labels == (3, 0)
+        assert sub.dist.tolist() == [[0.0, s.dist[3, 0]], [s.dist[0, 3], 0.0]]
+        assert validate_metric(sub.dist).ok
 
 
 class TestTransforms:
@@ -579,6 +604,14 @@ class TestHausdorff:
     def test_empty_subset_rejected(self, two_points):
         with pytest.raises(EmptySubset):
             hausdorff_distance([], [0], two_points)
+
+    @pytest.mark.parametrize("i_set, j_set", [([-1], [0]), ([0], [2]), ([0], [0.5])])
+    def test_bad_index_rejected(self, two_points, i_set, j_set):
+        with pytest.raises(InvalidParams, match="index must be an integer"):
+            hausdorff_distance(i_set, j_set, two_points)
+
+    def test_repeated_indices_are_one_set(self, two_points):
+        assert hausdorff_distance([0, 0], [1, 1], two_points) == 1.0
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
