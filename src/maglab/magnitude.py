@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NotPositiveDefinite,
+    DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NonFiniteEntry,
+    NotPositiveDefinite,
 )
 from .metric_core import FiniteMetricSpace, _check_scale
 
@@ -225,6 +226,8 @@ def rayleigh(space: FiniteMetricSpace, mu) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (len(space),):
         raise InvalidParams(f"mu must have {len(space)} entries, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise NonFiniteEntry("mu contains non-finite entries")
     denom = float(mu @ similarity(space) @ mu)
     if abs(denom) <= 1e-14 * float(mu @ mu):
         raise DegenerateQuadraticForm("quadratic form vanishes at this vector")

@@ -1,19 +1,21 @@
 """Validated finite metric spaces, metric transforms, and space generators.
 
-Distances are stored as dense symmetric numpy arrays at full double
-precision.  All values are immutable after construction and all operations
-are pure functions.
+Distances are dense symmetric numpy arrays at full double precision.  A
+space that is an l_1 sum of factor metrics stores only its factors and
+builds its dense matrix on first read.  All values are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from .errors import (
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 
+logger = logging.getLogger("maglab")
+
 
 def _json_default(obj):
     """json.dumps's hook: a dataclass becomes the dict of its fields, in
@@ -45,6 +49,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _symmetrized(d: np.ndarray) -> np.ndarray:
+    """The upper triangle of d copied to the lower, read-only; NonFiniteEntry
+    on a non-finite entry."""
+    d = np.triu(d, 1)
+    d = d + d.T
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteEntry("distance matrix contains non-finite entries")
+    return _readonly(d)
 
 
 @dataclass(frozen=True)
@@ -96,21 +110,31 @@ class FiniteMetricSpace:
     """A finite metric space: point labels plus a symmetric distance matrix.
 
     ``coords`` carries ambient coordinates when the generating family has a
-    natural embedding (intervals, Cantor sets, grids, spheres, point clouds).
-    The magnitude, diversity and negative type engines read only ``dist``;
-    the net-convergence study reads ``coords`` for each level's Hausdorff
-    gap and for its 1-D quadrature cells.  ``factors`` holds, for a space
-    that is an l_1 sum of factor metrics (an l_1 grid_net, an l_1 product),
-    the factors' distance matrices, first factor slowest in the point order,
-    so that Z(tX) is the Kronecker product of the factors' Z; only
-    `generate` and `lp_product` set it, and every other space has none.
+    natural embedding (intervals, Cantor sets, grids, spheres, point clouds);
+    the net-convergence study reads them for each level's Hausdorff gap and
+    for its 1-D quadrature cells.  ``factors`` holds, for a space that is an
+    l_1 sum of factor metrics (an l_1 grid_net, an l_1 product), the
+    factors' distance matrices, first factor slowest in the point order, so
+    that Z(tX) is the Kronecker product of the factors' Z; only `generate`
+    and `lp_product` set it, and every other space has none.
+
+    A space with factors stores no dense ``dist``: the spectra, weightings,
+    magnitudes, sweeps and scans read only the factors.  Its first read of
+    ``dist`` builds the matrix with the dense code of its constructor,
+    logs a debug event on the "maglab" logger, and caches it read-only.  The
+    readers are subspaces, Hausdorff distances, the diameter, the metric
+    transforms, `similarity` and through it the diversity solve and
+    `rayleigh`, and the Gram test.
     """
 
     labels: tuple
-    dist: np.ndarray
+    dist: np.ndarray = field(repr=False)
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
     factors: tuple = field(default=(), init=False, repr=False, compare=False)
+    _build: Optional[Callable[[], np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -121,14 +145,53 @@ class FiniteMetricSpace:
         if d.shape[0] < 1:
             raise InvalidParams("a metric space needs at least one point")
         # canonical symmetrization: copy the upper triangle to the lower
-        d = np.triu(d, 1)
-        d = d + d.T
-        if not np.all(np.isfinite(d)):
-            raise NonFiniteEntry("distance matrix contains non-finite entries")
-        object.__setattr__(self, "dist", _readonly(d))
+        object.__setattr__(self, "dist", _symmetrized(d))
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.coords is not None:
             object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
+
+    @classmethod
+    def _from_factors(
+        cls, labels: tuple, factors: tuple, build: Callable[[], np.ndarray],
+        provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
+    ) -> "FiniteMetricSpace":
+        """The l_1 sum of `factors`, whose dense matrix `build()` makes on
+        the first read of ``dist``.
+
+        Its largest distance is the sum of the factors' largest, added in
+        order, so an overflow raises NonFiniteEntry here, as a dense build
+        would.
+        """
+        peak = 0.0
+        for f in factors:
+            peak += float(f.max())
+        if not math.isfinite(peak):
+            raise NonFiniteEntry("distance matrix contains non-finite entries")
+        space = object.__new__(cls)
+        object.__setattr__(space, "labels", tuple(labels))
+        object.__setattr__(space, "provenance", provenance)
+        object.__setattr__(
+            space, "coords", None if coords is None else _readonly(np.atleast_2d(coords))
+        )
+        object.__setattr__(space, "factors", factors)
+        object.__setattr__(space, "_build", build)
+        return space
+
+    def __getattr__(self, name):
+        # called only when lookup fails: for a factored space's dist before
+        # its first read
+        build = self.__dict__.get("_build")
+        if name != "dist" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = len(self.labels)
+        logger.debug(
+            "factored space of %d points: building its dense %d x %d distance matrix",
+            n, n, n,
+        )
+        d = _symmetrized(build())
+        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "_build", None)
+        return d
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -262,6 +325,13 @@ def _count(params: dict, key: str, default: Optional[int] = None) -> int:
     return int(value)
 
 
+def _real(params: dict, key: str, default: float) -> float:
+    value = params.get(key, default)
+    if isinstance(value, bool):
+        raise InvalidParams(f"parameter {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_indices(idx: list, n: int, name: str = "index", distinct: bool = False) -> None:
     """InvalidParams unless each index is an integer in range(n), distinct if asked."""
     for i in idx:
@@ -277,7 +347,7 @@ def _require(cond: bool, msg: str):
 
 
 def _gen_interval(params, seed):
-    length = float(params.get("length", 1.0))
+    length = _real(params, "length", 1.0)
     n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
     x = np.linspace(0.0, length, n)[:, None]
@@ -285,7 +355,7 @@ def _gen_interval(params, seed):
 
 
 def _gen_interval_chebyshev(params, seed):
-    length = float(params.get("length", 1.0))
+    length = _real(params, "length", 1.0)
     n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_chebyshev_net needs length > 0, n >= 1")
     x = 0.5 * length * (1.0 - np.cos(math.pi * np.arange(n) / max(n - 1, 1)))[:, None]
@@ -293,7 +363,7 @@ def _gen_interval_chebyshev(params, seed):
 
 
 def _gen_circle(params, seed):
-    circumference = float(params.get("circumference", 2 * math.pi))
+    circumference = _real(params, "circumference", 2 * math.pi)
     n = _count(params, "n")
     _require(circumference > 0 and n >= 1, "circle_net needs circumference > 0, n >= 1")
     k = np.arange(n)
@@ -303,7 +373,7 @@ def _gen_circle(params, seed):
 
 
 def _gen_cantor(params, seed):
-    length = float(params.get("length", 1.0))
+    length = _real(params, "length", 1.0)
     level = _count(params, "level")
     _require(length > 0 and level >= 1, "cantor_net needs length > 0 and level >= 1")
     pts = np.array([0.0, 1.0])
@@ -313,19 +383,41 @@ def _gen_cantor(params, seed):
     return _lp_distances(x, x, 1.0), x
 
 
-def _gen_grid(params, seed):
+def _grid_axis(params) -> tuple:
+    """grid_net's axis points in [0, 1], dimension n and exponent p, checked."""
     n = _count(params, "n", 2)
-    p = float(params.get("p", 2.0))
+    p = _real(params, "p", 2.0)
     m = _count(params, "m")
     _require(n >= 1 and m >= 1 and p > 0, "grid_net needs n,m >= 1 and p > 0")
-    axis = np.linspace(0.0, 1.0, m)
+    return np.linspace(0.0, 1.0, m), n, p
+
+
+def _grid_points(axis: np.ndarray, n: int) -> np.ndarray:
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def _gen_grid(params, seed):
+    axis, n, p = _grid_axis(params)
+    pts = _grid_points(axis, n)
     return _lp_distances(pts, pts, p), pts
 
 
+def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> FiniteMetricSpace:
+    """The l_1 grid_net at snowflake 1: the l_1 sum of n copies of the scaled
+    axis metric, with the dense matrix `generate` would build on demand."""
+    pts = _grid_points(axis, n)
+    x = axis[:, None]
+    factor = _readonly(spec.scale * _lp_distances(x, x, 1.0))
+    return FiniteMetricSpace._from_factors(
+        tuple(range(len(pts))), (factor,) * n,
+        lambda: spec.scale * _lp_distances(pts, pts, 1.0),
+        provenance=spec, coords=pts,
+    )
+
+
 def _gen_sphere(params, seed):
-    radius = float(params.get("radius", 1.0))
+    radius = _real(params, "radius", 1.0)
     n = _count(params, "n")
     _require(radius > 0 and n >= 1, "sphere_fibonacci_net needs radius > 0, n >= 1")
     i = np.arange(n)
@@ -338,7 +430,7 @@ def _gen_sphere(params, seed):
 
 
 def _gen_hyperbolic(params, seed):
-    r_max = float(params.get("r_max", 1.0))
+    r_max = _real(params, "r_max", 1.0)
     n_r = _count(params, "n_r", 3)
     n_theta = _count(params, "n_theta", 6)
     _require(r_max > 0 and n_r >= 1 and n_theta >= 1, "hyperbolic_disk_net params out of range")
@@ -357,7 +449,7 @@ def _gen_hyperbolic(params, seed):
 def _gen_bipartite(params, seed):
     m = _count(params, "m")
     n = _count(params, "n")
-    r = float(params.get("r", 1.0))
+    r = _real(params, "r", 1.0)
     _require(m >= 1 and n >= 1 and r > 0, "complete_bipartite needs m,n >= 1 and r > 0")
     side = np.array([0] * m + [1] * n)
     cross = side[:, None] != side[None, :]
@@ -396,7 +488,7 @@ def _gen_weighted_tree(params, seed):
 
 def _gen_point_cloud(params, seed):
     pts = np.asarray(params["points"], dtype=float)
-    p = float(params.get("p", 2.0))
+    p = _real(params, "p", 2.0)
     _require(p > 0, "point_cloud_lp needs p > 0")
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -427,10 +519,15 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
     seed the family cannot read raises InvalidParams, and a distance that
     overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
-    An l_1 grid_net with snowflake 1 carries its factors.
+    An l_1 grid_net with snowflake 1 carries its factors and builds its
+    dense matrix only when read.
     """
     with np.errstate(all="ignore"):
         try:
+            if spec.family == "grid_net" and spec.snowflake == 1.0:
+                axis, n, p = _grid_axis(spec.params)
+                if p == 1.0:
+                    return _l1_grid(spec, axis, n)
             base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
         except KeyError as exc:
             raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
@@ -438,14 +535,7 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
         d = spec.scale * base**spec.snowflake
     labels = tuple(range(d.shape[0]))
-    space = FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
-    l1_grid = spec.family == "grid_net" and float(spec.params.get("p", 2.0)) == 1.0
-    if l1_grid and spec.snowflake == 1.0:
-        # the l_1 sum of n copies of the scaled axis metric
-        axis = np.linspace(0.0, 1.0, _count(spec.params, "m"))[:, None]
-        factor = _readonly(spec.scale * _lp_distances(axis, axis, 1.0))
-        object.__setattr__(space, "factors", (factor,) * _count(spec.params, "n", 2))
-    return space
+    return FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
 
 
 def random_cloud_spec(
@@ -480,19 +570,24 @@ def snowflake_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace
 def lp_product(
     a: FiniteMetricSpace, b: FiniteMetricSpace, q: float
 ) -> FiniteMetricSpace:
-    """The l_q product: d((a,b),(a',b')) = (d_A^q + d_B^q)^(1/q)."""
+    """The l_q product: d((a,b),(a',b')) = (d_A^q + d_B^q)^(1/q).
+
+    The l_1 product carries the factors of a and b and builds its dense
+    matrix only when read.
+    """
     if not q >= 1:
         raise ExponentOutOfRange(f"product exponent must be >= 1, got {q}")
-    pair = np.broadcast_arrays(a.dist[:, None, :, None], b.dist[None, :, None, :])
-    d = _lp_norm(np.stack(pair, axis=-1), q)
-    n = len(a) * len(b)
-    d = d.reshape(n, n)
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    space = FiniteMetricSpace(labels=labels, dist=d)
     if q == 1:
         factors = (a.factors or (a.dist,)) + (b.factors or (b.dist,))
-        object.__setattr__(space, "factors", factors)
-    return space
+        return FiniteMetricSpace._from_factors(labels, factors, lambda: _product_dist(a, b, q))
+    return FiniteMetricSpace(labels=labels, dist=_product_dist(a, b, q))
+
+
+def _product_dist(a: FiniteMetricSpace, b: FiniteMetricSpace, q: float) -> np.ndarray:
+    pair = np.broadcast_arrays(a.dist[:, None, :, None], b.dist[None, :, None, :])
+    n = len(a) * len(b)
+    return _lp_norm(np.stack(pair, axis=-1), q).reshape(n, n)
 
 
 def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:

@@ -35,6 +35,7 @@ from maglab.errors import (
     DegenerateQuadraticForm,
     InsufficientRecords,
     InvalidParams,
+    NonFiniteEntry,
     NonpositiveScale,
     NotPositiveDefinite,
 )
@@ -181,6 +182,12 @@ class TestRayleigh:
     def test_wrong_length_rejected(self, two_points, mu):
         with pytest.raises(InvalidParams, match="2 entries"):
             rayleigh(two_points, mu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_mu_rejected(self, bad):
+        s = generate(SpaceSpec("interval_net", {"n": 3}))
+        with pytest.raises(NonFiniteEntry, match="mu"):
+            rayleigh(s, [bad, 1.0, 1.0])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)

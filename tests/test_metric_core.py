@@ -401,6 +401,26 @@ class TestGenerate:
         with pytest.raises(InvalidParams, match=f"{key} must be a number"):
             SpaceSpec.from_json(text)
 
+    # family -> (its other parameters, a real-valued parameter)
+    REAL_PARAMS = {
+        "interval_net": ({"n": 3}, "length"),
+        "interval_chebyshev_net": ({"n": 3}, "length"),
+        "circle_net": ({"n": 3}, "circumference"),
+        "cantor_net": ({"level": 2}, "length"),
+        "grid_net": ({"m": 3}, "p"),
+        "sphere_fibonacci_net": ({"n": 3}, "radius"),
+        "hyperbolic_disk_net": ({}, "r_max"),
+        "complete_bipartite": ({"m": 2, "n": 1}, "r"),
+        "point_cloud_lp": ({"points": [[0.0], [1.0]]}, "p"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(REAL_PARAMS))
+    def test_bool_real_param_rejected(self, family):
+        # float(True) == 1.0 would build the space and serialize "true"
+        params, key = self.REAL_PARAMS[family]
+        with pytest.raises(InvalidParams, match=f"{key} must be a number"):
+            generate(SpaceSpec(family, {**params, key: True}))
+
     @pytest.mark.parametrize("spec", [
         SpaceSpec("hyperbolic_disk_net", {"r_max": 1000.0, "n_r": 2, "n_theta": 3}),
         SpaceSpec("interval_net", {"n": 3, "length": math.inf}),

@@ -4,11 +4,20 @@ A space with factors takes its spectrum, weighting and magnitude from one
 eigensolve and one Cholesky factor per factor.  Each case here is rebuilt
 as `FiniteMetricSpace(labels, dist)`, which has no factors, and the dense
 `_spectrum`/`_weighting` of that copy is the oracle.
+
+A space with factors stores no dense distance matrix until something reads
+`dist`; the matrix it then builds must have the bits of an independent
+dense build, and the Kronecker paths must never build it.
 """
 
 import functools
 import itertools
+import json
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +26,13 @@ from maglab import (
     FiniteMetricSpace,
     SpaceSpec,
     generate,
+    growth_bound_study,
+    hausdorff_distance,
     load_distance_csv,
     lp_product,
+    max_diversity,
+    negative_type_test,
+    rayleigh,
     scale_space,
     scale_sweep,
     snowflake_space,
@@ -26,8 +40,8 @@ from maglab import (
     stability_scan,
     weighting,
 )
-from maglab.errors import NotPositiveDefinite
-from maglab.magnitude import _similarity, _spectrum, _weighting
+from maglab.errors import NonFiniteEntry, NotPositiveDefinite
+from maglab.magnitude import _similarity, _spectra_by_scale, _spectrum, _weighting
 
 EPS = np.finfo(float).eps
 TOL = 1e-12
@@ -226,3 +240,181 @@ def test_dense_constructions_carry_no_factors(tmp_path):
     assert [s.factors for s in dense] == [()] * len(dense)
     assert len(grid.factors) == 2
     assert len(lp_product(grid, interval, 1.0).factors) == 3
+
+
+def _cloud_grid(m, n, scale):
+    """The l_1 grid's points as a point_cloud_lp spec: a dense build of the
+    same distances through another family."""
+    axis = np.linspace(0.0, 1.0, m)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+    spec = SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 1.0}, scale=scale)
+    return generate(spec).dist
+
+
+def _l1_sum(d, e):
+    """The l_1 product's distances by broadcasting: d((i, k), (j, l)) = d_ij + e_kl."""
+    n = len(d) * len(e)
+    return (d[:, None, :, None] + e[None, :, None, :]).reshape(n, n)
+
+
+def _factored_cases():
+    """(factored space, its distances built densely), for a grid and for
+    products of dense and factored operands, nested either way."""
+    a = _space("interval_net", n=5, length=2.0)
+    b = _space("circle_net", n=6)
+    c = _space("weighted_tree", seed=4, n=4)
+    k = _space("complete_bipartite", m=3, n=2, r=1.0)
+    grid = _grid(3, 2, 2.5)
+    g = _cloud_grid(3, 2, 2.5)
+    point = FiniteMetricSpace(("a",), [[0.0]])
+    return {
+        "grid": (_grid(4, 2, 1.0), _cloud_grid(4, 2, 1.0)),
+        "interval-circle": (_product(a, b), _l1_sum(a.dist, b.dist)),
+        "left-nested": (_product(a, c, k), _l1_sum(_l1_sum(a.dist, c.dist), k.dist)),
+        "right-nested": (
+            lp_product(a, lp_product(c, k, 1.0), 1.0), _l1_sum(a.dist, _l1_sum(c.dist, k.dist))
+        ),
+        "grid-times-tree": (_product(grid, c), _l1_sum(g, c.dist)),
+        "tree-times-grid-times-grid": (
+            lp_product(c, _product(grid, grid), 1.0), _l1_sum(c.dist, _l1_sum(g, g))
+        ),
+        "point-times-interval": (_product(point, a), _l1_sum(point.dist, a.dist)),
+    }
+
+
+FACTORED = sorted(_factored_cases())
+
+
+@pytest.mark.parametrize(
+    "m, n, scale", itertools.product((1, 2, 7), (1, 2, 3), (1.0, 2.5, 1e-3))
+)
+def test_grid_dist_is_the_dense_build(m, n, scale):
+    space = _grid(m, n, scale)
+    assert "dist" not in vars(space)
+    expected = _cloud_grid(m, n, scale)
+    assert np.array_equal(space.dist, expected)
+    assert space.dist is space.dist
+    assert not space.dist.flags.writeable
+
+
+@pytest.mark.parametrize("label", FACTORED)
+def test_factored_dist_is_the_dense_build(label):
+    space, expected = _factored_cases()[label]
+    assert "dist" not in vars(space)
+    assert np.array_equal(space.dist, expected)
+    assert not space.dist.flags.writeable
+
+
+def _dense_consumers(space):
+    """What subsets, distances, the Gram test, the diversity solve and the
+    Rayleigh quotient read off `dist`, as bytes and floats."""
+    n = len(space)
+    half = list(range(0, n, 2))
+    sub = space.subspace(half[::-1])
+    gram = negative_type_test(space, basepoint=n - 1)
+    div = max_diversity(space)
+    sweep = scale_sweep(space, SCALES, with_diversity=True)
+    mu = np.linspace(1.0, 2.0, n)
+    return (
+        sub.labels, sub.dist.tobytes(),
+        hausdorff_distance(half, range(1, n, 2), space), space.diameter,
+        gram.negative_type, gram.gram_lambda_min,
+        None if gram.witness_vector is None else gram.witness_vector.tobytes(),
+        div.diversity, div.measure.tobytes(), div.support, div.fw_gap,
+        [r.diversity for r in sweep.records],
+        rayleigh(space, mu),
+    )
+
+
+@pytest.mark.parametrize(
+    "label", ["grid", "interval-circle", "grid-times-tree", "right-nested"]
+)
+def test_dense_consumers_see_the_dense_build(label):
+    space, expected = _factored_cases()[label]
+    assert _dense_consumers(space) == _dense_consumers(FiniteMetricSpace(space.labels, expected))
+
+
+def test_overflowing_sum_refused_when_built():
+    with pytest.raises(NonFiniteEntry):
+        generate(SpaceSpec("grid_net", {"m": 3, "n": 2, "p": 1.0}, scale=1e308))
+    huge = _space("interval_net", n=2, length=1e308)
+    with pytest.raises(NonFiniteEntry):
+        lp_product(huge, huge, 1.0)
+    inner = lp_product(_space("interval_net", n=3), huge, 1.0)  # largest 1 + 1e308
+    with pytest.raises(NonFiniteEntry):
+        lp_product(huge, inner, 1.0)
+
+
+@pytest.fixture
+def unbuildable(monkeypatch):
+    """Make any read of a factored space's dist fail."""
+    def refuse(self, name):
+        if name == "dist":
+            raise AssertionError("a factored space built its dense distance matrix")
+        raise AttributeError(name)
+
+    monkeypatch.setattr(FiniteMetricSpace, "__getattr__", refuse)
+
+
+def test_kronecker_paths_build_no_dense_matrix(unbuildable):
+    # 90,601 points: the dense matrix would take 65 GB
+    spec = SpaceSpec("grid_net", {"m": 301, "n": 2, "p": 1.0})
+    space = generate(spec)
+    assert len(space) == 301**2 and len(space.factors) == 2
+    assert "labels=" in repr(space)
+    assert spectrum_diagnostics(space).lambda_max > 1.0
+    # at t = 300 each axis has spacing 1: 1 + 300 tanh(1/2) per axis
+    t = 300.0
+    report = weighting(generate(SpaceSpec("grid_net", spec.params, scale=t)))
+    assert report.magnitude == pytest.approx(_interval_magnitude(301, 1.0, 1.0) ** 2, rel=1e-12)
+    ts = [100.0, 300.0, 900.0]
+    assert [r.verdict for r in scale_sweep(space, ts).records] == ["PositiveDefinite"] * 3
+    assert len(list(_spectra_by_scale(space, ts))) == len(ts)
+    study = growth_bound_study(spec, ts)
+    assert len(study.checks) == len(ts)
+    assert len(lp_product(space, _space("interval_net", n=3), 1.0).factors) == 3
+
+
+def test_first_dense_read_is_logged(caplog):
+    space = _grid(5, 2, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="maglab"):
+        spectrum_diagnostics(space)
+        assert caplog.records == []
+        assert space.diameter == 2.0
+        space.subspace([0, 1])  # reads the cached matrix
+    assert [r.getMessage() for r in caplog.records] == [
+        "factored space of 25 points: building its dense 25 x 25 distance matrix"
+    ]
+
+
+def test_million_point_sweep_stays_small(tmp_path):
+    """`maglab sweep --spec` on the m = 1001, n = 2 l_1 grid (1,002,001
+    points, whose dense matrix would take 8 TB) matches the closed form and
+    peaks under 200 MiB.  Memory only: its wall time depends on the host."""
+    m = 1001
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"family": "grid_net", "params": {"m": m, "n": 2, "p": 1.0}}))
+    report = tmp_path / "sweep.json"
+    # the child's own peak: Linux folds the forking process's peak RSS into
+    # ru_maxrss across exec, and this process is the whole test session
+    code = (
+        "import re, sys\n"
+        "from maglab.cli import run\n"
+        "code = run(sys.argv[1:]).exit_code\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["sweep", "--spec", str(spec), "--scales", "8:512:4log", "--json", str(report)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    peak_kib = int(out.stdout.split()[-1])
+    records = json.loads(report.read_text())["records"]
+    magnitudes = [r for r in records if r["verdict"] == "PositiveDefinite"]
+    assert magnitudes
+    for r in magnitudes:
+        expected = (1.0 + (m - 1) * math.tanh(r["t"] / (2 * (m - 1)))) ** 2
+        assert r["magnitude"] == pytest.approx(expected, rel=1e-12, abs=0)
+    assert peak_kib < 200 * 1024
