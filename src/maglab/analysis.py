@@ -16,9 +16,7 @@ import numpy as np
 import scipy.special
 
 from .errors import (
-    InvalidParams,
-    NotPositiveDefinite,
-    QuadratureDivergence,
+    InvalidParams, NonFiniteEntry, NotPositiveDefinite, QuadratureDivergence,
 )
 from .magnitude import (
     _similarities, _verdict_index, magnitude_dimension_estimate, rayleigh, scale_sweep,
@@ -220,35 +218,40 @@ def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.nd
     sum for all frequencies is one chirp-z (Bluestein) evaluation: with
     x_j = x_0 + j dx and w_k = w_0 + k dw, the identity
     2jk = j^2 + k^2 - (k - j)^2 turns sum_j g_j exp(-2 pi i x_j w_k) into a
-    convolution with the chirp exp(i pi dx dw n^2), done by FFT in
-    O((N + M) log(N + M)) instead of O(N M).
+    convolution with the chirp exp(i pi dx dw n^2), done by FFT (of an
+    11-smooth length) in O((N + M) log(N + M)) instead of O(N M).
     """
+    from scipy.fft import next_fast_len  # scipy.fft stays out of `import maglab`
     n, m = len(x), len(omegas)
-    dx = (x[-1] - x[0]) / max(n - 1, 1)
-    dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
-    g = f * dx
-    g[0] *= 0.5
-    g[-1] *= 0.5
-    # squares are exact in float64 below 2^53; powers of one complex
-    # ratio would compound rounding error along the chirp
-    sq = np.arange(max(n, m), dtype=float) ** 2
-    chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
-    size = 1 << (n + m - 2).bit_length()
-    u = np.zeros(size, dtype=complex)
-    u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
-    v = np.zeros(size, dtype=complex)
-    v[:m] = chirp[:m].conj()
-    v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
-    return 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
+    size = next_fast_len(n + m - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = (x[-1] - x[0]) / max(n - 1, 1)
+        dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
+        g = f * dx
+        g[0] *= 0.5
+        g[-1] *= 0.5
+        # squares are exact in float64 below 2^53; powers of one complex
+        # ratio would compound rounding error along the chirp
+        sq = np.arange(max(n, m), dtype=float) ** 2
+        chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
+        u = np.zeros(size, dtype=complex)
+        u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
+        v = np.zeros(size, dtype=complex)
+        v[:m] = chirp[:m].conj()
+        v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+        conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
+        out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
+    if not np.isfinite(out).all():
+        raise NonFiniteEntry("cosine transform overflowed: grid spacing too large")
+    return out
 
 
 def _stable_density_tail(p: float, length: float) -> float:
     """Exact truncation error integral_L^inf exp(-x^p) dx."""
     inv = 1.0 / p
-    return float(
-        scipy.special.gamma(inv) * scipy.special.gammaincc(inv, length**p) / p
-    )
+    with np.errstate(over="ignore"):  # L^p = inf leaves no tail
+        power = np.float64(length) ** p
+    return float(scipy.special.gamma(inv) * scipy.special.gammaincc(inv, power) / p)
 
 
 def gamma_hat_1d(
@@ -272,7 +275,8 @@ def gamma_hat_1d(
             f"truncation tail {tail:.3g} exceeds tolerance; raise L"
         )
     x = np.linspace(0.0, L, N + 1)
-    f = np.exp(-(x**p))
+    with np.errstate(over="ignore"):  # exp(-inf) is 0
+        f = np.exp(-(x**p))
     omegas = np.linspace(0.0, omega_max, n_omega)
     values = _cosine_transform(f, x, omegas)
     positive = bool(values.min() > 0.0)

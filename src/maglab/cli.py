@@ -295,8 +295,8 @@ def run(argv) -> CommandResult:
         return CommandResult(int(exc.code or 0))
     try:
         report, lines, exit_code = args.func(args)
-        if args.json:
-            text = json.dumps(report, indent=2, default=metric_core._json_default)
+        if args.json:  # compact, so json's C encoder writes it
+            text = json.dumps(report, default=metric_core._json_default)
             Path(args.json).write_text(text + "\n")
         if getattr(args, "csv", None):
             _write_csv(args.csv, report.records)

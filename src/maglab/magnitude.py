@@ -105,11 +105,19 @@ def _similarities(dist: np.ndarray, ts) -> np.ndarray:
     return z
 
 
+def _per_distinct(fn, items) -> tuple:
+    """(fn(a) for a in items), calling fn once per distinct object: an l_1
+    grid's factors are one array n times."""
+    done = {id(a): a for a in items}
+    done = {key: fn(a) for key, a in done.items()}
+    return tuple(done[id(a)] for a in items)
+
+
 def _similarity(space: FiniteMetricSpace, t: float = 1.0) -> tuple:
     """Z(tX) as the private helpers take it: the tuple of the factors'
     similarity matrices, or (`similarity`,) for a space without factors."""
     if space.factors:
-        return tuple(_similarities(d, [t])[0] for d in space.factors)
+        return _per_distinct(lambda d: _similarities(d, [t])[0], space.factors)
     return (similarity(space, t),)
 
 
@@ -120,16 +128,16 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
 
 def _spectrum(z: tuple) -> SpectrumDiagnostics:
     """`spectrum_diagnostics`, given the similarity matrix's factors."""
-    return _spectra(tuple(f[None] for f in z))[0]
+    return _spectra(_per_distinct(lambda f: f[None], z))[0]
 
 
 def _spectra(zs: tuple) -> list:
     """`_spectrum` at each of k scales, given one (k, m, m) stack per factor,
-    from one eigvalsh per factor: the extremes of the products of the
+    from one eigvalsh per distinct stack: the extremes of the products of the
     factors' eigenvalues, which may have either sign."""
-    vals = np.linalg.eigvalsh(zs[0])
-    for z in zs[1:]:
-        vals = (vals[..., None] * np.linalg.eigvalsh(z)[:, None]).reshape(len(z), -1)
+    vals, *rest = _per_distinct(np.linalg.eigvalsh, zs)
+    for v in rest:
+        vals = (vals[..., None] * v[:, None]).reshape(len(v), -1)
     return _diagnostics(vals.min(axis=1), vals.max(axis=1))
 
 
@@ -155,14 +163,15 @@ def _spectra_by_scale(space: FiniteMetricSpace, ts: list):
     each t in ts, in order.
 
     Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
-    each factor's block is built as one stack and eigensolved by one
-    eigvalsh call.  A dense space from n = 725 on takes one scale per block.
+    each distinct factor's block is built as one stack and eigensolved by
+    one eigvalsh call.  A dense space from n = 725 on takes one scale per block.
     """
     factors = space.factors or (space.dist,)
     k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
     for i in range(0, len(ts), k):
-        zs = tuple(_similarities(d, ts[i : i + k]) for d in factors)
-        yield from zip(zip(*zs), _spectra(zs))
+        zs = _per_distinct(lambda d: _similarities(d, ts[i : i + k]), factors)
+        for j, diag in enumerate(_spectra(zs)):
+            yield _per_distinct(lambda z: z[j], zs), diag
 
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
@@ -182,7 +191,7 @@ def _weighting(z: tuple, diag: SpectrumDiagnostics) -> MagnitudeReport:
     # every factor of a PD product is PD: a factor's lambda_max is at least
     # its mean eigenvalue 1, and the product's extremes are the products of
     # the factors' extremes
-    ws = [_solve(f, diag) for f in z]
+    ws = _per_distinct(lambda f: _solve(f, diag), z)
     w = functools.reduce(np.multiply.outer, ws).ravel()
     mag = math.prod(float(f.sum()) for f in ws)
     residual = float(np.abs(_kronecker_matvec(z, w) - 1.0).max())
@@ -246,8 +255,9 @@ def scale_sweep(
     records = []
     for t, (z, diag) in zip(ts, _spectra_by_scale(space, ts)):
         mag = div = None
-        if diag.verdict == "PositiveDefinite":
-            mag = _weighting(z, diag).magnitude
+        if diag.verdict == "PositiveDefinite":  # `_weighting`'s magnitude, no report
+            ws = _per_distinct(lambda f: _solve(f, diag), z)
+            mag = math.prod(float(w.sum()) for w in ws)
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
             dense = similarity(space, t) if space.factors else z[0]
             div = _max_diversity(dense, diag).diversity

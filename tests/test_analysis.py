@@ -42,8 +42,12 @@ class TestCosineTransform:
             (np.linspace(0.0, 7.0, 2**10), np.linspace(-1.3, 2.9, 57)),
             # the symmetric bump grid: x[0] < 0, nonzero w[0]
             (0.75 * np.linspace(-1.0, 1.0, 4097)[1:-1], np.linspace(0.3, 20.0, 2001)),
-            # N + M - 1 one past a power of two, the tightest FFT padding
+            # N + M - 1 = 1025, one past a power of two
             (np.linspace(0.0, 5.0, 1000), np.linspace(0.0, 2.5, 26)),
+            # N + M - 1 = 1009, a prime
+            (np.linspace(-1.0, 6.0, 1000), np.linspace(0.1, 3.7, 10)),
+            # N + M - 1 = 1001, one past the 11-smooth 1000
+            (np.linspace(0.0, 9.0, 980), np.linspace(-0.4, 4.0, 22)),
             # shorter than the frequency grid
             (np.linspace(-2.0, 3.0, 5), np.linspace(0.0, 1.0, 11)),
         ],
@@ -52,6 +56,19 @@ class TestCosineTransform:
         f = np.exp(-np.abs(x) ** 1.5)
         got = _cosine_transform(f, x, omegas)
         assert np.abs(got - _trapezoid_cosine(f, x, omegas)).max() <= 1e-12
+
+    def test_default_grid_takes_a_fast_length(self, monkeypatch):
+        """N + M - 1 = 65,937 pads to the 11-smooth 66,000, not to 2^17."""
+        lengths = []
+        original = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            lengths.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        gamma_hat_1d(1.0)
+        assert lengths == [66000, 66000]
 
 
 class TestApproxMagnitude:
@@ -221,6 +238,11 @@ class TestGammaHat:
     def test_invalid_p(self):
         with pytest.raises(InvalidParams):
             gamma_hat_1d(2.5)
+
+    def test_window_past_float_range_has_no_tail(self):
+        """L^p overflows the float range: the tail is 0, with no OverflowError
+        and no warning (warnings are errors here)."""
+        assert gamma_hat_1d(2.0, L=1e200).tail_estimate == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",

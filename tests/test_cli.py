@@ -191,6 +191,18 @@ class TestFourierCommand:
         assert run(["fourier", "--p", "1", *grid]).exit_code == 1
         assert "InvalidParams" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [
+        ["--L", "1e308"],
+        ["--upper-bound", "--ell", "2", "--mollifier-radius", "1e308"],
+    ])
+    def test_overflowing_transform_is_domain_error(self, grid, tmp_path, capsys):
+        """A grid spacing so large that the transform overflows is refused,
+        with no NaN report and no warning (warnings are errors here)."""
+        out = tmp_path / "report.json"
+        assert run(["fourier", "--p", "1", *grid, "--json", str(out)]).exit_code == 1
+        assert "NonFiniteEntry" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_product_counterexample(self, capsys):

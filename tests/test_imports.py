@@ -43,6 +43,21 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
+    spec = tmp_path / "k32.json"
+    spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
+    code = (
+        "import sys, maglab, maglab.cli\n"
+        f"maglab.cli.run(['sweep', '--spec', {str(spec)!r}, '--scales', '0.2:0.5:40'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.fft'))\n"
+        "maglab.cli.run(['fourier', '--p', '1'])\n"
+        "print(loaded, 'scipy.fft' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[] True"
+
+
 def test_unused_import_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from __future__ import annotations\nimport os.path\n"

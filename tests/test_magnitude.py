@@ -348,14 +348,14 @@ class TestOneEigensolvePerScale:
     @pytest.mark.parametrize("with_diversity", [False, True])
     def test_l1_grid_sweep_builds_factors(self, eigensolves, similarity_sides,
                                           with_diversity):
-        """The l_1 grid's sweep builds and eigensolves only its two 6 x 6
-        factors, every scale in one stack each; the diversity solve alone
-        builds the 36 x 36 Z, once per scale."""
+        """The l_1 grid's sweep builds and eigensolves only its 6 x 6 factor,
+        once for both axes, every scale in one stack; the diversity solve
+        alone builds the 36 x 36 Z, once per scale."""
         s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}))
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
         assert eigensolves == [len(ts)]
-        assert similarity_sides == [6, 6] * len(ts) + ([36] * len(ts) if with_diversity else [])
+        assert similarity_sides == [6] * len(ts) + ([36] * len(ts) if with_diversity else [])
         for r in sweep.records:
             dense = scale_space(s, r.t)
             diag = spectrum_diagnostics(dense)
@@ -370,11 +370,45 @@ class TestOneEigensolvePerScale:
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
         report = stability_scan(s, ts)
         assert eigensolves == [len(ts)]
-        assert similarity_sides == [6, 6] * len(ts)
+        assert similarity_sides == [6] * len(ts)
         for r in report.records:
             diag = spectrum_diagnostics(scale_space(s, r.t))
             assert abs(r.lambda_min - diag.lambda_min) <= 1e-12 * diag.lambda_max
         assert report.classification == "StablyPositiveDefinite"
+
+    def test_l1_cube_grid_solves_its_factor_once(self, monkeypatch, similarity_sides):
+        """The n = 3 grid's three factors are one array: one stack and one
+        eigvalsh per block of scales, one Cholesky factor per PD scale."""
+        eigvalsh_shapes, potrf_sides = [], []
+        eigvalsh, potrf = np.linalg.eigvalsh, magnitude_module._POTRF
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            eigvalsh_shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_potrf(a, *args, **kwargs):
+            potrf_sides.append(len(a))
+            return potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(magnitude_module, "_POTRF", counted_potrf)
+        s = generate(SpaceSpec("grid_net", {"m": 5, "n": 3, "p": 1.0}))
+        assert len(s.factors) == 3
+        # two scales per block: each block's entry count holds all three factors
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 2 * 3 * 5 * 5)
+        ts = [0.5, 1.0, 2.0, 4.0, 8.0]
+        sweep = scale_sweep(s, ts)
+        assert eigvalsh_shapes == [(2, 5, 5), (2, 5, 5), (1, 5, 5)]
+        assert similarity_sides == [5] * len(ts)
+        assert potrf_sides == [5] * len(ts)
+        for r in sweep.records:
+            t = r.t
+            exact = (1.0 + 4.0 * math.tanh(t * 0.25 / 2.0)) ** 3
+            assert r.verdict == "PositiveDefinite"
+            assert r.magnitude == pytest.approx(exact, rel=1e-12)
+        del eigvalsh_shapes[:], potrf_sides[:]
+        assert weighting(s).magnitude == sweep.records[1].magnitude  # t = 1
+        assert eigvalsh_shapes == [(1, 5, 5)] and potrf_sides == [5]
 
     def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
@@ -397,6 +431,23 @@ class TestOneEigensolvePerScale:
         assert calls == [(4000, 5, 5)]
         first = next(r.t for r in sweep.records if r.verdict != "Indefinite")
         assert first == pytest.approx(LOG_SQRT_2, abs=0.3 / 3999)
+
+
+@pytest.mark.parametrize("space, grid", [
+    (generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0})),
+     np.linspace(0.2, 0.5, 4000)),
+    (generate(SpaceSpec("grid_net", {"m": 7, "n": 3, "p": 1.0})),
+     np.geomspace(0.05, 20.0, 30)),
+])
+def test_sweep_magnitude_is_the_weighting_reports(space, grid):
+    """The sweep sums its factors' weightings without building a report,
+    and gets `_weighting`'s magnitude bit for bit."""
+    sweep = scale_sweep(space, grid)
+    pd = [r for r in sweep.records if r.verdict == "PositiveDefinite"]
+    assert pd
+    for r in pd:
+        z = _similarity(space, r.t)
+        assert r.magnitude == _weighting(z, _spectrum(z)).magnitude
 
 
 def reference_sweep(space, grid, with_diversity=False):

@@ -111,6 +111,27 @@ def test_spaceless_reports(argv, schema, registry, tmp_path, capsys):
     validator(registry, schema).validate(run_json(tmp_path, *argv))
 
 
+@pytest.mark.parametrize("argv,schema", [
+    (["sweep", "--scales", "0.2:0.5:400"], "scale_sweep"),
+    (["magnitude"], "magnitude_report"),
+    (["fourier", "--p", "1.5"], "fourier_report"),
+    (["fourier", "--p", "2", "--upper-bound", "--ell", "2"], "fourier_upper_bound"),
+])
+def test_json_is_compact(argv, schema, registry, tmp_path, capsys):
+    """--json is one line, json.dumps's compact text of the object it holds."""
+    if argv[0] != "fourier":
+        spec = tmp_path / "k32.json"
+        spec.write_text(SpaceSpec("complete_bipartite", {"m": 3, "n": 2}).to_json())
+        argv = [argv[0], "--spec", str(spec), *argv[1:]]
+    out = tmp_path / "report.json"
+    assert run([*argv, "--json", str(out)]).exit_code == 0
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report) + "\n"
+    assert text.count("\n") == 1
+    validator(registry, schema).validate(report)
+
+
 # seed 0 finds an l_inf witness at its 301st subset
 @pytest.mark.parametrize("p,budget,found", [("inf", "400", True), ("2", "5", False)])
 def test_witness_search(p, budget, found, registry, tmp_path, capsys):
