@@ -261,7 +261,9 @@ def gamma_hat_1d(
     """Sampled transform of exp(-|x|^p) on |w| <= omega_max.
 
     Uses the convention f_hat(w) = integral f(x) exp(-2 pi i x w) dx; the
-    integrand is even, so this is a cosine transform.
+    integrand is even, so this is a cosine transform.  The N + 1 samples on
+    [0, L] resolve frequencies up to N / (2L); a larger omega_max raises
+    InvalidParams.
     """
     if not (0 < p <= 2):
         raise InvalidParams("gamma_hat_1d needs 0 < p <= 2")
@@ -279,6 +281,13 @@ def gamma_hat_1d(
         f = np.exp(-(x**p))
     omegas = np.linspace(0.0, omega_max, n_omega)
     values = _cosine_transform(f, x, omegas)
+    # the sampled transform has period N / L in w, so past N / (2L) it
+    # aliases; a grid so coarse that the transform overflowed failed above
+    if omega_max > N / (2.0 * L):
+        raise InvalidParams(
+            f"omega_max {omega_max:g} exceeds the grid's Nyquist frequency "
+            f"N / (2L) = {N / (2.0 * L):.3g}; raise N or lower L"
+        )
     positive = bool(values.min() > 0.0)
     dec_tol = 1e-7 * float(values.max())
     decreasing = bool(np.all(np.diff(values) <= dec_tol))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -221,6 +222,7 @@ def _cmd_experiment(args):
     return result, [line], 0
 
 
+@functools.cache  # parse_args keeps no state: each call returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maglab",

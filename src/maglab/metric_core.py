@@ -31,6 +31,7 @@ from .errors import (
 )
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
+_MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
 
 logger = logging.getLogger("maglab")
 
@@ -49,6 +50,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _labels(labels) -> Sequence:
+    """A range kept as it is (n labels in O(1) memory), anything else a tuple."""
+    return labels if isinstance(labels, range) else tuple(labels)
 
 
 def _symmetrized(d: np.ndarray) -> np.ndarray:
@@ -109,8 +115,10 @@ class SpaceSpec:
 class FiniteMetricSpace:
     """A finite metric space: point labels plus a symmetric distance matrix.
 
-    ``coords`` carries ambient coordinates when the generating family has a
-    natural embedding (intervals, Cantor sets, grids, spheres, point clouds);
+    ``labels`` is a tuple, or a range for the default labels 0, ..., n - 1
+    that `generate` and `load_distance_csv` give.  ``coords`` carries
+    ambient coordinates when the generating family has a natural
+    embedding (intervals, Cantor sets, grids, spheres, point clouds);
     the net-convergence study reads them for each level's Hausdorff gap and
     for its 1-D quadrature cells.  ``factors`` holds, for a space that is an
     l_1 sum of factor metrics (an l_1 grid_net, an l_1 product), the
@@ -127,7 +135,7 @@ class FiniteMetricSpace:
     `rayleigh`, and the Gram test.
     """
 
-    labels: tuple
+    labels: Sequence
     dist: np.ndarray = field(repr=False)
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
@@ -146,13 +154,13 @@ class FiniteMetricSpace:
             raise InvalidParams("a metric space needs at least one point")
         # canonical symmetrization: copy the upper triangle to the lower
         object.__setattr__(self, "dist", _symmetrized(d))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels))
         if self.coords is not None:
             object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
 
     @classmethod
     def _from_factors(
-        cls, labels: tuple, factors: tuple, build: Callable[[], np.ndarray],
+        cls, labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
         provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
     ) -> "FiniteMetricSpace":
         """The l_1 sum of `factors`, whose dense matrix `build()` makes on
@@ -168,7 +176,7 @@ class FiniteMetricSpace:
         if not math.isfinite(peak):
             raise NonFiniteEntry("distance matrix contains non-finite entries")
         space = object.__new__(cls)
-        object.__setattr__(space, "labels", tuple(labels))
+        object.__setattr__(space, "labels", _labels(labels))
         object.__setattr__(space, "provenance", provenance)
         object.__setattr__(
             space, "coords", None if coords is None else _readonly(np.atleast_2d(coords))
@@ -221,13 +229,23 @@ class ValidationReport:
 
 
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
-    """M[i, j] = min_k fl(d[i, k] + d[k, j]), the min-plus square of d."""
+    """M[i, j] = min_k fl(d[i, k] + d[k, j]), the min-plus square of d.
+
+    M is built in square tiles of side b, each summing rows of d against
+    rows of e = d^T along the contiguous k axis, so that one tile's
+    b * b * n sums stay in cache.
+    """
     n = d.shape[0]
     symmetric = np.array_equal(d, d.T)
+    d = np.ascontiguousarray(d)
+    e = d if symmetric else np.ascontiguousarray(d.T)
+    b = max(1, math.isqrt(_MIN_PLUS_TILE // n))
     m = np.full((n, n), np.inf)
-    for i in range(n):
-        j0 = i if symmetric else 0  # a symmetric d gives a symmetric M
-        m[i, j0:] = (d[i, :, None] + d[:, j0:]).min(axis=0)
+    for i in range(0, n, b):
+        rows = slice(i, i + b)
+        for j in range(i if symmetric else 0, n, b):  # a symmetric d gives a symmetric M
+            cols = slice(j, j + b)
+            m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
     return np.minimum(m, m.T) if symmetric else m
 
 
@@ -410,7 +428,7 @@ def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> FiniteMetricSpace:
     x = axis[:, None]
     factor = _readonly(spec.scale * _lp_distances(x, x, 1.0))
     return FiniteMetricSpace._from_factors(
-        tuple(range(len(pts))), (factor,) * n,
+        range(len(pts)), (factor,) * n,
         lambda: spec.scale * _lp_distances(pts, pts, 1.0),
         provenance=spec, coords=pts,
     )
@@ -534,8 +552,7 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
         d = spec.scale * base**spec.snowflake
-    labels = tuple(range(d.shape[0]))
-    return FiniteMetricSpace(labels=labels, dist=d, provenance=spec, coords=coords)
+    return FiniteMetricSpace(labels=range(d.shape[0]), dist=d, provenance=spec, coords=coords)
 
 
 def random_cloud_spec(
@@ -622,4 +639,4 @@ def load_distance_csv(path, force: bool = False) -> FiniteMetricSpace:
             f"(worst triangle {report.worst_triangle_violation:.3g}, "
             f"worst asymmetry {report.worst_asymmetry:.3g})"
         )
-    return FiniteMetricSpace(labels=tuple(range(d.shape[0])), dist=d)
+    return FiniteMetricSpace(labels=range(d.shape[0]), dist=d)

@@ -241,8 +241,20 @@ class TestGammaHat:
 
     def test_window_past_float_range_has_no_tail(self):
         """L^p overflows the float range: the tail is 0, with no OverflowError
-        and no warning (warnings are errors here)."""
-        assert gamma_hat_1d(2.0, L=1e200).tail_estimate == 0.0
+        and no warning (warnings are errors here).  The frequency grid stays
+        below so coarse a grid's Nyquist frequency N / (2L), about 3.3e-196."""
+        assert gamma_hat_1d(2.0, L=1e200, omega_max=1e-196).tail_estimate == 0.0
+
+    @pytest.mark.parametrize("p,L", [(1.0, 1e300), (2.0, 1e200), (1.0, 1e4), (1.0, 3277.0)])
+    def test_grid_must_resolve_omega_max(self, p, L):
+        """omega_max = 10 past N / (2L) at N = 2^16 would alias the transform."""
+        with pytest.raises(InvalidParams, match="Nyquist"):
+            gamma_hat_1d(p, L=L)
+
+    def test_nyquist_edge_is_accepted(self):
+        assert gamma_hat_1d(1.0, L=40.0, N=800).positive  # N / (2L) = 10 exactly
+        with pytest.raises(InvalidParams, match="Nyquist"):
+            gamma_hat_1d(1.0, L=40.0, N=799)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -281,6 +293,11 @@ class TestFourierUpperBound:
     def test_singleton(self):
         result = fourier_upper_bound_1d(0.0, 2.0, 1.0, 1.0)
         assert result.bound >= 1.0
+
+    def test_kernel_grid_must_resolve_omega_max(self):
+        """The bound's omega_max = 20 is past N / (2L) = 3.3 at L = 1e4."""
+        with pytest.raises(InvalidParams, match="Nyquist"):
+            fourier_upper_bound_1d(2.0, 1.0, 1.0, 4.0, L=1e4)
 
     def test_requires_radius_beyond_interval(self):
         with pytest.raises(InvalidParams):

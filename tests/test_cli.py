@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maglab import SpaceSpec, generate
-from maglab.cli import _parse_scales, run
+from maglab.cli import _parse_scales, build_parser, run
 
 
 @pytest.fixture
@@ -204,6 +204,35 @@ class TestFourierCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1", "--L", "1e300"],
+        ["--p", "2", "--L", "1e200"],
+        ["--p", "1", "--L", "1e4"],
+        ["--p", "1", "--upper-bound", "--ell", "2", "--L", "1e4"],
+    ])
+    def test_unresolved_frequencies_are_domain_error(self, argv, tmp_path, capsys):
+        """omega_max past the grid's Nyquist frequency N / (2L) is refused
+        instead of reporting an aliased transform."""
+        out = tmp_path / "report.json"
+        assert run(["fourier", *argv, "--json", str(out)]).exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParams:") and "Nyquist" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1"],
+        ["--p", "2"],
+        ["--p", "0.5", "--L", "700"],
+        ["--p", "2", "--upper-bound", "--ell", "2"],
+        ["--p", "0.5", "--upper-bound", "--ell", "2", "--L", "700"],
+    ])
+    def test_default_grids_resolve_their_frequencies(self, argv, capsys):
+        """N = 2^16 at L = 40 and at L = 700 has Nyquist frequency 819 and
+        46.8, above omega_max 10 (the transform) and 20 (the bound)."""
+        assert run(["fourier", *argv]).exit_code == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestExperimentCommand:
     def test_product_counterexample(self, capsys):
         result = run(["experiment", "product-counterexample"])
@@ -356,6 +385,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidParams:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_parser_keeps_nothing_between_runs(self, two_point_csv, k32_spec_json,
+                                               tmp_path, capsys):
+        """One parser serves every run; no option or default of one run
+        reaches the next."""
+        assert build_parser() is build_parser()
+        assert run(["magnitude", "--spec", k32_spec_json, "--bogus"]).exit_code == 2
+        report = tmp_path / "r.json"
+        argv = ["magnitude", "--matrix", two_point_csv, "--json", str(report)]
+        assert run(argv).exit_code == 0
+        assert json.loads(report.read_text())["magnitude"] > 1.0
+        report.unlink()
+        capsys.readouterr()
+        assert run(["sweep", "--spec", k32_spec_json, "--scales", "1:2:2"]).exit_code == 0
+        assert not report.exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split() == ["t", "lambda_min", "verdict", "magnitude"] and len(out) == 3
+        args = build_parser().parse_args(["sweep", "--spec", k32_spec_json, "--scales", "1:2:2"])
+        assert (args.matrix, args.json, args.csv) == (None, None, None)
+        assert not (args.with_diversity or args.force)
 
     def test_unwritable_json_path(self, two_point_csv, tmp_path, capsys):
         report = tmp_path / "missing" / "r.json"

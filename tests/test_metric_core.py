@@ -29,7 +29,8 @@ from maglab.errors import (
     UnsupportedFamily,
 )
 
-from maglab.metric_core import FAMILY_TABLE, TRIANGLE_SLACK, _lp_distances
+from maglab import metric_core
+from maglab.metric_core import FAMILY_TABLE, TRIANGLE_SLACK, _lp_distances, _min_plus_square
 
 from conftest import random_cloud
 
@@ -88,19 +89,91 @@ def _validation_corpus():
         yield _lp_distances(grid, grid, 1.0)
 
 
+def _assert_matches_brute_force(d):
+    report = validate_metric(d)
+    fields = (
+        report.ok,
+        report.worst_triangle_violation,
+        report.worst_asymmetry,
+        report.offending_triples,
+    )
+    expected = _brute_force_report(d)
+    assert fields == expected, d.shape
+    assert repr(fields) == repr(expected), d.shape  # types and signed zeros
+
+
+def _row_pass_min_plus(d):
+    """The min-plus square one row of M at a time, each row an n x (n - i)
+    sum reduced across k: the reference the tiled kernel must equal."""
+    n = d.shape[0]
+    symmetric = np.array_equal(d, d.T)
+    m = np.full((n, n), np.inf)
+    for i in range(n):
+        j0 = i if symmetric else 0
+        m[i, j0:] = (d[i, :, None] + d[:, j0:]).min(axis=0)
+    return np.minimum(m, m.T) if symmetric else m
+
+
+def _tile_side(n):
+    return max(1, math.isqrt(metric_core._MIN_PLUS_TILE // n))
+
+
+def _tile_corpus(sizes):
+    """Per size: a Euclidean cloud, the same with a broken triangle, an
+    asymmetric copy, and two tie-heavy matrices: an l_1 grid of integer
+    points (rows x cols = n) and the all-ones metric."""
+    rng = np.random.default_rng(19)
+    for n in sizes:
+        pts = rng.uniform(0.0, 4.0, size=(n, 2))
+        euclid = _lp_distances(pts, pts, 2.0)
+        yield euclid
+        if n >= 3:
+            broken = euclid.copy()
+            broken[n - 1, 0] = broken[0, n - 1] = euclid.max() * 3.0
+            yield broken
+        if n >= 2:
+            asym = euclid.copy()
+            asym[n // 2, n - 1] += 1e-3
+            yield asym
+        rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
+        grid = np.array([(x, y) for x in range(rows) for y in range(n // rows)], dtype=float)
+        yield _lp_distances(grid, grid, 1.0)
+        yield np.ones((n, n)) - np.eye(n)
+
+
+class TestMinPlusTiles:
+    @pytest.mark.parametrize("side", [1, 2, 3])
+    def test_small_tiles(self, side, monkeypatch):
+        for d in _tile_corpus((1, 2, 3, 4, 5, 6, 7, 9, 10)):
+            n = d.shape[0]
+            monkeypatch.setattr(metric_core, "_MIN_PLUS_TILE", side * side * n)
+            assert _tile_side(n) == side
+            assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
+            _assert_matches_brute_force(d)
+
+    def test_ragged_default_tiles(self):
+        """At 50 and 51 points the default side is 51 and 50 (one tile
+        short of, and one row past, a full tile); at 79, 80 and 81 it is 40
+        (2b - 1, 2b and 2b + 1)."""
+        assert [_tile_side(n) for n in (50, 51, 79, 80, 81)] == [51, 50, 40, 40, 40]
+        for d in _tile_corpus((50, 51, 79, 80, 81)):
+            assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
+            _assert_matches_brute_force(d)
+
+    def test_700_point_cloud_matches_row_pass(self):
+        rng = np.random.default_rng(700)
+        pts = rng.uniform(0.0, 1.0, size=(700, 3))
+        d = _lp_distances(pts, pts, 2.0)
+        perturbed = d * (1.0 + 1e-3 * rng.standard_normal(d.shape))
+        for m in (d, perturbed):
+            assert np.array_equal(_min_plus_square(m), _row_pass_min_plus(m))
+        assert not np.array_equal(perturbed, perturbed.T)
+
+
 class TestValidateMetric:
     def test_matches_brute_force(self):
         for d in _validation_corpus():
-            report = validate_metric(d)
-            fields = (
-                report.ok,
-                report.worst_triangle_violation,
-                report.worst_asymmetry,
-                report.offending_triples,
-            )
-            expected = _brute_force_report(d)
-            assert fields == expected, d.shape
-            assert repr(fields) == repr(expected), d.shape  # types and signed zeros
+            _assert_matches_brute_force(d)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidParams, match="at least one point"):
@@ -435,6 +508,28 @@ class TestGenerate:
     def test_point_cloud_needs_a_list_of_points(self):
         with pytest.raises(InvalidParams, match="at least one point"):
             generate(SpaceSpec("point_cloud_lp", {"points": 1.0}))
+
+    def test_default_labels_are_a_range(self, tmp_path):
+        """Generated and loaded spaces keep the labels 0, ..., n - 1 as a
+        range, which indexes, iterates and measures like the tuple; a
+        subspace and an l_1 product still build tuples."""
+        path = tmp_path / "m.csv"
+        np.savetxt(path, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], delimiter=",")
+        spaces = [
+            generate(SpaceSpec("interval_net", {"n": 5})),
+            generate(SpaceSpec("grid_net", {"m": 10, "n": 2, "p": 1.0})),
+            load_distance_csv(path),
+        ]
+        for space in spaces:
+            n = len(space)
+            assert space.labels == range(n) and len(space.labels) == n
+            assert tuple(space.labels) == tuple(range(n))
+            assert (space.labels[1], space.labels[-1]) == (1, n - 1)
+            assert space.labels.index(n - 1) == n - 1
+            assert scale_space(space, 2.0).labels == range(n)
+            assert space.subspace([2, 0]).labels == (2, 0)
+        product = lp_product(spaces[0], spaces[2], 1.0)
+        assert product.labels[:2] == ((0, 0), (0, 1)) and len(product.labels) == 15
 
     def test_snowflake_and_scale_applied(self):
         spec = SpaceSpec(
