@@ -46,7 +46,9 @@ def _parse_scales(text: str):
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise argparse.ArgumentTypeError("scale grid endpoints must be finite")
-    if a <= 0 or b <= 0 or n < 1:
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"scale grid needs at least 1 scale, got {n}")
+    if a <= 0 or b <= 0:
         raise argparse.ArgumentTypeError("scale grid endpoints must be positive")
     if log:
         return list(np.geomspace(a, b, n))

@@ -9,10 +9,13 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
 import numbers
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -228,12 +231,64 @@ class ValidationReport:
     offending_triples: list
 
 
+def _band_workers() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _band_pool(threads: int):
+    """The threads that help the calling thread through the min-plus
+    square's row bands, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="maglab-min-plus")
+
+
+# a forked child has none of its parent's threads, so it starts its own pool
+os.register_at_fork(after_in_child=_band_pool.cache_clear)
+
+
+def _each_band(band: Callable[[int], None], starts: range) -> None:
+    """band(i) for every i in starts, inline when one CPU or one band
+    leaves nothing to share; otherwise the calling thread and the pool's
+    threads each take the next start until none is left."""
+    workers = min(_band_workers(), len(starts))
+    if workers <= 1:
+        for i in starts:
+            band(i)
+        return
+    todo, lock = list(reversed(starts)), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            band(i)
+
+    helpers = [_band_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        with lock:  # after an error in the calling thread, hand out no more bands
+            todo.clear()
+        for helper in helpers:
+            helper.result()
+
+
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
     """M[i, j] = min_k fl(d[i, k] + d[k, j]), the min-plus square of d.
 
     M is built in square tiles of side b, each summing rows of d against
     rows of e = d^T along the contiguous k axis, so that one tile's
-    b * b * n sums stay in cache.
+    b * b * n sums stay in cache.  The tiles of one row block form a band,
+    and the bands run on every CPU the process may use (`_each_band`):
+    each tile of M is written by one band, and a minimum is exact in any
+    order, so M is the same whatever the number of threads.
     """
     n = d.shape[0]
     symmetric = np.array_equal(d, d.T)
@@ -241,11 +296,17 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     e = d if symmetric else np.ascontiguousarray(d.T)
     b = max(1, math.isqrt(_MIN_PLUS_TILE // n))
     m = np.full((n, n), np.inf)
-    for i in range(0, n, b):
+
+    def band(i):
         rows = slice(i, i + b)
-        for j in range(i if symmetric else 0, n, b):  # a symmetric d gives a symmetric M
-            cols = slice(j, j + b)
-            m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
+        # an overflowed sum is +inf, never the minimum that shows a violation;
+        # errstate is per thread, so each band sets its own
+        with np.errstate(over="ignore"):
+            for j in range(i if symmetric else 0, n, b):  # a symmetric d gives a symmetric M
+                cols = slice(j, j + b)
+                m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
+
+    _each_band(band, range(0, n, b))
     return np.minimum(m, m.T) if symmetric else m
 
 
@@ -284,13 +345,14 @@ def validate_metric(dist) -> ValidationReport:
         over = excess > slack
         rows, cols = np.flatnonzero(over.any(axis=1)), np.flatnonzero(over.any(axis=0))
         sub = d[np.ix_(rows, cols)]
-        for k in range(n):
-            e = sub - (d[rows, k, None] + d[k, cols])
-            a, b = np.unravel_index(np.argmax(e), e.shape)
-            if e[a, b] > slack:
-                offending.append((int(rows[a]), int(cols[b]), k))
-                if len(offending) == 10:
-                    break
+        with np.errstate(over="ignore"):  # an overflowed sum is no violation
+            for k in range(n):
+                e = sub - (d[rows, k, None] + d[k, cols])
+                a, b = np.unravel_index(np.argmax(e), e.shape)
+                if e[a, b] > slack:
+                    offending.append((int(rows[a]), int(cols[b]), k))
+                    if len(offending) == 10:
+                        break
 
     ok = (
         worst_asym <= slack

@@ -109,6 +109,19 @@ class TestValidateCommand:
         np.savetxt(path, [[0, 1, 3], [1, 0, 1], [3, 1, 0]], delimiter=",")
         assert run(["validate", str(path)]).exit_code == 1
 
+    @pytest.mark.parametrize("command", [["validate"], ["magnitude", "--matrix"]])
+    def test_entries_near_float_max(self, command, tmp_path, capsys):
+        """A metric whose sums of two distances overflow passes the check
+        with nothing on stderr."""
+        d = np.full((60, 60), 1.5e308)
+        np.fill_diagonal(d, 0.0)
+        path = tmp_path / "big.csv"
+        np.savetxt(path, d, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*command, str(path)]).exit_code == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestApproxCommand:
     def test_interval_study(self, tmp_path, capsys):
@@ -289,11 +302,24 @@ class TestUsageErrors:
     def test_bad_scales(self, k32_spec_json, capsys):
         assert run(["sweep", "--spec", k32_spec_json, "--scales", "nope"]).exit_code == 2
 
-    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3", "1:0:3log", "1:2:0"])
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3", "1:0:3log"])
     def test_nonpositive_scales(self, grid, k32_spec_json, capsys):
         # "--scales=" keeps argparse from reading "-1:1:3" as an option
         assert run(["sweep", "--spec", k32_spec_json, f"--scales={grid}"]).exit_code == 2
         assert "scale grid endpoints must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,message", [
+        pytest.param("1:2:0", "scale grid needs at least 1 scale, got 0", id="1:2:0"),
+        pytest.param("1:2:-4log", "scale grid needs at least 1 scale, got -4", id="1:2:-4log"),
+        pytest.param("0:2:3", "scale grid endpoints must be positive", id="0:2:3"),
+    ])
+    def test_scale_grid_messages(self, grid, message, k32_spec_json, capsys):
+        """A count below 1 has its own message; a bad endpoint keeps its."""
+        assert run(["sweep", "--spec", k32_spec_json, f"--scales={grid}"]).exit_code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"maglab sweep: error: argument --scales: {message}"
+        ]
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "1:inf:3"])
     def test_nonfinite_scales(self, grid, k32_spec_json, capsys):

@@ -1,5 +1,6 @@
-"""Every name a maglab module imports is used in that module, and importing
-maglab loads no scipy subpackage that its setup does not need."""
+"""Every name a maglab module imports is used in that module, importing
+maglab loads no scipy subpackage that its setup does not need, and only a
+triangle check with work to share starts a thread."""
 
 import ast
 import subprocess
@@ -56,6 +57,33 @@ def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip().splitlines()[-1] == "[] True"
+
+
+def test_threads_start_only_for_shared_work():
+    """Importing the CLI and checking a one-band matrix (n <= 50) start no
+    thread and load no thread pool; a 400-point check starts at most one
+    thread per CPU beyond the caller."""
+    code = (
+        "import os, sys, threading\n"
+        "import numpy as np\n"
+        "import maglab.cli\n"
+        "from maglab import validate_metric\n"
+        "counts = [threading.active_count()]\n"
+        "def cloud(n):\n"
+        "    x = np.random.default_rng(n).uniform(0.0, 4.0, size=(n, 2))\n"
+        "    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))\n"
+        "assert validate_metric(cloud(50)).ok\n"
+        "counts.append(threading.active_count())\n"
+        "assert 'concurrent.futures.thread' not in sys.modules\n"
+        "assert validate_metric(cloud(400)).ok\n"
+        "counts.append(threading.active_count())\n"
+        "print(*counts, len(os.sched_getaffinity(0)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    imported, one_band, shared, cpus = map(int, out.stdout.split())
+    assert imported == one_band == 1
+    assert 1 <= shared <= cpus
 
 
 def test_unused_import_is_caught(tmp_path):

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +33,13 @@ from maglab.errors import (
 )
 
 from maglab import metric_core
-from maglab.metric_core import FAMILY_TABLE, TRIANGLE_SLACK, _lp_distances, _min_plus_square
+from maglab.metric_core import (
+    FAMILY_TABLE,
+    TRIANGLE_SLACK,
+    ValidationReport,
+    _lp_distances,
+    _min_plus_square,
+)
 
 from conftest import random_cloud
 
@@ -160,6 +169,38 @@ class TestMinPlusTiles:
             assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
             _assert_matches_brute_force(d)
 
+    @pytest.mark.parametrize("side", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_counts(self, workers, side, monkeypatch):
+        """Band counts below, equal to and above the worker count all give the
+        row pass's M and the brute-force report."""
+        monkeypatch.setattr(metric_core, "_band_workers", lambda: workers)
+        bands = set()
+        for d in _tile_corpus((1, 2, 3, 4, 5, 6, 7, 9, 10)):
+            n = d.shape[0]
+            monkeypatch.setattr(metric_core, "_MIN_PLUS_TILE", side * side * n)
+            bands.add(-(-n // side))
+            assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
+            _assert_matches_brute_force(d)
+        assert min(bands) < workers or workers == 1
+        assert workers in bands and max(bands) > workers
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight threads taking 90 one-row bands, switching as often as the
+        interpreter allows: a band lost or written twice would change M."""
+        monkeypatch.setattr(metric_core, "_band_workers", lambda: 8)
+        monkeypatch.setattr(metric_core, "_MIN_PLUS_TILE", 90)
+        rng = np.random.default_rng(8)
+        d = rng.uniform(0.1, 1.0, size=(90, 90))  # asymmetric: every band is full width
+        np.fill_diagonal(d, 0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_700_point_cloud_matches_row_pass(self):
         rng = np.random.default_rng(700)
         pts = rng.uniform(0.0, 1.0, size=(700, 3))
@@ -170,7 +211,53 @@ class TestMinPlusTiles:
         assert not np.array_equal(perturbed, perturbed.T)
 
 
+def _validate_in_child(d, conn):
+    conn.send(repr(validate_metric(d)))
+    conn.close()
+
+
 class TestValidateMetric:
+    def test_forked_child_validates(self, monkeypatch):
+        """A fork-context child of a process whose check has started its
+        threads validates with threads of its own."""
+        monkeypatch.setattr(metric_core, "_band_workers", lambda: 2)
+        pts = np.random.default_rng(300).uniform(0.0, 4.0, size=(300, 2))
+        d = _lp_distances(pts, pts, 2.0)
+        expected = repr(validate_metric(d))
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_validate_in_child, args=(d, send))
+        with warnings.catch_warnings():
+            # forking a process that has threads is what this test checks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            send.close()
+            assert receive.poll(60), "the child sent no report"
+            assert receive.recv() == expected
+            child.join(60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_near_float_max_entries_raise_no_warning(self, workers, monkeypatch):
+        """Sums of two entries near the float maximum overflow to +inf, which
+        is never the minimum that shows a violation, in the caller's thread
+        or the pool's."""
+        monkeypatch.setattr(metric_core, "_band_workers", lambda: workers)
+        d = np.full((60, 60), 1.5e308)
+        np.fill_diagonal(d, 0.0)
+        broken = d.copy()
+        broken[0, 1:] = broken[1:, 0] = 1.0  # d[i, j] > d[i, 0] + d[0, j]: offending triples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_metric(d) == ValidationReport(True, 0.0, 0.0, [])
+            report = validate_metric(broken)
+        assert not report.ok and report.offending_triples == [(1, 2, 0)]
+
     def test_matches_brute_force(self):
         for d in _validation_corpus():
             _assert_matches_brute_force(d)
