@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +29,7 @@ from .errors import (
     DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NonFiniteEntry,
     NotPositiveDefinite,
 )
-from .metric_core import FiniteMetricSpace, _check_scale
+from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each
 
 logger = logging.getLogger("maglab")
 
@@ -90,14 +91,15 @@ def similarity(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
     return _similarities(space.dist, [t])[0]
 
 
-def _similarities(dist: np.ndarray, ts) -> np.ndarray:
-    """Z(t d) for each t in ts, stacked on a new leading axis.
+def _similarities(dist: np.ndarray, ts, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Z(t d) for each t in ts, stacked on a new leading axis, built in `out`
+    when it is given.
 
     `dist` may itself be a stack of (..., n, n) distance matrices.
     """
     for t in ts:
         _check_scale(t)
-    z = np.multiply.outer(-np.asarray(ts, dtype=float), dist)
+    z = np.multiply.outer(-np.asarray(ts, dtype=float), dist, out=out)
     np.exp(z, out=z)
     i = np.arange(dist.shape[-1])
     z[..., i, i] = 1.0
@@ -158,20 +160,48 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
     ]
 
 
-def _spectra_by_scale(space: FiniteMetricSpace, ts: list):
-    """Yield (Z(tX) as `_similarity` gives it, its SpectrumDiagnostics) for
-    each t in ts, in order.
+def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
+    """[task(t, z, diag) for t in ts], with z = Z(tX) as `_similarity` gives
+    it and diag its SpectrumDiagnostics; task must keep no part of z.
 
     Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
     each distinct factor's block is built as one stack and eigensolved by
-    one eigvalsh call.  A dense space from n = 725 on takes one scale per block.
+    one eigvalsh call.  A dense space from n = 725 on takes one scale per
+    block.  The blocks run on the shared worker pool (`_each`), each worker
+    building its stacks in buffers that the calling thread allocated, so the
+    live similarity entries grow only with the worker count.  The results,
+    and the error of the first block that fails, are those of a loop on one
+    CPU.
     """
     factors = space.factors or (space.dist,)
     k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
-    for i in range(0, len(ts), k):
-        zs = _per_distinct(lambda d: _similarities(d, ts[i : i + k]), factors)
-        for j, diag in enumerate(_spectra(zs)):
-            yield _per_distinct(lambda z: z[j], zs), diag
+    blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
+    err = np.geterr()  # errstate is per thread, so each block sets the caller's
+
+    def buffers():
+        return {id(d): np.empty((len(blocks[0]),) + d.shape) for d in factors}
+
+    def block(scales, bufs):
+        with np.errstate(**err):
+            zs = _per_distinct(
+                lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
+            )
+            return [
+                task(t, _per_distinct(lambda z: z[j], zs), diag)
+                for j, (t, diag) in enumerate(zip(scales, _spectra(zs)))
+            ]
+
+    return [r for rs in _each(block, blocks, buffers, _blas_threads()) for r in rs]
+
+
+def _blas_threads() -> int:
+    """The threads each eigensolve takes: OpenBLAS reads the first of these
+    variables that is set, and without one uses every CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _cpus()
 
 
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
@@ -252,8 +282,7 @@ def scale_sweep(
         raise InsufficientRecords("scale grid must be nonempty")
     from .diversity import _max_diversity
 
-    records = []
-    for t, (z, diag) in zip(ts, _spectra_by_scale(space, ts)):
+    def record(t, z, diag):
         mag = div = None
         if diag.verdict == "PositiveDefinite":  # `_weighting`'s magnitude, no report
             ws = _per_distinct(lambda f: _solve(f, diag), z)
@@ -261,12 +290,12 @@ def scale_sweep(
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
             dense = similarity(space, t) if space.factors else z[0]
             div = _max_diversity(dense, diag).diversity
-        records.append(
-            SweepRecord(
-                t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,
-                magnitude=mag, diversity=div,
-            )
+        return SweepRecord(
+            t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,
+            magnitude=mag, diversity=div,
         )
+
+    records = _each_scale(space, ts, record)
     spec = space.provenance
     return ScaleSweep(records=records, spec=None if spec is None else spec.to_json())
 

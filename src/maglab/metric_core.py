@@ -37,6 +37,7 @@ TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
 
 logger = logging.getLogger("maglab")
+_DENSE_BUILD = threading.RLock()  # held while factored spaces build dense matrices
 
 
 def _json_default(obj):
@@ -191,18 +192,19 @@ class FiniteMetricSpace:
     def __getattr__(self, name):
         # called only when lookup fails: for a factored space's dist before
         # its first read
-        build = self.__dict__.get("_build")
-        if name != "dist" or build is None:
+        if name != "dist" or "_build" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n = len(self.labels)
-        logger.debug(
-            "factored space of %d points: building its dense %d x %d distance matrix",
-            n, n, n,
-        )
-        d = _symmetrized(build())
-        object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "_build", None)
-        return d
+        with _DENSE_BUILD:  # sweep blocks on the worker pool may read it at once
+            build = self._build
+            if build is not None:
+                n = len(self.labels)
+                logger.debug(
+                    "factored space of %d points: building its dense %d x %d distance matrix",
+                    n, n, n,
+                )
+                object.__setattr__(self, "dist", _symmetrized(build()))
+                object.__setattr__(self, "_build", None)
+        return self.__dict__["dist"]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -231,7 +233,7 @@ class ValidationReport:
     offending_triples: list
 
 
-def _band_workers() -> int:
+def _cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -239,45 +241,65 @@ def _band_workers() -> int:
 
 
 @functools.cache
-def _band_pool(threads: int):
-    """The threads that help the calling thread through the min-plus
-    square's row bands, started on first use."""
+def _pool(threads: int):
+    """The threads that help the calling thread through `_each`'s items,
+    one per further CPU, each started on first use."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(threads, thread_name_prefix="maglab-min-plus")
+    return ThreadPoolExecutor(threads, thread_name_prefix="maglab")
 
 
 # a forked child has none of its parent's threads, so it starts its own pool
-os.register_at_fork(after_in_child=_band_pool.cache_clear)
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _each_band(band: Callable[[int], None], starts: range) -> None:
-    """band(i) for every i in starts, inline when one CPU or one band
-    leaves nothing to share; otherwise the calling thread and the pool's
-    threads each take the next start until none is left."""
-    workers = min(_band_workers(), len(starts))
+def _each(
+    task: Callable, items: Sequence, scratch: Callable = lambda: None, cpus_per_task: int = 1
+) -> list:
+    """[task(x, s) for x in items], where each worker's s = scratch() is
+    made by the calling thread before any task starts.
+
+    A task keeps `cpus_per_task` CPUs busy, so there are as many workers
+    as such shares of the CPUs, and at most one per item.  Runs inline
+    when that leaves one worker; otherwise the calling thread and the
+    pool's threads each take the next item until none is left.  After an
+    error no further item is handed out, and once the started items
+    finish, the error of the first failed item in order is raised: the one
+    a loop would raise.
+    """
+    workers = min(_cpus() // cpus_per_task, len(items))
     if workers <= 1:
-        for i in starts:
-            band(i)
-        return
-    todo, lock = list(reversed(starts)), threading.Lock()
+        own = scratch()
+        return [task(x, own) for x in items]
+    results, failed = [None] * len(items), {}
+    todo, lock = list(reversed(range(len(items)))), threading.Lock()
 
-    def drain():
+    def drain(own):
         while True:
             with lock:
                 if not todo:
                     return
                 i = todo.pop()
-            band(i)
+            try:
+                results[i] = task(items[i], own)
+            except BaseException as exc:  # raised below, in item order
+                with lock:
+                    failed[i] = exc
+                    todo.clear()
+                return
 
-    helpers = [_band_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    owns = [scratch() for _ in range(workers)]
+    helpers = [_pool(_cpus() - 1).submit(drain, own) for own in owns[1:]]
     try:
-        drain()
+        drain(owns[0])
     finally:
-        with lock:  # after an error in the calling thread, hand out no more bands
+        with lock:  # after an interrupt in the calling thread, hand out no more items
             todo.clear()
         for helper in helpers:
             helper.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _min_plus_square(d: np.ndarray) -> np.ndarray:
@@ -286,7 +308,7 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     M is built in square tiles of side b, each summing rows of d against
     rows of e = d^T along the contiguous k axis, so that one tile's
     b * b * n sums stay in cache.  The tiles of one row block form a band,
-    and the bands run on every CPU the process may use (`_each_band`):
+    and the bands run on every CPU the process may use (`_each`):
     each tile of M is written by one band, and a minimum is exact in any
     order, so M is the same whatever the number of threads.
     """
@@ -297,7 +319,7 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     b = max(1, math.isqrt(_MIN_PLUS_TILE // n))
     m = np.full((n, n), np.inf)
 
-    def band(i):
+    def band(i, _):
         rows = slice(i, i + b)
         # an overflowed sum is +inf, never the minimum that shows a violation;
         # errstate is per thread, so each band sets its own
@@ -306,7 +328,7 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
                 cols = slice(j, j + b)
                 m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
 
-    _each_band(band, range(0, n, b))
+    _each(band, range(0, n, b))
     return np.minimum(m, m.T) if symmetric else m
 
 
@@ -329,7 +351,8 @@ def validate_metric(dist) -> ValidationReport:
     if not np.all(np.isfinite(d)):
         raise NonFiniteEntry("distance matrix contains non-finite entries")
 
-    worst_asym = float(np.abs(d - d.T).max())
+    with np.errstate(over="ignore"):  # an overflowed difference is +inf, which fails
+        worst_asym = float(np.abs(d - d.T).max())
     diag_bad = float(np.abs(np.diag(d)).max())
     off_diagonal = ~np.eye(n, dtype=bool)
     nonpos_off = bool(np.min(d, where=off_diagonal, initial=np.inf) <= 0)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParams
-from .magnitude import _spectra_by_scale, _verdict_index
+from .magnitude import _each_scale, _verdict_index
 from .metric_core import FiniteMetricSpace, _check_indices
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
@@ -84,12 +84,9 @@ def stability_scan(
     scales = sorted(float(t) for t in scales)
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
-    records = []
-    failing = []
-    for t, (_, diag) in zip(scales, _spectra_by_scale(space, scales)):
-        records.append(ScanRecord(t, diag.lambda_min))
-        if diag.verdict == "Indefinite":
-            failing.append(t)
+    diags = _each_scale(space, scales, lambda t, z, diag: diag)
+    records = [ScanRecord(t, diag.lambda_min) for t, diag in zip(scales, diags)]
+    failing = [t for t, diag in zip(scales, diags) if diag.verdict == "Indefinite"]
     nt = negative_type_test(space)
     if failing:
         classification = "NotStablyPD"

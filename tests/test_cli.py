@@ -123,6 +123,15 @@ class TestValidateCommand:
         assert capsys.readouterr().err == ""
 
 
+    def test_overflowing_asymmetry_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "asymmetric.csv"
+        path.write_text("0,1e308\n-1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", str(path)]).exit_code == 1
+        assert capsys.readouterr().err == ""
+
+
 class TestApproxCommand:
     def test_interval_study(self, tmp_path, capsys):
         out = tmp_path / "study.json"

@@ -1,8 +1,9 @@
 """Every name a maglab module imports is used in that module, importing
 maglab loads no scipy subpackage that its setup does not need, and only a
-triangle check with work to share starts a thread."""
+triangle check, sweep or scan with work to share starts a thread."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,30 +61,45 @@ def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
 
 
 def test_threads_start_only_for_shared_work():
-    """Importing the CLI and checking a one-band matrix (n <= 50) start no
-    thread and load no thread pool; a 400-point check starts at most one
-    thread per CPU beyond the caller."""
+    """Importing the CLI, checking a one-band matrix (n <= 50) and sweeping
+    one stacked block of scales (the 4,000-scale K_{3,2} sweep, the l_1 grid
+    sweep) start no thread and load no thread pool.  An 800-point sphere's
+    sweep and scan on one BLAS thread, then a 400-point check, start at most
+    one thread per CPU beyond the caller, all in the one pool."""
     code = (
         "import os, sys, threading\n"
         "import numpy as np\n"
         "import maglab.cli\n"
-        "from maglab import validate_metric\n"
+        "from maglab import SpaceSpec, generate, scale_sweep, stability_scan, validate_metric\n"
         "counts = [threading.active_count()]\n"
         "def cloud(n):\n"
         "    x = np.random.default_rng(n).uniform(0.0, 4.0, size=(n, 2))\n"
         "    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))\n"
         "assert validate_metric(cloud(50)).ok\n"
         "counts.append(threading.active_count())\n"
+        "k32 = generate(SpaceSpec('complete_bipartite', {'m': 3, 'n': 2, 'r': 1.0}))\n"
+        "scale_sweep(k32, np.linspace(0.2, 0.5, 4000))\n"
+        "grid = generate(SpaceSpec('grid_net', {'m': 31, 'n': 2, 'p': 1.0}))\n"
+        "scale_sweep(grid, np.geomspace(0.5, 16.0, 6))\n"
+        "counts.append(threading.active_count())\n"
         "assert 'concurrent.futures.thread' not in sys.modules\n"
+        "sphere = generate(SpaceSpec('sphere_fibonacci_net', {'n': 800}))\n"
+        "scale_sweep(sphere, np.geomspace(0.5, 16.0, 6))\n"
+        "stability_scan(sphere)\n"
+        "counts.append(threading.active_count())\n"
         "assert validate_metric(cloud(400)).ok\n"
         "counts.append(threading.active_count())\n"
-        "print(*counts, len(os.sched_getaffinity(0)))\n"
+        "main = threading.main_thread()\n"
+        "pools = {t.name.rsplit('_', 1)[0] for t in threading.enumerate() if t is not main}\n"
+        "print(*counts, len(pools), len(os.sched_getaffinity(0)))\n"
     )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    imported, one_band, shared, cpus = map(int, out.stdout.split())
-    assert imported == one_band == 1
-    assert 1 <= shared <= cpus
+                         check=True, env=env)
+    imported, one_band, one_block, swept, shared, pools, cpus = map(int, out.stdout.split())
+    assert imported == one_band == one_block == 1
+    assert 1 <= swept <= shared <= cpus
+    assert (swept > 1) == (cpus > 1) == (pools == 1)
 
 
 def test_unused_import_is_caught(tmp_path):

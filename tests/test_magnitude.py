@@ -1,7 +1,9 @@
+import functools
 import importlib
 import json
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from maglab.cli import _write_csv
 from maglab.magnitude import (
     ScaleSweep, SweepRecord, _kronecker_matvec, _similarity, _spectrum, _weighting,
 )
+from maglab import metric_core
 from maglab.metric_core import _json_default
 from maglab.negative_type import ScanRecord
 from maglab.errors import (
@@ -296,9 +299,9 @@ class TestOneEigensolvePerScale:
         name binding the one builder."""
         original = magnitude_module._similarities
 
-        def counted(dist, ts):
+        def counted(dist, ts, **kwargs):
             record(dist, ts)
-            return original(dist, ts)
+            return original(dist, ts, **kwargs)
 
         for name in ("maglab", "maglab.magnitude", "maglab.diversity",
                      "maglab.negative_type", "maglab.analysis", "maglab.cli"):
@@ -537,6 +540,115 @@ class TestStackedBlocks:
         diag = spectrum_diagnostics(random_cloud(3))
         assert type(diag.tolerance_used) is float
         assert type(diag.lambda_min) is float and type(diag.lambda_max) is float
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        """Run the blocks of scales on this many workers, the caller included,
+        each eigensolve on one BLAS thread."""
+        monkeypatch.setattr(metric_core, "_cpus", lambda: request.param)
+        monkeypatch.setattr(magnitude_module, "_blas_threads", lambda: 1)
+        return request.param
+
+    @staticmethod
+    def _references(space, grid):
+        diags = [_spectrum(_similarity(space, t)) for t in sorted(grid)]
+        return (repr(diags), repr(reference_sweep(space, grid)),
+                repr(reference_sweep(space, grid, True)), reference_scan(space, grid))
+
+    @staticmethod
+    def _assert_matches(space, grid, references):
+        diags, sweep, with_diversity, (records, failing) = references
+        ts = sorted(float(t) for t in grid)
+        assert repr(magnitude_module._each_scale(space, ts, lambda t, z, diag: diag)) == diags
+        assert repr(scale_sweep(space, grid)) == sweep
+        assert repr(scale_sweep(space, grid, True)) == with_diversity
+        report = stability_scan(space, grid)
+        assert repr(report.records) == repr(records)
+        assert report.failing_scales == failing
+
+    @pytest.mark.parametrize("space, grid", CASES)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_counts_around_the_worker_count(self, workers, offset, space, grid,
+                                                  monkeypatch):
+        """Twelve scales in one block fewer, as many blocks as, and one block
+        more than there are workers give the per-scale results."""
+        grid = np.geomspace(min(grid), max(grid), 12)
+        count = max(1, workers + offset)
+        per_block = -(-12 // count)
+        assert -(-12 // per_block) == count
+        sides = [len(d) for d in space.factors or (space.dist,)]
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES",
+                            per_block * sum(m * m for m in sides))
+        self._assert_matches(space, grid, self._references(space, grid))
+
+    @pytest.mark.parametrize("n", [724, 725, 800])
+    def test_large_spheres_on_any_worker_count(self, workers, n):
+        """Two scales per block at n = 724, one from n = 725; the smallest
+        scale is PositiveSemidefinite, so it has a diversity but no magnitude."""
+        space, grid, references = self._large_case(n)
+        assert "verdict='PositiveSemidefinite', magnitude=None, diversity=1." in references[2]
+        self._assert_matches(space, grid, references)
+
+    @classmethod
+    @functools.cache
+    def _large_case(cls, n):
+        grid = [1e-4, 1.0, 2.0][: 3 if n == 724 else 2]  # two blocks at every n
+        space = generate(SpaceSpec("sphere_fibonacci_net", {"n": n}))
+        return space, grid, cls._references(space, grid)
+
+    def test_bad_scale_raises_on_any_worker_count(self, workers, two_points, monkeypatch):
+        """A bad scale in the first or the last block raises what a loop
+        raises."""
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 4)  # one scale per block
+        with pytest.raises(NonpositiveScale, match="got inf"):
+            scale_sweep(two_points, [1.0, 2.0, math.inf, 3.0], with_diversity=True)
+        with pytest.raises(NonpositiveScale, match="got -1.0"):
+            stability_scan(two_points, [-1.0, 1.0, 2.0])
+
+    def test_factored_space_builds_its_dense_matrix_once(self, workers, monkeypatch,
+                                                         caplog):
+        """The diversity solves of a factored space's blocks, on any number
+        of workers, read one dense matrix, built on the first read."""
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 2 * 5 * 5)
+        space = generate(SpaceSpec("grid_net", {"m": 5, "n": 2, "p": 1.0}))
+        grid = np.geomspace(0.05, 20.0, 6)
+        with caplog.at_level(logging.DEBUG, logger="maglab"):
+            sweep = scale_sweep(space, grid, with_diversity=True)
+        assert [r.message for r in caplog.records].count(
+            "factored space of 25 points: building its dense 25 x 25 distance matrix") == 1
+        assert repr(sweep) == repr(reference_sweep(space, grid, True))
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers taking 40 one-scale blocks, switching as often as the
+        interpreter allows: a block lost, run twice or put out of order would
+        change the records."""
+        monkeypatch.setattr(metric_core, "_cpus", lambda: 8)
+        monkeypatch.setattr(magnitude_module, "_blas_threads", lambda: 1)
+        space, grid = self.CASES[2][0], np.geomspace(0.01, 4.0, 40)
+        expected = repr(reference_sweep(space, grid, True))
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", len(space) ** 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert repr(scale_sweep(space, grid, True)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("blas, threads", [
+        ({}, 4), ({"OMP_NUM_THREADS": "2"}, 2), ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+    ])
+    def test_blas_threads_follow_openblas(self, blas, threads, monkeypatch):
+        """OpenBLAS's own reading of its variables; without one it takes
+        every CPU."""
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(magnitude_module, "_cpus", lambda: 4)
+        assert magnitude_module._blas_threads() == threads
 
 
 class TestOneFactor:

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from maglab.metric_core import (
     FAMILY_TABLE,
     TRIANGLE_SLACK,
     ValidationReport,
+    _each,
     _lp_distances,
     _min_plus_square,
 )
@@ -174,7 +176,7 @@ class TestMinPlusTiles:
     def test_worker_counts(self, workers, side, monkeypatch):
         """Band counts below, equal to and above the worker count all give the
         row pass's M and the brute-force report."""
-        monkeypatch.setattr(metric_core, "_band_workers", lambda: workers)
+        monkeypatch.setattr(metric_core, "_cpus", lambda: workers)
         bands = set()
         for d in _tile_corpus((1, 2, 3, 4, 5, 6, 7, 9, 10)):
             n = d.shape[0]
@@ -188,7 +190,7 @@ class TestMinPlusTiles:
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight threads taking 90 one-row bands, switching as often as the
         interpreter allows: a band lost or written twice would change M."""
-        monkeypatch.setattr(metric_core, "_band_workers", lambda: 8)
+        monkeypatch.setattr(metric_core, "_cpus", lambda: 8)
         monkeypatch.setattr(metric_core, "_MIN_PLUS_TILE", 90)
         rng = np.random.default_rng(8)
         d = rng.uniform(0.1, 1.0, size=(90, 90))  # asymmetric: every band is full width
@@ -200,6 +202,30 @@ class TestMinPlusTiles:
                 assert np.array_equal(_min_plus_square(d), _row_pass_min_plus(d))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus_per_task", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_keeps_item_order_and_raises_the_first_error(
+            self, workers, cpus_per_task, monkeypatch):
+        """One scratch object per worker, made by the calling thread; results
+        in item order; of several failing items, the first one's error."""
+        monkeypatch.setattr(metric_core, "_cpus", lambda: workers * cpus_per_task)
+        makers = []
+
+        def scratch():
+            makers.append(threading.get_ident())
+            return []
+
+        def task(x, own):
+            own.append(x)
+            if x >= 3:
+                raise ValueError(x)
+            return x * x
+
+        assert _each(task, range(3), scratch, cpus_per_task) == [0, 1, 4]
+        assert makers == [threading.get_ident()] * workers
+        with pytest.raises(ValueError, match="^3$"):
+            _each(task, range(7), scratch, cpus_per_task)
 
     def test_700_point_cloud_matches_row_pass(self):
         rng = np.random.default_rng(700)
@@ -220,7 +246,7 @@ class TestValidateMetric:
     def test_forked_child_validates(self, monkeypatch):
         """A fork-context child of a process whose check has started its
         threads validates with threads of its own."""
-        monkeypatch.setattr(metric_core, "_band_workers", lambda: 2)
+        monkeypatch.setattr(metric_core, "_cpus", lambda: 2)
         pts = np.random.default_rng(300).uniform(0.0, 4.0, size=(300, 2))
         d = _lp_distances(pts, pts, 2.0)
         expected = repr(validate_metric(d))
@@ -247,7 +273,7 @@ class TestValidateMetric:
         """Sums of two entries near the float maximum overflow to +inf, which
         is never the minimum that shows a violation, in the caller's thread
         or the pool's."""
-        monkeypatch.setattr(metric_core, "_band_workers", lambda: workers)
+        monkeypatch.setattr(metric_core, "_cpus", lambda: workers)
         d = np.full((60, 60), 1.5e308)
         np.fill_diagonal(d, 0.0)
         broken = d.copy()
@@ -257,6 +283,14 @@ class TestValidateMetric:
             assert validate_metric(d) == ValidationReport(True, 0.0, 0.0, [])
             report = validate_metric(broken)
         assert not report.ok and report.offending_triples == [(1, 2, 0)]
+
+    def test_overflowing_asymmetry_fails_without_warning(self):
+        """d - d.T overflows to +inf on opposite entries near the float
+        maximum, and +inf fails the symmetry check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_metric([[0.0, 1e308], [-1e308, 0.0]])
+        assert not report.ok and report.worst_asymmetry == math.inf
 
     def test_matches_brute_force(self):
         for d in _validation_corpus():

@@ -41,7 +41,7 @@ from maglab import (
     weighting,
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
-from maglab.magnitude import _similarity, _spectra_by_scale, _spectrum, _weighting
+from maglab.magnitude import _each_scale, _similarity, _spectrum, _weighting
 
 EPS = np.finfo(float).eps
 TOL = 1e-12
@@ -369,7 +369,7 @@ def test_kronecker_paths_build_no_dense_matrix(unbuildable):
     assert report.magnitude == pytest.approx(_interval_magnitude(301, 1.0, 1.0) ** 2, rel=1e-12)
     ts = [100.0, 300.0, 900.0]
     assert [r.verdict for r in scale_sweep(space, ts).records] == ["PositiveDefinite"] * 3
-    assert len(list(_spectra_by_scale(space, ts))) == len(ts)
+    assert len(_each_scale(space, ts, lambda t, z, diag: diag)) == len(ts)
     study = growth_bound_study(spec, ts)
     assert len(study.checks) == len(ts)
     assert len(lp_product(space, _space("interval_net", n=3), 1.0).factors) == 3
