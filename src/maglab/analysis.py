@@ -174,10 +174,10 @@ def growth_bound_study(template: SpaceSpec, t_grid) -> GrowthStudy:
     """
     if template.family != "grid_net":
         raise InvalidParams("growth_bound_study expects a grid_net template")
+    space = generate(template)  # validates the template's parameters
     n = int(template.params.get("n", 2))
     p = float(template.params.get("p", 2.0))
     alpha = template.snowflake
-    space = generate(template)
     sweep = scale_sweep(space, t_grid)
     checks = []
     for rec in sweep.records:
@@ -276,18 +276,17 @@ def gamma_hat_1d(
         raise QuadratureDivergence(
             f"truncation tail {tail:.3g} exceeds tolerance; raise L"
         )
+    # the sampled transform has period N / L in w, so past N / (2L) it aliases
+    if omega_max > 0.5 * N / L:
+        raise InvalidParams(
+            f"omega_max {omega_max:g} exceeds the grid's Nyquist frequency "
+            f"N / (2L) = {0.5 * N / L:.3g}; raise N or lower L"
+        )
     x = np.linspace(0.0, L, N + 1)
     with np.errstate(over="ignore"):  # exp(-inf) is 0
         f = np.exp(-(x**p))
     omegas = np.linspace(0.0, omega_max, n_omega)
     values = _cosine_transform(f, x, omegas)
-    # the sampled transform has period N / L in w, so past N / (2L) it
-    # aliases; a grid so coarse that the transform overflowed failed above
-    if omega_max > N / (2.0 * L):
-        raise InvalidParams(
-            f"omega_max {omega_max:g} exceeds the grid's Nyquist frequency "
-            f"N / (2L) = {N / (2.0 * L):.3g}; raise N or lower L"
-        )
     positive = bool(values.min() > 0.0)
     dec_tol = 1e-7 * float(values.max())
     decreasing = bool(np.all(np.diff(values) <= dec_tol))

@@ -309,9 +309,8 @@ def run(argv) -> CommandResult:
         return CommandResult(2)
     except MaglabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        diag = getattr(exc, "diagnostics", None)
-        if diag is not None:
-            print(f"lambda_min: {diag.lambda_min:.6g}", file=sys.stderr)
+        if exc.diagnostics is not None:
+            print(f"lambda_min: {exc.diagnostics.lambda_min:.6g}", file=sys.stderr)
         return CommandResult(1)
     print(*lines, sep="\n")
     return CommandResult(exit_code)

@@ -2,7 +2,12 @@
 
 
 class MaglabError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors; ``diagnostics`` carries the spectrum
+    diagnostics behind a refusal, if any."""
+
+    def __init__(self, *args, diagnostics=None):
+        super().__init__(*args)
+        self.diagnostics = diagnostics
 
 
 class NonSquareMatrix(MaglabError):
@@ -43,10 +48,6 @@ class NotPositiveDefinite(MaglabError):
     Carries the spectrum diagnostics that triggered the refusal.
     """
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
 
 class DegenerateQuadraticForm(MaglabError):
     pass
@@ -57,9 +58,7 @@ class InsufficientRecords(MaglabError):
 
 
 class IndefiniteForm(MaglabError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    pass
 
 
 class NotConverged(MaglabError):

@@ -176,20 +176,18 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
     factors = space.factors or (space.dist,)
     k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
     blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
-    err = np.geterr()  # errstate is per thread, so each block sets the caller's
 
     def buffers():
         return {id(d): np.empty((len(blocks[0]),) + d.shape) for d in factors}
 
     def block(scales, bufs):
-        with np.errstate(**err):
-            zs = _per_distinct(
-                lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
-            )
-            return [
-                task(t, _per_distinct(lambda z: z[j], zs), diag)
-                for j, (t, diag) in enumerate(zip(scales, _spectra(zs)))
-            ]
+        zs = _per_distinct(
+            lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
+        )
+        return [
+            task(t, _per_distinct(lambda z: z[j], zs), diag)
+            for j, (t, diag) in enumerate(zip(scales, _spectra(zs)))
+        ]
 
     return [r for rs in _each(block, blocks, buffers, _blas_threads()) for r in rs]
 
@@ -281,6 +279,9 @@ def scale_sweep(
     if not ts:
         raise InsufficientRecords("scale grid must be nonempty")
     from .diversity import _max_diversity
+
+    if with_diversity:
+        space.dist  # a factored space builds its dense matrix here, not on a worker
 
     def record(t, z, diag):
         mag = div = None

@@ -37,7 +37,6 @@ TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
 
 logger = logging.getLogger("maglab")
-_DENSE_BUILD = threading.RLock()  # held while factored spaces build dense matrices
 
 
 def _json_default(obj):
@@ -124,29 +123,15 @@ class FiniteMetricSpace:
     ambient coordinates when the generating family has a natural
     embedding (intervals, Cantor sets, grids, spheres, point clouds);
     the net-convergence study reads them for each level's Hausdorff gap and
-    for its 1-D quadrature cells.  ``factors`` holds, for a space that is an
-    l_1 sum of factor metrics (an l_1 grid_net, an l_1 product), the
-    factors' distance matrices, first factor slowest in the point order, so
-    that Z(tX) is the Kronecker product of the factors' Z; only `generate`
-    and `lp_product` set it, and every other space has none.
-
-    A space with factors stores no dense ``dist``: the spectra, weightings,
-    magnitudes, sweeps and scans read only the factors.  Its first read of
-    ``dist`` builds the matrix with the dense code of its constructor,
-    logs a debug event on the "maglab" logger, and caches it read-only.  The
-    readers are subspaces, Hausdorff distances, the diameter, the metric
-    transforms, `similarity` and through it the diversity solve and
-    `rayleigh`, and the Gram test.
+    for its 1-D quadrature cells.  ``factors`` is empty here; `_L1Sum`, an
+    l_1 sum of factor metrics, holds its factors' distance matrices there.
     """
 
     labels: Sequence
     dist: np.ndarray = field(repr=False)
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
-    factors: tuple = field(default=(), init=False, repr=False, compare=False)
-    _build: Optional[Callable[[], np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    factors = ()  # a class attribute, not a field
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -161,50 +146,6 @@ class FiniteMetricSpace:
         object.__setattr__(self, "labels", _labels(self.labels))
         if self.coords is not None:
             object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
-
-    @classmethod
-    def _from_factors(
-        cls, labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
-        provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
-    ) -> "FiniteMetricSpace":
-        """The l_1 sum of `factors`, whose dense matrix `build()` makes on
-        the first read of ``dist``.
-
-        Its largest distance is the sum of the factors' largest, added in
-        order, so an overflow raises NonFiniteEntry here, as a dense build
-        would.
-        """
-        peak = 0.0
-        for f in factors:
-            peak += float(f.max())
-        if not math.isfinite(peak):
-            raise NonFiniteEntry("distance matrix contains non-finite entries")
-        space = object.__new__(cls)
-        object.__setattr__(space, "labels", _labels(labels))
-        object.__setattr__(space, "provenance", provenance)
-        object.__setattr__(
-            space, "coords", None if coords is None else _readonly(np.atleast_2d(coords))
-        )
-        object.__setattr__(space, "factors", factors)
-        object.__setattr__(space, "_build", build)
-        return space
-
-    def __getattr__(self, name):
-        # called only when lookup fails: for a factored space's dist before
-        # its first read
-        if name != "dist" or "_build" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _DENSE_BUILD:  # sweep blocks on the worker pool may read it at once
-            build = self._build
-            if build is not None:
-                n = len(self.labels)
-                logger.debug(
-                    "factored space of %d points: building its dense %d x %d distance matrix",
-                    n, n, n,
-                )
-                object.__setattr__(self, "dist", _symmetrized(build()))
-                object.__setattr__(self, "_build", None)
-        return self.__dict__["dist"]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -223,6 +164,46 @@ class FiniteMetricSpace:
             dist=self.dist[np.ix_(idx, idx)],
             coords=None if self.coords is None else self.coords[idx],
         )
+
+
+class _L1Sum(FiniteMetricSpace):
+    """The l_1 sum of `factors`, first factor slowest in the point order, so
+    that Z(tX) is the Kronecker product of the factors' Z; only `generate`
+    and `lp_product` make one.
+
+    Spectra, weightings, magnitudes, sweeps and scans read only the
+    factors.  The first read of ``dist`` builds it with `build`, the dense
+    code of the constructor, logs a debug event on the "maglab" logger and
+    caches it read-only; threads that read it first at once may each build
+    it, with the same bits.  Its readers are subspaces, Hausdorff
+    distances, the diameter, the metric transforms, `similarity` (so the
+    diversity solve and `rayleigh`) and the Gram test.
+    """
+
+    def __init__(
+        self, labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
+        provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
+    ):
+        # the largest distance is the sum of the factors' largest, added in
+        # order, so an overflow raises here, as a dense build would
+        peak = 0.0
+        for f in factors:
+            peak += float(f.max())
+        if not math.isfinite(peak):
+            raise NonFiniteEntry("distance matrix contains non-finite entries")
+        self.__dict__.update(
+            labels=_labels(labels), provenance=provenance, factors=factors, _build=build,
+            coords=None if coords is None else _readonly(np.atleast_2d(coords)),
+        )
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        n = len(self.labels)
+        logger.debug(
+            "factored space of %d points: building its dense %d x %d distance matrix",
+            n, n, n,
+        )
+        return _symmetrized(self._build())
 
 
 @dataclass(frozen=True)
@@ -262,10 +243,10 @@ def _each(
     A task keeps `cpus_per_task` CPUs busy, so there are as many workers
     as such shares of the CPUs, and at most one per item.  Runs inline
     when that leaves one worker; otherwise the calling thread and the
-    pool's threads each take the next item until none is left.  After an
-    error no further item is handed out, and once the started items
-    finish, the error of the first failed item in order is raised: the one
-    a loop would raise.
+    pool's threads each take the next item until none is left, all under
+    the calling thread's `np.geterr()`.  After an error no further item is
+    handed out, and once the started items finish, the error of the first
+    failed item in order is raised: the one a loop would raise.
     """
     workers = min(_cpus() // cpus_per_task, len(items))
     if workers <= 1:
@@ -273,20 +254,22 @@ def _each(
         return [task(x, own) for x in items]
     results, failed = [None] * len(items), {}
     todo, lock = list(reversed(range(len(items)))), threading.Lock()
+    err = np.geterr()  # errstate is per thread, so each worker sets the caller's
 
     def drain(own):
-        while True:
-            with lock:
-                if not todo:
-                    return
-                i = todo.pop()
-            try:
-                results[i] = task(items[i], own)
-            except BaseException as exc:  # raised below, in item order
+        with np.errstate(**err):
+            while True:
                 with lock:
-                    failed[i] = exc
-                    todo.clear()
-                return
+                    if not todo:
+                        return
+                    i = todo.pop()
+                try:
+                    results[i] = task(items[i], own)
+                except BaseException as exc:  # raised below, in item order
+                    with lock:
+                        failed[i] = exc
+                        todo.clear()
+                    return
 
     owns = [scratch() for _ in range(workers)]
     helpers = [_pool(_cpus() - 1).submit(drain, own) for own in owns[1:]]
@@ -321,14 +304,13 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
 
     def band(i, _):
         rows = slice(i, i + b)
-        # an overflowed sum is +inf, never the minimum that shows a violation;
-        # errstate is per thread, so each band sets its own
-        with np.errstate(over="ignore"):
-            for j in range(i if symmetric else 0, n, b):  # a symmetric d gives a symmetric M
-                cols = slice(j, j + b)
-                m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
+        for j in range(i if symmetric else 0, n, b):  # a symmetric d gives a symmetric M
+            cols = slice(j, j + b)
+            m[rows, cols] = (d[rows, None, :] + e[None, cols, :]).min(axis=2)
 
-    _each(band, range(0, n, b))
+    # an overflowed sum is +inf, never the minimum that shows a violation
+    with np.errstate(over="ignore"):
+        _each(band, range(0, n, b))
     return np.minimum(m, m.T) if symmetric else m
 
 
@@ -506,13 +488,13 @@ def _gen_grid(params, seed):
     return _lp_distances(pts, pts, p), pts
 
 
-def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> FiniteMetricSpace:
+def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> _L1Sum:
     """The l_1 grid_net at snowflake 1: the l_1 sum of n copies of the scaled
     axis metric, with the dense matrix `generate` would build on demand."""
     pts = _grid_points(axis, n)
     x = axis[:, None]
     factor = _readonly(spec.scale * _lp_distances(x, x, 1.0))
-    return FiniteMetricSpace._from_factors(
+    return _L1Sum(
         range(len(pts)), (factor,) * n,
         lambda: spec.scale * _lp_distances(pts, pts, 1.0),
         provenance=spec, coords=pts,
@@ -682,7 +664,7 @@ def lp_product(
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     if q == 1:
         factors = (a.factors or (a.dist,)) + (b.factors or (b.dist,))
-        return FiniteMetricSpace._from_factors(labels, factors, lambda: _product_dist(a, b, q))
+        return _L1Sum(labels, factors, lambda: _product_dist(a, b, q))
     return FiniteMetricSpace(labels=labels, dist=_product_dist(a, b, q))
 
 

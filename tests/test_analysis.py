@@ -16,6 +16,7 @@ from maglab import (
     product_counterexample_experiment,
     witness_search,
 )
+from maglab import analysis as analysis_module
 from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
 )
@@ -206,6 +207,13 @@ class TestGrowthBoundStudy:
         with pytest.raises(InvalidParams):
             growth_bound_study(SpaceSpec("interval_net", {"n": 5}), [1.0])
 
+    @pytest.mark.parametrize("params", [{"m": 3, "n": "x"}, {"m": 3, "p": "y"}])
+    def test_bad_template_parameter_is_invalid_params(self, params):
+        """The template is generated, and so validated, before the study
+        reads its n and p."""
+        with pytest.raises(InvalidParams):
+            growth_bound_study(SpaceSpec("grid_net", params), [1.0, 2.0])
+
     def test_repeated_scales_are_insufficient(self):
         # three checks at one scale give no slope
         grid = SpaceSpec("grid_net", {"n": 2, "p": 1.0, "m": 5})
@@ -250,6 +258,18 @@ class TestGammaHat:
         """omega_max = 10 past N / (2L) at N = 2^16 would alias the transform."""
         with pytest.raises(InvalidParams, match="Nyquist"):
             gamma_hat_1d(p, L=L)
+
+    def test_unresolved_grid_is_refused_before_the_transform(self, monkeypatch):
+        """N / (2L) is taken as 0.5 * N / L, which does not overflow at
+        L = 1e308, and a refused grid pays no transform."""
+        def refuse(*args):
+            raise AssertionError("an unresolved grid was transformed")
+
+        monkeypatch.setattr(analysis_module, "_cosine_transform", refuse)
+        with pytest.raises(InvalidParams, match=r"N / \(2L\) = 3.28e-304;"):
+            gamma_hat_1d(1.0, L=1e308)
+        with pytest.raises(InvalidParams, match="Nyquist"):
+            gamma_hat_1d(1.0, L=1e4)
 
     def test_nyquist_edge_is_accepted(self):
         assert gamma_hat_1d(1.0, L=40.0, N=800).positive  # N / (2L) = 10 exactly

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -617,6 +618,19 @@ class TestStackedBlocks:
         assert [r.message for r in caplog.records].count(
             "factored space of 25 points: building its dense 25 x 25 distance matrix") == 1
         assert repr(sweep) == repr(reference_sweep(space, grid, True))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_dense_build_runs_on_the_calling_thread(self, cpus, monkeypatch, caplog):
+        """A factored space's diversity sweep on several workers, one scale
+        per block, builds its dense matrix on the calling thread."""
+        monkeypatch.setattr(metric_core, "_cpus", lambda: cpus)
+        monkeypatch.setattr(magnitude_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 2 * 5 * 5)
+        space = generate(SpaceSpec("grid_net", {"m": 5, "n": 2, "p": 1.0}))
+        with caplog.at_level(logging.DEBUG, logger="maglab"):
+            scale_sweep(space, np.geomspace(0.05, 20.0, 6), with_diversity=True)
+        builds = [r for r in caplog.records if r.message.startswith("factored space")]
+        assert [r.thread for r in builds] == [threading.get_ident()]
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers taking 40 one-scale blocks, switching as often as the

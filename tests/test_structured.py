@@ -18,6 +18,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from maglab import (
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
 from maglab.magnitude import _each_scale, _similarity, _spectrum, _weighting
+from maglab.metric_core import _L1Sum
 
 EPS = np.finfo(float).eps
 TOL = 1e-12
@@ -348,12 +351,10 @@ def test_overflowing_sum_refused_when_built():
 @pytest.fixture
 def unbuildable(monkeypatch):
     """Make any read of a factored space's dist fail."""
-    def refuse(self, name):
-        if name == "dist":
-            raise AssertionError("a factored space built its dense distance matrix")
-        raise AttributeError(name)
+    def refuse(self):
+        raise AssertionError("a factored space built its dense distance matrix")
 
-    monkeypatch.setattr(FiniteMetricSpace, "__getattr__", refuse)
+    monkeypatch.setattr(_L1Sum, "dist", property(refuse))
 
 
 def test_kronecker_paths_build_no_dense_matrix(unbuildable):
@@ -385,6 +386,28 @@ def test_first_dense_read_is_logged(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "factored space of 25 points: building its dense 25 x 25 distance matrix"
     ]
+
+
+def test_concurrent_first_reads_agree():
+    """Four threads that read a fresh factored space's dist at once, switching
+    as often as the interpreter allows, each get the dense build; none raises."""
+    space = _grid(30, 2, 1.0)
+    barrier = threading.Barrier(4)
+
+    def read(_):
+        barrier.wait(timeout=60)
+        return space.dist
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            reads = list(pool.map(read, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = _grid(30, 2, 1.0).dist
+    for d in reads:
+        assert np.array_equal(d, expected) and not d.flags.writeable
 
 
 def test_million_point_sweep_stays_small(tmp_path):
