@@ -10,7 +10,9 @@ similarity matrices, never formed: for a space with factors, an l_1 sum of
 factor metrics, one matrix per factor, and for any other space the 1-tuple
 of Z itself.  The eigenvalues of Z are the products of the factors'
 eigenvalues, and its weighting is the Kronecker product of theirs
-(Leinster, arXiv:1012.5857).  The diversity solve stays dense.
+(Leinster, arXiv:1012.5857).  For distinct points of the line they
+take `_Path`, which reads the gaps between the sorted points in O(n).  The
+diversity solve stays dense.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .errors import (
     DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NonFiniteEntry,
     NotPositiveDefinite,
 )
-from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each
+from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each, _Line
 
 logger = logging.getLogger("maglab")
 
 _STACK_ENTRIES = 2**20  # similarity entries per stacked eigensolve of a sweep or scan
+_GAP_FLOOR = 1e-150  # least t * gap that `_Path.spectrum` puts in its bidiagonal
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 _VERDICTS = ("Indefinite", "PositiveSemidefinite", "PositiveDefinite")
@@ -115,9 +118,76 @@ def _per_distinct(fn, items) -> tuple:
     return tuple(done[id(a)] for a in items)
 
 
-def _similarity(space: FiniteMetricSpace, t: float = 1.0) -> tuple:
-    """Z(tX) as the private helpers take it: the tuple of the factors'
-    similarity matrices, or (`similarity`,) for a space without factors."""
+class _Path:
+    """Z(tX) of distinct points of the line, never formed: for the sorted
+    points, Z_ij is the product of q_e = exp(-a_e) over the gaps e between
+    i and j, with a_e = t l_e for each gap length l_e.
+
+    That is the covariance of an Ornstein-Uhlenbeck chain, so Z^-1 = B'B
+    with B its lower-bidiagonal innovation matrix: B_11 = 1, and row i + 1
+    has 1 / s_i on the diagonal and -q_i / s_i left of it, where
+    s_i = sqrt(1 - q_i^2).  Vectors are in the space's point order.
+    """
+
+    def __init__(self, order: np.ndarray, a: np.ndarray):
+        self.order = order
+        self.a = a
+        self.q = np.exp(-a)
+
+    def spectrum(self) -> SpectrumDiagnostics:
+        """lambda_max = 1 / sigma_min(B)^2 and lambda_min = 1 / sigma_max(B)^2,
+        each singular value found by bisection, to high relative accuracy,
+        on B's Golub-Kahan form: zero diagonal and off-diagonal
+        1, q_1 / s_1, 1 / s_1, q_2 / s_2, 1 / s_2, ..."""
+        # a gap below the floor moves lambda_min by less than the floor, and
+        # keeps the squares of B's entries (below 2 / a) far from overflow
+        s = np.sqrt(-np.expm1(-2.0 * np.maximum(self.a, _GAP_FLOOR)))
+        n = len(self.a) + 1
+        off = np.empty(2 * n - 1)
+        off[0] = 1.0
+        off[1::2] = self.q / s
+        off[2::2] = 1.0 / s
+        sigma_min, sigma_max = (
+            scipy.linalg.eigvalsh_tridiagonal(
+                np.zeros(2 * n), off, select="i", select_range=(k, k),
+                tol=np.finfo(float).tiny,
+            )[0]
+            for k in (n, 2 * n - 1)
+        )
+        return _diagnostics(np.array([sigma_max**-2]), np.array([sigma_min**-2]))[0]
+
+    def weighting(self) -> np.ndarray:
+        """Leinster's w_v = 1 - sum over the gaps e at v of 1 / (1 + e^a_e).
+        As 1 - 1 / (1 + e^a) = (1 + tanh(a / 2)) / 2, an end point weighs
+        (1 + tanh(a / 2)) / 2 and an inner point half the sum of its two
+        gaps' tanh(a / 2), with no cancellation."""
+        h = 0.5 * np.tanh(0.5 * self.a)
+        w = np.empty(len(h) + 1)
+        w[self.order] = np.append(0.5, h) + np.append(h, 0.5)
+        return w
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Z v = L + R - v, in sorted order, with L_i = v_i + q_(i-1) L_(i-1)
+        summing v over the points up to i and R_i = v_i + q_i R_(i+1) from i on."""
+        u = v[self.order].tolist()
+        q = self.q.tolist()
+        left, right = u[:], u[:]
+        for i in range(1, len(u)):
+            left[i] += q[i - 1] * left[i - 1]
+        for i in range(len(u) - 2, -1, -1):
+            right[i] += q[i] * right[i + 1]
+        out = np.empty(len(u))
+        out[self.order] = np.add(left, right) - u
+        return out
+
+
+def _similarity(space: FiniteMetricSpace, t: float = 1.0):
+    """Z(tX) as the private helpers take it: a `_Path` for distinct points
+    of the line, the tuple of the factors' similarity matrices for a space
+    with factors, or (`similarity`,) for any other space."""
+    if isinstance(space, _Line):
+        _check_scale(t)
+        return _Path(space.order, t * space.gaps)
     if space.factors:
         return _per_distinct(lambda d: _similarities(d, [t])[0], space.factors)
     return (similarity(space, t),)
@@ -128,8 +198,11 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     return _spectrum(_similarity(space))
 
 
-def _spectrum(z: tuple) -> SpectrumDiagnostics:
-    """`spectrum_diagnostics`, given the similarity matrix's factors."""
+def _spectrum(z) -> SpectrumDiagnostics:
+    """`spectrum_diagnostics`, given the similarity matrix as `_similarity`
+    gives it."""
+    if isinstance(z, _Path):
+        return z.spectrum()
     return _spectra(_per_distinct(lambda f: f[None], z))[0]
 
 
@@ -208,21 +281,25 @@ def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     return _weighting(_similarity(space), diag)
 
 
-def _weighting(z: tuple, diag: SpectrumDiagnostics) -> MagnitudeReport:
-    """`weighting`, given the similarity matrix's factors and its spectrum
-    diagnostics."""
+def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
+    """`weighting`, given the similarity matrix as `_similarity` gives it
+    and its spectrum diagnostics."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    # every factor of a PD product is PD: a factor's lambda_max is at least
-    # its mean eigenvalue 1, and the product's extremes are the products of
-    # the factors' extremes
-    ws = _per_distinct(lambda f: _solve(f, diag), z)
-    w = functools.reduce(np.multiply.outer, ws).ravel()
-    mag = math.prod(float(f.sum()) for f in ws)
-    residual = float(np.abs(_kronecker_matvec(z, w) - 1.0).max())
+    if isinstance(z, _Path):
+        w = z.weighting()
+        mag, zw = float(w.sum()), z.matvec(w)
+    else:
+        # every factor of a PD product is PD: a factor's lambda_max is at
+        # least its mean eigenvalue 1, and the product's extremes are the
+        # products of the factors' extremes
+        ws = _per_distinct(lambda f: _solve(f, diag), z)
+        w = functools.reduce(np.multiply.outer, ws).ravel()
+        mag, zw = math.prod(float(f.sum()) for f in ws), _kronecker_matvec(z, w)
+    residual = float(np.abs(zw - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
     return MagnitudeReport(
         magnitude=mag, weighting=w, residual=residual,
@@ -259,13 +336,17 @@ def magnitude(space: FiniteMetricSpace) -> float:
 
 
 def rayleigh(space: FiniteMetricSpace, mu) -> float:
-    """The quotient (sum mu)^2 / (mu' Z mu)."""
+    """The quotient (sum mu)^2 / (mu' Z mu); a space with factors reads its
+    dense Z, as the diversity solve does."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (len(space),):
         raise InvalidParams(f"mu must have {len(space)} entries, got shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
         raise NonFiniteEntry("mu contains non-finite entries")
-    denom = float(mu @ similarity(space) @ mu)
+    if isinstance(space, _Line):
+        denom = float(mu @ _similarity(space).matvec(mu))
+    else:
+        denom = float(mu @ similarity(space) @ mu)
     if abs(denom) <= 1e-14 * float(mu @ mu):
         raise DegenerateQuadraticForm("quadratic form vanishes at this vector")
     return float(mu.sum()) ** 2 / denom

@@ -1,7 +1,8 @@
 """Validated finite metric spaces, metric transforms, and space generators.
 
 Distances are dense symmetric numpy arrays at full double precision.  A
-space that is an l_1 sum of factor metrics stores only its factors and
+space that is an l_1 sum of factor metrics stores only its factors, and a
+generated set of distinct points on the line only its sorted gaps; each
 builds its dense matrix on first read.  All values are immutable after
 construction and all operations are pure functions.
 """
@@ -125,6 +126,8 @@ class FiniteMetricSpace:
     the net-convergence study reads them for each level's Hausdorff gap and
     for its 1-D quadrature cells.  ``factors`` is empty here; `_L1Sum`, an
     l_1 sum of factor metrics, holds its factors' distance matrices there.
+    `generate` gives distinct points of the line as `_Line`, which keeps
+    their sorted gaps in place of ``dist``.
     """
 
     labels: Sequence
@@ -166,19 +169,50 @@ class FiniteMetricSpace:
         )
 
 
-class _L1Sum(FiniteMetricSpace):
+class _Lazy(FiniteMetricSpace):
+    """A space that keeps a structure in place of its distance matrix.
+
+    The first read of ``dist`` builds it with `_build`, the dense code of
+    the constructor, logs a debug event on the "maglab" logger and caches
+    it read-only; threads that read it first at once may each build it,
+    with the same bits.  `_build` is a partial of a module-level function,
+    so the space pickles before and after that read.
+    """
+
+    _kind = ""  # the structure, as the debug event names it
+
+    def __init__(
+        self, labels: Sequence, build: Callable[[], np.ndarray],
+        provenance: Optional[SpaceSpec], coords: Optional[np.ndarray], **structure,
+    ):
+        self.__dict__.update(
+            labels=_labels(labels), provenance=provenance, _build=build,
+            coords=None if coords is None else _readonly(np.atleast_2d(coords)),
+            **structure,
+        )
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        n = len(self.labels)
+        logger.debug(
+            "%s space of %d points: building its dense %d x %d distance matrix",
+            self._kind, n, n, n,
+        )
+        return _symmetrized(self._build())
+
+
+class _L1Sum(_Lazy):
     """The l_1 sum of `factors`, first factor slowest in the point order, so
     that Z(tX) is the Kronecker product of the factors' Z; only `generate`
     and `lp_product` make one.
 
     Spectra, weightings, magnitudes, sweeps and scans read only the
-    factors.  The first read of ``dist`` builds it with `build`, the dense
-    code of the constructor, logs a debug event on the "maglab" logger and
-    caches it read-only; threads that read it first at once may each build
-    it, with the same bits.  Its readers are subspaces, Hausdorff
-    distances, the diameter, the metric transforms, `similarity` (so the
-    diversity solve and `rayleigh`) and the Gram test.
+    factors.  The readers of ``dist`` are subspaces, Hausdorff distances,
+    the diameter, the metric transforms, `similarity` (so the diversity
+    solve and `rayleigh`) and the Gram test.
     """
+
+    _kind = "factored"
 
     def __init__(
         self, labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
@@ -191,19 +225,48 @@ class _L1Sum(FiniteMetricSpace):
             peak += float(f.max())
         if not math.isfinite(peak):
             raise NonFiniteEntry("distance matrix contains non-finite entries")
-        self.__dict__.update(
-            labels=_labels(labels), provenance=provenance, factors=factors, _build=build,
-            coords=None if coords is None else _readonly(np.atleast_2d(coords)),
-        )
+        super().__init__(labels, build, provenance, coords, factors=factors)
 
-    @functools.cached_property
-    def dist(self) -> np.ndarray:
-        n = len(self.labels)
-        logger.debug(
-            "factored space of %d points: building its dense %d x %d distance matrix",
-            n, n, n,
-        )
-        return _symmetrized(self._build())
+
+class _Line(_Lazy):
+    """Distinct points of the real line at distance scale * |x - y|: the
+    l_p metric, p >= 1, of one coordinate.  Keeps ``order``, the
+    permutation that sorts the points, and ``gaps``, the distances between
+    consecutive sorted points, on which Z(tX) alone depends; only
+    `generate` makes one.
+
+    Spectra, weightings, magnitudes and Rayleigh quotients read only
+    those, in O(n).  The readers of ``dist`` are those of `_L1Sum`'s, and
+    sweeps and scans.
+    """
+
+    _kind = "line"
+
+
+def _scaled_distances(scale: float, x: np.ndarray, p: float) -> np.ndarray:
+    """`generate`'s distances of the points x in l_p at snowflake 1."""
+    return scale * _lp_distances(x, x, p)
+
+
+def _line(spec: SpaceSpec, x: np.ndarray, p: float) -> Optional[_Line]:
+    """The points x in l_p as a `_Line`, or None unless they are distinct
+    points of one coordinate at snowflake 1 and p >= 1, where the l_p
+    distance is |x - y|."""
+    if spec.snowflake != 1.0 or x.shape[1] != 1 or not p >= 1:
+        return None
+    order = np.argsort(x[:, 0], kind="stable")
+    order.setflags(write=False)
+    # the kernel's own arithmetic: each gap has the bits of its dist entry
+    gaps = spec.scale * _lp_norm(np.abs(np.diff(x[order], axis=0)), p)
+    if not np.all(gaps > 0):  # repeated points (and NaN) stay dense
+        return None
+    # the largest distance, from first to last; the others are no larger
+    if not np.isfinite(spec.scale * _lp_norm(np.abs(x[order[-1:]] - x[order[:1]]), p)[0]):
+        raise NonFiniteEntry("distance matrix contains non-finite entries")
+    return _Line(
+        range(len(x)), functools.partial(_scaled_distances, spec.scale, x, p), spec, x,
+        order=order, gaps=_readonly(gaps),
+    )
 
 
 @dataclass(frozen=True)
@@ -435,16 +498,15 @@ def _gen_interval(params, seed):
     length = _real(params, "length", 1.0)
     n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
-    x = np.linspace(0.0, length, n)[:, None]
-    return _lp_distances(x, x, 1.0), x
+    return 1.0, np.linspace(0.0, length, n)[:, None]
 
 
 def _gen_interval_chebyshev(params, seed):
     length = _real(params, "length", 1.0)
     n = _count(params, "n")
     _require(length > 0 and n >= 1, "interval_chebyshev_net needs length > 0, n >= 1")
-    x = 0.5 * length * (1.0 - np.cos(math.pi * np.arange(n) / max(n - 1, 1)))[:, None]
-    return _lp_distances(x, x, 2.0), x
+    x = 0.5 * length * (1.0 - np.cos(math.pi * np.arange(n) / max(n - 1, 1)))
+    return 2.0, x[:, None]
 
 
 def _gen_circle(params, seed):
@@ -464,8 +526,7 @@ def _gen_cantor(params, seed):
     pts = np.array([0.0, 1.0])
     for _ in range(level - 1):
         pts = np.concatenate([pts / 3.0, 2.0 / 3.0 + pts / 3.0])
-    x = np.sort(pts)[:, None] * length
-    return _lp_distances(x, x, 1.0), x
+    return 1.0, np.sort(pts)[:, None] * length
 
 
 def _grid_axis(params) -> tuple:
@@ -484,8 +545,7 @@ def _grid_points(axis: np.ndarray, n: int) -> np.ndarray:
 
 def _gen_grid(params, seed):
     axis, n, p = _grid_axis(params)
-    pts = _grid_points(axis, n)
-    return _lp_distances(pts, pts, p), pts
+    return p, _grid_points(axis, n)
 
 
 def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> _L1Sum:
@@ -493,11 +553,10 @@ def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> _L1Sum:
     axis metric, with the dense matrix `generate` would build on demand."""
     pts = _grid_points(axis, n)
     x = axis[:, None]
-    factor = _readonly(spec.scale * _lp_distances(x, x, 1.0))
+    factor = _readonly(_scaled_distances(spec.scale, x, 1.0))
     return _L1Sum(
         range(len(pts)), (factor,) * n,
-        lambda: spec.scale * _lp_distances(pts, pts, 1.0),
-        provenance=spec, coords=pts,
+        functools.partial(_scaled_distances, spec.scale, pts, 1.0), provenance=spec, coords=pts,
     )
 
 
@@ -578,11 +637,12 @@ def _gen_point_cloud(params, seed):
     if pts.ndim == 1:
         pts = pts[:, None]
     _require(pts.ndim == 2 and len(pts) >= 1, "point_cloud_lp needs at least one point")
-    return _lp_distances(pts, pts, p), pts
+    return p, pts
 
 
 # family name -> (generator, the parameter a refinement level substitutes);
-# every generator maps (params, seed) to (distances, coordinates or None)
+# every generator maps (params, seed) to (distances, coordinates or None),
+# and a family of points in l_p gives p in place of their distances
 FAMILY_TABLE = {
     "interval_net": (_gen_interval, "n"),
     "interval_chebyshev_net": (_gen_interval_chebyshev, "n"),
@@ -604,8 +664,9 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
     seed the family cannot read raises InvalidParams, and a distance that
     overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
-    An l_1 grid_net with snowflake 1 carries its factors and builds its
-    dense matrix only when read.
+    At snowflake 1 an l_1 grid_net carries its factors, and distinct points
+    of the line (a family of points in l_p, p >= 1, with one coordinate)
+    their sorted gaps; each builds its dense matrix only when read.
     """
     with np.errstate(all="ignore"):
         try:
@@ -614,6 +675,11 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
                 if p == 1.0:
                     return _l1_grid(spec, axis, n)
             base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
+            if isinstance(base, float):  # p, for points in l_p
+                line = _line(spec, coords, base)
+                if line is not None:
+                    return line
+                base = _lp_distances(coords, coords, base)
         except KeyError as exc:
             raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -664,7 +730,7 @@ def lp_product(
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     if q == 1:
         factors = (a.factors or (a.dist,)) + (b.factors or (b.dist,))
-        return _L1Sum(labels, factors, lambda: _product_dist(a, b, q))
+        return _L1Sum(labels, factors, functools.partial(_product_dist, a, b, q))
     return FiniteMetricSpace(labels=labels, dist=_product_dist(a, b, q))
 
 

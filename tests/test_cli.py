@@ -519,6 +519,19 @@ def _spec_argvs(spec, tmp_path):
 
 
 class TestNoTraceback:
+    def test_memory_error_is_one_line(self, two_point_csv, monkeypatch, capsys):
+        def allocate(space):
+            # 2^49 bytes, past the 2^47-byte user address space of x86-64,
+            # which no overcommit setting grants: refused at once
+            return np.empty(2**46)
+
+        monkeypatch.setattr("maglab.cli.weighting", allocate)
+        assert run(["magnitude", "--matrix", two_point_csv]).exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: MemoryError: Unable to allocate 512. TiB")
+
     @pytest.mark.parametrize("spec", NONFINITE_SPECS)
     def test_nonfinite_distances_refused(self, spec, tmp_path, capsys):
         for argv in _spec_argvs(spec, tmp_path):
