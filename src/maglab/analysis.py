@@ -16,7 +16,8 @@ import numpy as np
 import scipy.special
 
 from .errors import (
-    InvalidParams, NonFiniteEntry, NotPositiveDefinite, QuadratureDivergence,
+    DegenerateQuadraticForm, InvalidParams, NonFiniteEntry, NotPositiveDefinite,
+    QuadratureDivergence,
 )
 from .magnitude import (
     _similarities, _verdict_index, magnitude_dimension_estimate, rayleigh, scale_sweep,
@@ -119,7 +120,7 @@ def approx_magnitude(
             else:
                 value = weighting(space).magnitude
             records.append(StudyRecord(k, len(space), gap, value))
-        except NotPositiveDefinite as exc:
+        except (NotPositiveDefinite, DegenerateQuadraticForm) as exc:
             records.append(
                 StudyRecord(k, len(space), gap, None, failure=str(exc))
             )

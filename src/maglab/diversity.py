@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import IndefiniteForm, Inconsistent, NotConverged
 from .magnitude import (
-    _POTRF, SpectrumDiagnostics, _spectrum, _weighting, similarity, spectrum_diagnostics,
+    _POTRF, SpectrumDiagnostics, _Kron, _weighting, similarity, spectrum_diagnostics,
 )
 from .metric_core import FiniteMetricSpace
 
@@ -55,17 +55,17 @@ def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
     when the gap is at most GAP_TOL * q(mu).
     """
     diag = spectrum_diagnostics(space)
-    return _max_diversity(similarity(space), diag)
-
-
-def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
-    """`max_diversity`, given the similarity matrix and its spectrum diagnostics."""
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
             f"similarity matrix is indefinite (lambda_min={diag.lambda_min:.3g}); "
             "the quadratic form is nonconvex",
             diagnostics=diag,
         )
+    return _max_diversity(similarity(space), diag)
+
+
+def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
+    """`max_diversity`, given Z and its spectrum diagnostics, not Indefinite."""
     # clean=True zeroes the upper triangle, which NNLS reads through factor.T
     factor, info = _POTRF(z + 1.0, lower=True)
     if info != 0:
@@ -129,8 +129,8 @@ def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     Inconsistent.  One similarity matrix serves the verdict and both solves.
     """
     z = similarity(space)
-    diag = _spectrum((z,))
-    report = _weighting((z,), diag)  # raises NotPositiveDefinite when not PD
+    diag = _Kron((z,)).spectrum()
+    report = _weighting(_Kron((z,)), diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
     div = _max_diversity(z, diag)
     gap = abs(report.magnitude - div.diversity)

@@ -5,14 +5,12 @@ Z(tX) = exp(-t d(x, y)).  When it is positive definite the magnitude of tX
 is the sum of the weighting w solving  Z w = 1.  The verdict, the weighting
 and the diversity all read one Z, which the private helpers take as given.
 
-The private helpers take Z(tX) as the tuple of its Kronecker factors'
-similarity matrices, never formed: for a space with factors, an l_1 sum of
-factor metrics, one matrix per factor, and for any other space the 1-tuple
-of Z itself.  The eigenvalues of Z are the products of the factors'
-eigenvalues, and its weighting is the Kronecker product of theirs
-(Leinster, arXiv:1012.5857).  For distinct points of the line they
-take `_Path`, which reads the gaps between the sorted points in O(n).  The
-diversity solve stays dense.
+The private helpers take Z(tX) as the operator that `_similarity` alone
+chooses, each with `spectrum`, `weighting` and `matvec`.  Distinct points of
+the line give `_Path`, which reads the sorted points' gaps in O(n) (Leinster,
+arXiv:1012.5857).  Any other space gives `_Kron`, the Kronecker product of
+its factors' similarity matrices, never formed: one per factor of an l_1
+sum, else Z itself.  The diversity solve stays dense.
 """
 
 from __future__ import annotations
@@ -156,15 +154,15 @@ class _Path:
         )
         return _diagnostics(np.array([sigma_max**-2]), np.array([sigma_min**-2]))[0]
 
-    def weighting(self) -> np.ndarray:
-        """Leinster's w_v = 1 - sum over the gaps e at v of 1 / (1 + e^a_e).
-        As 1 - 1 / (1 + e^a) = (1 + tanh(a / 2)) / 2, an end point weighs
-        (1 + tanh(a / 2)) / 2 and an inner point half the sum of its two
-        gaps' tanh(a / 2), with no cancellation."""
+    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
+        """(w, magnitude), with Leinster's w_v = 1 - sum over the gaps e at v
+        of 1 / (1 + e^a_e).  As 1 - 1 / (1 + e^a) = (1 + tanh(a / 2)) / 2, an
+        end point weighs (1 + tanh(a / 2)) / 2 and an inner point half the
+        sum of its two gaps' tanh(a / 2), with no cancellation."""
         h = 0.5 * np.tanh(0.5 * self.a)
         w = np.empty(len(h) + 1)
         w[self.order] = np.append(0.5, h) + np.append(h, 0.5)
-        return w
+        return w, float(w.sum())
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Z v = L + R - v, in sorted order, with L_i = v_i + q_(i-1) L_(i-1)
@@ -181,35 +179,57 @@ class _Path:
         return out
 
 
+class _Kron:
+    """Z(tX) as the Kronecker product of the factor similarity matrices
+    `zs`, never formed; Z itself is the one-factor case.  Each factor of a
+    PD product is PD, its lambda_max being at least its mean eigenvalue 1,
+    so w and the magnitude are the products of the factors' w and sums."""
+
+    def __init__(self, zs: tuple):
+        self.zs = zs
+
+    def spectrum(self) -> SpectrumDiagnostics:
+        return _spectra(_per_distinct(lambda f: f[None], self.zs))[0]
+
+    def _weightings(self, diag: SpectrumDiagnostics) -> tuple:
+        ws = _per_distinct(lambda f: _solve(f, diag), self.zs)
+        return ws, math.prod(float(w.sum()) for w in ws)
+
+    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
+        ws, mag = self._weightings(diag)
+        return functools.reduce(np.multiply.outer, ws).ravel(), mag
+
+    def magnitude(self, diag: SpectrumDiagnostics) -> float:
+        return self._weightings(diag)[1]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Z v: apply each factor on the leading axis, then rotate it last."""
+        for f in self.zs:
+            v = (f @ v.reshape(len(f), -1)).T
+        return v.ravel()
+
+
 def _similarity(space: FiniteMetricSpace, t: float = 1.0):
     """Z(tX) as the private helpers take it: a `_Path` for distinct points
-    of the line, the tuple of the factors' similarity matrices for a space
-    with factors, or (`similarity`,) for any other space."""
+    of the line, else a `_Kron` of the factors' similarity matrices, or of
+    `similarity` alone for a space without factors."""
     if isinstance(space, _Line):
         _check_scale(t)
         return _Path(space.order, t * space.gaps)
     if space.factors:
-        return _per_distinct(lambda d: _similarities(d, [t])[0], space.factors)
-    return (similarity(space, t),)
+        return _Kron(_per_distinct(lambda d: _similarities(d, [t])[0], space.factors))
+    return _Kron((similarity(space, t),))
 
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     """Extremal eigenvalues of the similarity matrix and a PSD verdict."""
-    return _spectrum(_similarity(space))
-
-
-def _spectrum(z) -> SpectrumDiagnostics:
-    """`spectrum_diagnostics`, given the similarity matrix as `_similarity`
-    gives it."""
-    if isinstance(z, _Path):
-        return z.spectrum()
-    return _spectra(_per_distinct(lambda f: f[None], z))[0]
+    return _similarity(space).spectrum()
 
 
 def _spectra(zs: tuple) -> list:
-    """`_spectrum` at each of k scales, given one (k, m, m) stack per factor,
-    from one eigvalsh per distinct stack: the extremes of the products of the
-    factors' eigenvalues, which may have either sign."""
+    """`_Kron.spectrum` at each of k scales, given one (k, m, m) stack per
+    factor, from one eigvalsh per distinct stack: the extremes of the products
+    of the factors' eigenvalues, which may have either sign."""
     vals, *rest = _per_distinct(np.linalg.eigvalsh, zs)
     for v in rest:
         vals = (vals[..., None] * v[:, None]).reshape(len(v), -1)
@@ -234,17 +254,16 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
 
 
 def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
-    """[task(t, z, diag) for t in ts], with z = Z(tX) as `_similarity` gives
-    it and diag its SpectrumDiagnostics; task must keep no part of z.
+    """[task(t, z, diag) for t in ts], with z = Z(tX) as a `_Kron` and diag
+    its SpectrumDiagnostics; task must keep no part of z.
 
     Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
     each distinct factor's block is built as one stack and eigensolved by
     one eigvalsh call.  A dense space from n = 725 on takes one scale per
     block.  The blocks run on the shared worker pool (`_each`), each worker
     building its stacks in buffers that the calling thread allocated, so the
-    live similarity entries grow only with the worker count.  The results,
-    and the error of the first block that fails, are those of a loop on one
-    CPU.
+    live similarity entries grow only with the worker count.  The results, and
+    the first failing block's error, are those of a loop on one CPU.
     """
     factors = space.factors or (space.dist,)
     k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
@@ -258,7 +277,7 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
             lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
         )
         return [
-            task(t, _per_distinct(lambda z: z[j], zs), diag)
+            task(t, _Kron(_per_distinct(lambda z: z[j], zs)), diag)
             for j, (t, diag) in enumerate(zip(scales, _spectra(zs)))
         ]
 
@@ -289,17 +308,8 @@ def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    if isinstance(z, _Path):
-        w = z.weighting()
-        mag, zw = float(w.sum()), z.matvec(w)
-    else:
-        # every factor of a PD product is PD: a factor's lambda_max is at
-        # least its mean eigenvalue 1, and the product's extremes are the
-        # products of the factors' extremes
-        ws = _per_distinct(lambda f: _solve(f, diag), z)
-        w = functools.reduce(np.multiply.outer, ws).ravel()
-        mag, zw = math.prod(float(f.sum()) for f in ws), _kronecker_matvec(z, w)
-    residual = float(np.abs(zw - 1.0).max())
+    w, mag = z.weighting(diag)
+    residual = float(np.abs(z.matvec(w) - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
     return MagnitudeReport(
         magnitude=mag, weighting=w, residual=residual,
@@ -324,29 +334,19 @@ def _solve(z: np.ndarray, diag: SpectrumDiagnostics) -> np.ndarray:
     return np.linalg.lstsq(z, ones, rcond=None)[0]
 
 
-def _kronecker_matvec(zs: tuple, w: np.ndarray) -> np.ndarray:
-    """(Z_1 x ... x Z_k) w: apply each factor on the leading axis, then rotate it last."""
-    for f in zs:
-        w = (f @ w.reshape(len(f), -1)).T
-    return w.ravel()
-
-
 def magnitude(space: FiniteMetricSpace) -> float:
     return weighting(space).magnitude
 
 
 def rayleigh(space: FiniteMetricSpace, mu) -> float:
-    """The quotient (sum mu)^2 / (mu' Z mu); a space with factors reads its
-    dense Z, as the diversity solve does."""
+    """The quotient (sum mu)^2 / (mu' Z mu), with Z mu from the operator that
+    `_similarity` gives: no space with factors or of the line forms Z."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (len(space),):
         raise InvalidParams(f"mu must have {len(space)} entries, got shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
         raise NonFiniteEntry("mu contains non-finite entries")
-    if isinstance(space, _Line):
-        denom = float(mu @ _similarity(space).matvec(mu))
-    else:
-        denom = float(mu @ similarity(space) @ mu)
+    denom = float(mu @ _similarity(space).matvec(mu))
     if abs(denom) <= 1e-14 * float(mu @ mu):
         raise DegenerateQuadraticForm("quadratic form vanishes at this vector")
     return float(mu.sum()) ** 2 / denom
@@ -367,10 +367,9 @@ def scale_sweep(
     def record(t, z, diag):
         mag = div = None
         if diag.verdict == "PositiveDefinite":  # `_weighting`'s magnitude, no report
-            ws = _per_distinct(lambda f: _solve(f, diag), z)
-            mag = math.prod(float(w.sum()) for w in ws)
+            mag = z.magnitude(diag)
         if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            dense = similarity(space, t) if space.factors else z[0]
+            dense = similarity(space, t) if space.factors else z.zs[0]
             div = _max_diversity(dense, diag).diversity
         return SweepRecord(
             t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,

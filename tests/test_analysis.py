@@ -21,7 +21,7 @@ from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
 )
 from maglab.errors import InsufficientRecords, InvalidParams, QuadratureDivergence
-from maglab.magnitude import _spectrum, similarity
+from maglab.magnitude import _Kron, similarity
 
 
 def _trapezoid_cosine(f, x, omegas):
@@ -420,7 +420,7 @@ def reference_witness_search(p, n, budget, seed=0):
         pts = rng.uniform(-1.0, 1.0, size=(size, n))
         space = generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p}))
         for t in WITNESS_SCALES:
-            diag = _spectrum((similarity(space, t),))
+            diag = _Kron((similarity(space, t),)).spectrum()
             if diag.verdict == "Indefinite":
                 return WitnessSearchResult(
                     True, trial + 1, len(WITNESS_SCALES), pts.tolist(), float(t),

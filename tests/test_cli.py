@@ -173,6 +173,16 @@ class TestApproxCommand:
         assert err.startswith("error: InvalidParams:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_one_point_quadrature_level_is_recorded(self, tmp_path, capsys):
+        # the one-point net's cell measure is [0], where the quotient has no value
+        out = tmp_path / "study.json"
+        argv = ["approx", "--family", "interval", "--levels", "1,2", "--quadrature",
+                "--json", str(out)]
+        assert run(argv).exit_code == 0
+        one, two = json.loads(out.read_text())["records"]
+        assert one["magnitude"] is None and "vanishes" in one["failure"]
+        assert two["magnitude"] == pytest.approx(2.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
+
     def test_no_positive_definite_level(self, capsys):
         # l_inf^3 grids of 3 and 4 points a side are indefinite at scale 1
         argv = ["approx", "--family", "grid_net", "--params", '{"n": 3, "p": Infinity}',

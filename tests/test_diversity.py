@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -75,6 +76,17 @@ class TestMaxDiversity:
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 0.2}))
         with pytest.raises(IndefiniteForm):
             max_diversity(s)
+
+    def test_indefinite_refused_before_the_solve_builds_z(self, monkeypatch):
+        # the package attribute `maglab.magnitude` is the function, not the module
+        module = importlib.import_module("maglab.magnitude")
+        built, original = [], module._similarities
+        monkeypatch.setattr(module, "_similarities",
+                            lambda dist, ts, out=None: built.append(ts) or original(dist, ts, out))
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 0.3}))
+        with pytest.raises(IndefiniteForm):
+            max_diversity(s)
+        assert built == [[1.0]]  # the verdict's Z only
 
     def test_deletion_never_increases_diversity(self):
         for seed in range(200):

@@ -1,6 +1,7 @@
-"""Every name a maglab module imports is used in that module, importing
-maglab loads no scipy subpackage that its setup does not need, and only a
-triangle check, sweep or scan with work to share starts a thread."""
+"""Every name a maglab module imports is used in that module, only
+`magnitude._similarity` tests a space's structure, importing maglab loads
+no scipy subpackage that its setup does not need, and only a triangle
+check, sweep or scan with work to share starts a thread."""
 
 import ast
 import os
@@ -10,10 +11,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "maglab").glob("*.py")
-    if p.name != "__init__.py"
-)
+SRC = Path(__file__).resolve().parents[1] / "src" / "maglab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(path: Path) -> list:
@@ -32,6 +31,46 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+STRUCTURE_NAMES = ("isinstance", "_Line", "_Path", ".factors")
+
+
+def _structure_tests(path: Path) -> dict:
+    """{name: the top-level definitions that read it} for each name in
+    STRUCTURE_NAMES found in `path`, an attribute written with its dot."""
+    found = {}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = "." + node.attr
+            else:
+                continue
+            if name in STRUCTURE_NAMES:
+                found.setdefault(name, set()).add(getattr(top, "name", None))
+    return found
+
+
+def test_only_similarity_decides_structure():
+    """`_similarity` alone picks a space's similarity operator; `_each_scale`
+    stacks the factors, and `scale_sweep` builds the diversity solve's Z."""
+    found = _structure_tests(SRC / "magnitude.py")
+    assert "_similarity" in found["isinstance"]
+    for name in ("isinstance", "_Line", "_Path"):
+        assert found.pop(name) <= {"_similarity", "_Path"}, name
+    assert found.pop(".factors") <= {"_similarity", "_each_scale", "scale_sweep"}
+    assert found == {}
+
+
+def test_structure_test_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .metric_core import _Line\n\n\n"
+                      "def f(z):\n    return isinstance(z, _Path) or z.factors\n")
+    assert _structure_tests(module) == {
+        "isinstance": {"f"}, "_Path": {"f"}, ".factors": {"f"},
+    }
 
 
 HEAVY = ("scipy.fft", "scipy.sparse", "scipy.optimize", "scipy.integrate")

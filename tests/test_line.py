@@ -5,7 +5,7 @@ and one-column l_p point clouds (p >= 1) at snowflake 1 as a line space,
 which keeps only its sorted gaps.  Its spectrum, weighting and magnitude
 take O(n) at each scale.  Each case here is rebuilt as
 `FiniteMetricSpace(labels, dist)`, which keeps no gaps, and the dense
-`_spectrum`/`_weighting` of that copy is the oracle.
+`_Kron` spectrum and `_weighting` of that copy are the oracle.
 """
 
 import functools
@@ -34,7 +34,7 @@ from maglab import (
 )
 from maglab.analysis import _ambient_gap, _voronoi_cell_measure
 from maglab.errors import NotPositiveDefinite
-from maglab.magnitude import _Path, _similarity, _spectrum, _weighting
+from maglab.magnitude import _Kron, _Path, _similarity, _weighting
 from maglab.metric_core import FAMILY_TABLE, _L1Sum, _Line, _lp_distances
 
 SCALES = (1e-3, 1e-2, 0.3, 1.0, 30.0)
@@ -82,8 +82,8 @@ def test_agrees_with_dense(label):
     for t in SCALES:
         z = _similarity(space, t)
         assert isinstance(z, _Path)
-        got = _spectrum(z)
-        want = _spectrum(_similarity(dense, t))
+        got = z.spectrum()
+        want = _similarity(dense, t).spectrum()
         assert got.verdict == want.verdict
         assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-12, abs=0)
         assert abs(got.lambda_min - want.lambda_min) <= 1e-14 * want.lambda_max
@@ -99,6 +99,17 @@ def test_agrees_with_dense(label):
         assert np.abs(report.weighting - oracle.weighting).max() <= 1e-8 * scale
         assert report.positively_weighted and oracle.positively_weighted
         assert report.residual <= 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS))
+def test_rayleigh_agrees_with_dense(label):
+    space = CORPUS[label]()
+    z = np.exp(-_dense(space).dist)
+    rng = np.random.default_rng(len(space))
+    for _ in range(3):
+        mu = rng.uniform(size=len(space))
+        want = mu.sum() ** 2 / (mu @ z @ mu)
+        assert rayleigh(space, mu) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-200, 1e-100])
@@ -118,8 +129,8 @@ def test_tiny_scales_agree_with_dense(scale):
 ])
 def test_band_cases_are_semidefinite_on_both_paths(label, t):
     space = CORPUS[label]()
-    assert _spectrum(_similarity(space, t)).verdict == "PositiveSemidefinite"
-    assert _spectrum(_similarity(_dense(space), t)).verdict == "PositiveSemidefinite"
+    assert _similarity(space, t).spectrum().verdict == "PositiveSemidefinite"
+    assert _similarity(_dense(space), t).spectrum().verdict == "PositiveSemidefinite"
 
 
 def test_public_functions_take_the_line_path():
@@ -153,7 +164,7 @@ def test_matvec_is_dense_matmul(seed):
 def test_stays_dense(spec):
     space = generate(spec)
     assert type(space) is FiniteMetricSpace
-    assert isinstance(_similarity(space, 1.0), tuple)
+    assert isinstance(_similarity(space, 1.0), _Kron)
 
 
 # params that make each family's generator run; a new family needs a row

@@ -30,7 +30,7 @@ from maglab import (
 )
 from maglab.cli import _write_csv
 from maglab.magnitude import (
-    ScaleSweep, SweepRecord, _kronecker_matvec, _similarity, _spectrum, _weighting,
+    ScaleSweep, SweepRecord, _Kron, _similarity, _weighting,
 )
 from maglab import metric_core
 from maglab.metric_core import _json_default
@@ -400,6 +400,7 @@ class TestOneEigensolvePerScale:
         assert len(s.factors) == 3
         # two scales per block: each block's entry count holds all three factors
         monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 2 * 3 * 5 * 5)
+        monkeypatch.setattr(metric_core, "_cpus", lambda: 1)  # blocks in order
         ts = [0.5, 1.0, 2.0, 4.0, 8.0]
         sweep = scale_sweep(s, ts)
         assert eigvalsh_shapes == [(2, 5, 5), (2, 5, 5), (1, 5, 5)]
@@ -451,7 +452,7 @@ def test_sweep_magnitude_is_the_weighting_reports(space, grid):
     assert pd
     for r in pd:
         z = _similarity(space, r.t)
-        assert r.magnitude == _weighting(z, _spectrum(z)).magnitude
+        assert r.magnitude == _weighting(z, z.spectrum()).magnitude
 
 
 def reference_sweep(space, grid, with_diversity=False):
@@ -461,7 +462,7 @@ def reference_sweep(space, grid, with_diversity=False):
     records = []
     for t in sorted(float(t) for t in grid):
         z = _similarity(space, t)
-        diag = _spectrum(z)
+        diag = z.spectrum()
         mag = div = None
         if diag.verdict == "PositiveDefinite":
             mag = _weighting(z, diag).magnitude
@@ -476,7 +477,7 @@ def reference_scan(space, grid):
     """`stability_scan`'s records and failing scales as a per-scale loop."""
     records, failing = [], []
     for t in sorted(float(t) for t in grid):
-        diag = _spectrum(_similarity(space, t))
+        diag = _similarity(space, t).spectrum()
         records.append(ScanRecord(t, diag.lambda_min))
         if diag.verdict == "Indefinite":
             failing.append(t)
@@ -552,7 +553,7 @@ class TestStackedBlocks:
 
     @staticmethod
     def _references(space, grid):
-        diags = [_spectrum(_similarity(space, t)) for t in sorted(grid)]
+        diags = [_similarity(space, t).spectrum() for t in sorted(grid)]
         return (repr(diags), repr(reference_sweep(space, grid)),
                 repr(reference_sweep(space, grid, True)), reference_scan(space, grid))
 
@@ -673,12 +674,12 @@ class TestOneFactor:
     def test_matvec_is_matmul(self, seed):
         z = similarity(random_cloud(seed, n_max=40))
         w = np.random.default_rng(seed).normal(size=len(z))
-        assert _kronecker_matvec((z,), w).tobytes() == (z @ w).tobytes()
+        assert _Kron((z,)).matvec(w).tobytes() == (z @ w).tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_weighting_sums_and_residual(self, seed):
         z = similarity(random_cloud(seed, n_max=40))
-        report = _weighting((z,), _spectrum((z,)))
+        report = _weighting(_Kron((z,)), _Kron((z,)).spectrum())
         w = report.weighting
         assert report.magnitude == float(w.sum())
         assert report.residual == float(np.abs(z @ w - 1.0).max())

@@ -3,7 +3,7 @@
 A space with factors takes its spectrum, weighting and magnitude from one
 eigensolve and one Cholesky factor per factor.  Each case here is rebuilt
 as `FiniteMetricSpace(labels, dist)`, which has no factors, and the dense
-`_spectrum`/`_weighting` of that copy is the oracle.
+`spectrum_diagnostics`/`weighting` of that copy is the oracle.
 
 A space with factors stores no dense distance matrix until something reads
 `dist`; the matrix it then builds must have the bits of an independent
@@ -43,7 +43,7 @@ from maglab import (
     weighting,
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
-from maglab.magnitude import _each_scale, _similarity, _spectrum, _weighting
+from maglab.magnitude import _each_scale, _similarity, _weighting
 from maglab.metric_core import _L1Sum
 
 EPS = np.finfo(float).eps
@@ -143,7 +143,7 @@ def test_agrees_with_dense(label):
     assert not dense.factors
     for t in SCALES:
         z = _similarity(space, t)
-        got = _spectrum(z)
+        got = z.spectrum()
         want = spectrum_diagnostics(scale_space(dense, t))
         _check_spectrum(got, want)
         if want.verdict == "PositiveDefinite":
@@ -169,6 +169,17 @@ def test_sweep_and_scan_agree_with_dense(label):
     scan, oracle = stability_scan(space, SCALES), stability_scan(dense, SCALES)
     assert scan.failing_scales == oracle.failing_scales
     assert scan.classification == oracle.classification
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS))
+def test_rayleigh_agrees_with_dense(label):
+    space = CORPUS[label]()
+    z = np.exp(-_dense(space).dist)
+    rng = np.random.default_rng(len(space))
+    for _ in range(3):
+        mu = rng.uniform(size=len(space))
+        want = mu.sum() ** 2 / (mu @ z @ mu)
+        assert rayleigh(space, mu) == pytest.approx(want, rel=TOL, abs=0)
 
 
 def test_corpus_covers_every_verdict():
@@ -373,6 +384,12 @@ def test_kronecker_paths_build_no_dense_matrix(unbuildable):
     assert len(_each_scale(space, ts, lambda t, z, diag: diag)) == len(ts)
     study = growth_bound_study(spec, ts)
     assert len(study.checks) == len(ts)
+    # mu = a x b has quotient (sum a sum b)^2 / ((a' Z_1 a)(b' Z_1 b)), Z_1 the axis's
+    axis = np.linspace(0.0, 1.0, 301)
+    z1 = np.exp(-np.abs(axis[:, None] - axis[None, :]))
+    a, b = np.random.default_rng(0).uniform(size=(2, 301))
+    want = (a.sum() * b.sum()) ** 2 / ((a @ z1 @ a) * (b @ z1 @ b))
+    assert rayleigh(space, np.outer(a, b).ravel()) == pytest.approx(want, rel=TOL, abs=0)
     assert len(lp_product(space, _space("interval_net", n=3), 1.0).factors) == 3
 
 
