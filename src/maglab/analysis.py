@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DegenerateQuadraticForm, InvalidParams, NonFiniteEntry, NotPositiveDefinite,
@@ -104,8 +103,8 @@ def approx_magnitude(
     Rayleigh quotient, a certified lower bound that needs no linear solve.
     """
     levels = sorted(int(k) for k in levels)
-    if not levels:
-        raise InvalidParams("levels must be nonempty")
+    if not levels or len(set(levels)) < len(levels):
+        raise InvalidParams(f"levels must be nonempty and distinct, got {levels}")
     key = FAMILY_TABLE[template.family][1]
     if key is None:
         raise InvalidParams(f"family {template.family!r} has no refinement parameter")
@@ -154,7 +153,7 @@ def lp_ball_volume(n: int, p: float) -> float:
     """Volume of the unit l_p ball in R^n: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
     if n < 1 or not p > 0:
         raise InvalidParams("lp_ball_volume needs n >= 1 and p > 0")
-    g = scipy.special.gamma
+    from scipy.special import gamma as g
     return float((2.0 * g(1.0 + 1.0 / p)) ** n / g(1.0 + n / p))
 
 
@@ -162,10 +161,9 @@ def growth_lower_bound(n: int, p: float, alpha: float, vol_a: float, t: float) -
     """Volume-ratio lower bound for |tA| in the snowflaked l_p metric."""
     if n < 1 or not p > 0 or not (0 < alpha <= 1) or not vol_a > 0 or not t >= 0:
         raise InvalidParams("growth_lower_bound parameters out of range")
+    from scipy.special import gamma
     beta = alpha * min(1.0, p)
-    return float(
-        vol_a * t**n / (scipy.special.gamma(n / beta + 1.0) * lp_ball_volume(n, p))
-    )
+    return float(vol_a * t**n / (gamma(n / beta + 1.0) * lp_ball_volume(n, p)))
 
 
 @dataclass(frozen=True)
@@ -265,10 +263,11 @@ def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.nd
 
 def _stable_density_tail(p: float, length: float) -> float:
     """Exact truncation error integral_L^inf exp(-x^p) dx."""
+    from scipy.special import gamma, gammaincc
     inv = 1.0 / p
     with np.errstate(over="ignore"):  # L^p = inf leaves no tail
         power = np.float64(length) ** p
-    return float(scipy.special.gamma(inv) * scipy.special.gammaincc(inv, power) / p)
+    return float(gamma(inv) * gammaincc(inv, power) / p)
 
 
 def gamma_hat_1d(

@@ -19,11 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndefiniteForm, Inconsistent, NotConverged
 from .magnitude import (
-    _POTRF, SpectrumDiagnostics, _Kron, _weighting, similarity, spectrum_diagnostics,
+    SpectrumDiagnostics, _Kron, _lapack, _weighting, similarity, spectrum_diagnostics,
 )
 from .metric_core import FiniteMetricSpace
 
@@ -66,8 +65,10 @@ def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
 
 def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     """`max_diversity`, given Z and its spectrum diagnostics, not Indefinite."""
+    from scipy.linalg import solve_triangular
+    potrf = _lapack()[0]
     # clean=True zeroes the upper triangle, which NNLS reads through factor.T
-    factor, info = _POTRF(z + 1.0, lower=True)
+    factor, info = potrf(z + 1.0, lower=True)
     if info != 0:
         # A semidefinite Z can be singular along a mean-zero direction, which
         # adding 11' does not lift (K_{n,n} at its threshold log(n-1)).  The
@@ -79,14 +80,14 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             RuntimeWarning,
             stacklevel=2,
         )
-        factor, info = _POTRF(z + 1.0 + shift * np.eye(z.shape[0]), lower=True)
+        factor, info = potrf(z + 1.0 + shift * np.eye(z.shape[0]), lower=True)
     if info != 0:
         raise IndefiniteForm(
             f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    b = scipy.linalg.solve_triangular(factor, np.ones(z.shape[0]), lower=True)
-    w = scipy.linalg.solve_triangular(factor, b, lower=True, trans="T")
+    b = solve_triangular(factor, np.ones(z.shape[0]), lower=True)
+    w = solve_triangular(factor, b, lower=True, trans="T")
     iterations = 1
     if w.min() < 0.0:
         from scipy.optimize import nnls

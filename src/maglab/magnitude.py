@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NonFiniteEntry,
@@ -35,9 +34,16 @@ logger = logging.getLogger("maglab")
 
 _STACK_ENTRIES = 2**20  # similarity entries per stacked eigensolve of a sweep or scan
 _GAP_FLOOR = 1e-150  # least t * gap that `_Path.spectrum` puts in its bidiagonal
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 _VERDICTS = ("Indefinite", "PositiveSemidefinite", "PositiveDefinite")
+
+
+@functools.cache
+def _lapack() -> tuple:
+    """scipy's float64 (potrf, potrs), imported at the first solve; two workers
+    may both import and fetch, and either's handles are the same routines."""
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def psd_tolerance(lambda_max):
@@ -137,6 +143,7 @@ class _Path:
         each singular value found by bisection, to high relative accuracy,
         on B's Golub-Kahan form: zero diagonal and off-diagonal
         1, q_1 / s_1, 1 / s_1, q_2 / s_2, 1 / s_2, ..."""
+        from scipy.linalg import eigvalsh_tridiagonal
         # a gap below the floor moves lambda_min by less than the floor, and
         # keeps the squares of B's entries (below 2 / a) far from overflow
         s = np.sqrt(-np.expm1(-2.0 * np.maximum(self.a, _GAP_FLOOR)))
@@ -146,7 +153,7 @@ class _Path:
         off[1::2] = self.q / s
         off[2::2] = 1.0 / s
         sigma_min, sigma_max = (
-            scipy.linalg.eigvalsh_tridiagonal(
+            eigvalsh_tridiagonal(
                 np.zeros(2 * n), off, select="i", select_range=(k, k),
                 tol=np.finfo(float).tiny,
             )[0]
@@ -321,10 +328,11 @@ def _solve(z: np.ndarray, diag: SpectrumDiagnostics) -> np.ndarray:
     """w with Z w = 1: Cholesky with one step of iterative refinement."""
     ones = np.ones(z.shape[0])
     # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
-    factor, info = _POTRF(z, lower=True, clean=False)
+    potrf, potrs = _lapack()
+    factor, info = potrf(z, lower=True, clean=False)
     if info == 0:
-        w = _POTRS(factor, ones, lower=True)[0]
-        return w + _POTRS(factor, ones - z @ w, lower=True)[0]
+        w = potrs(factor, ones, lower=True)[0]
+        return w + potrs(factor, ones - z @ w, lower=True)[0]
     # Marginally PD matrices can fail to factor; least squares still
     # yields a usable weighting with an honest residual.
     logger.debug(

@@ -90,10 +90,17 @@ class TestApproxMagnitude:
         assert mags[-1] - mags[-2] < 1e-4
 
     def test_singleton_family_constant(self):
-        study = approx_magnitude(
-            SpaceSpec("interval_net", {"length": 1.0}), levels=[1, 1, 1]
-        )
-        assert all(r.magnitude == pytest.approx(1.0) for r in study.records)
+        # the one-point net reads 1 at every length
+        for length in (0.5, 1.0, 4.0):
+            study = approx_magnitude(SpaceSpec("interval_net", {"length": length}), [1])
+            assert [r.magnitude for r in study.records] == [pytest.approx(1.0)]
+            assert study.extrapolated_limit == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("levels", [[11, 11, 11], [5, 11, 21, 21], [21, 5, 21]])
+    def test_repeated_levels_refused(self, levels):
+        # a repeated level would count one net twice in the gap fit
+        with pytest.raises(InvalidParams, match="distinct"):
+            approx_magnitude(SpaceSpec("interval_net", {"length": 2.0}), levels)
 
     def test_quadrature_value_is_lower_bound(self):
         levels = [21, 81]

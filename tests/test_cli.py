@@ -173,6 +173,13 @@ class TestApproxCommand:
         assert err.startswith("error: InvalidParams:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_repeated_levels_refused(self, capsys):
+        argv = ["approx", "--family", "interval", "--length", "2", "--levels", "11,11,11"]
+        assert run(argv).exit_code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: InvalidParams:") and "distinct" in err
+
     def test_one_point_quadrature_level_is_recorded(self, tmp_path, capsys):
         # the one-point net's cell measure is [0], where the quotient has no value
         out = tmp_path / "study.json"

@@ -1,14 +1,18 @@
 """Every name a maglab module imports is used in that module, only
-`magnitude._similarity` tests a space's structure, importing maglab loads
-no scipy subpackage that its setup does not need, and only a triangle
+`magnitude._similarity` tests a space's structure, and no module imports
+scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
+the standard library only, each scipy subpackage loads at the first call
+that needs it, also when that call runs on a worker, and only a triangle
 check, sweep or scan with work to share starts a thread."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "maglab"
@@ -73,6 +77,44 @@ def test_structure_test_is_caught(tmp_path):
     }
 
 
+def _eager_scipy_imports(path: Path) -> list:
+    """Line numbers of the scipy imports that run when `path` loads: those
+    outside every function body."""
+    lines, todo = [], list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        lines += [node.lineno for name in names if name.split(".")[0] == "scipy"]
+        todo += ast.iter_child_nodes(node)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_when_it_loads(path):
+    assert _eager_scipy_imports(path) == []
+
+
+def test_eager_scipy_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os, scipy.linalg\n"
+        "from scipy import special\n"
+        "from . import scipy\n"  # a sibling module, not the package
+        "if os.name:\n    import scipy.sparse as sp\n"
+        "\n\nclass A:\n    from scipy.fft import fft\n"
+        "\n    def f(self):\n        import scipy.optimize\n"
+        "\n\ndef g():\n    from scipy.special import gamma\n    return gamma\n"
+    )
+    assert _eager_scipy_imports(module) == [1, 2, 5, 9]
+
+
 HEAVY = ("scipy.fft", "scipy.sparse", "scipy.optimize", "scipy.integrate")
 
 
@@ -97,6 +139,68 @@ def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip().splitlines()[-1] == "[] True"
+
+
+def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
+    """Importing the CLI loads no scipy module, nor do `validate`, `negtype`
+    and both experiments; `magnitude` loads scipy.linalg alone, and
+    `fourier` scipy.special and scipy.fft."""
+    spec = tmp_path / "k32.json"
+    spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
+    matrix = tmp_path / "cloud.csv"
+    x = np.random.default_rng(0).uniform(0.0, 4.0, size=(30, 2))
+    np.savetxt(matrix, np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2)), delimiter=",")
+    runs = [
+        ["validate", str(matrix)],
+        ["negtype", "--spec", str(spec)],
+        ["experiment", "product-counterexample"],
+        ["experiment", "witness-search", "--budget", "50"],
+        ["magnitude", "--matrix", str(matrix)],
+        ["fourier", "--p", "1"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import maglab.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "states = [loaded()]\n"
+        f"for argv in {runs!r}:\n"
+        "    assert maglab.cli.run(argv).exit_code == 0, argv\n"
+        "    states.append(loaded())\n"
+        "print(json.dumps(states))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    *cheap, magnitude, fourier = map(set, json.loads(out.stdout.splitlines()[-1]))
+    assert cheap == [set()] * 5  # the import, then validate, negtype, the experiments
+    assert "scipy.linalg" in magnitude
+    assert not {"scipy.special", "scipy.fft"} & magnitude
+    assert {"scipy.linalg", "scipy.special", "scipy.fft"} <= fourier
+
+
+def test_first_solves_on_two_workers_match_a_rerun():
+    """A process's first scipy-using call is a sweep whose blocks of scales
+    run on two workers at once, so each may reach the first solve's lazy
+    scipy imports; its records are those of the same sweep run again."""
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from maglab import SpaceSpec, generate, metric_core, scale_sweep\n"
+        "metric_core._cpus = lambda: 2\n"
+        "sys.setswitchinterval(1e-6)  # interleave the workers' first imports finely\n"
+        "sphere = generate(SpaceSpec('sphere_fibonacci_net', {'n': 100}))\n"
+        "ts = np.geomspace(0.5, 16.0, 300)  # three blocks of 104 scales or fewer\n"
+        "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+        "first = scale_sweep(sphere, ts, with_diversity=True).records\n"
+        "assert threading.active_count() == 2  # the pool's one helper\n"
+        "again = scale_sweep(sphere, ts, with_diversity=True).records\n"
+        "assert all(r.magnitude is not None and r.diversity is not None for r in first)\n"
+        "print(list(map(repr, first)) == list(map(repr, again)))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120)
+    assert out.stdout.strip() == "True"
 
 
 def test_threads_start_only_for_shared_work():

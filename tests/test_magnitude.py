@@ -384,7 +384,7 @@ class TestOneEigensolvePerScale:
         """The n = 3 grid's three factors are one array: one stack and one
         eigvalsh per block of scales, one Cholesky factor per PD scale."""
         eigvalsh_shapes, potrf_sides = [], []
-        eigvalsh, potrf = np.linalg.eigvalsh, magnitude_module._POTRF
+        eigvalsh, (potrf, potrs) = np.linalg.eigvalsh, magnitude_module._lapack()
 
         def counted_eigvalsh(a, *args, **kwargs):
             eigvalsh_shapes.append(a.shape)
@@ -395,7 +395,7 @@ class TestOneEigensolvePerScale:
             return potrf(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(magnitude_module, "_POTRF", counted_potrf)
+        monkeypatch.setattr(magnitude_module, "_lapack", lambda: (counted_potrf, potrs))
         s = generate(SpaceSpec("grid_net", {"m": 5, "n": 3, "p": 1.0}))
         assert len(s.factors) == 3
         # two scales per block: each block's entry count holds all three factors
@@ -689,8 +689,9 @@ class TestWeightingFallback:
     def test_failed_factor_takes_least_squares_and_logs(self, monkeypatch, caplog):
         s = random_cloud(44)
         expected = weighting(s)
-        monkeypatch.setattr(magnitude_module, "_POTRF",
-                            lambda z, **kwargs: (np.zeros_like(z), 1))
+        potrs = magnitude_module._lapack()[1]
+        monkeypatch.setattr(magnitude_module, "_lapack",
+                            lambda: (lambda z, **kwargs: (np.zeros_like(z), 1), potrs))
         with caplog.at_level(logging.DEBUG, logger="maglab"):
             rep = weighting(s)
         assert rep.residual <= 1e-10
