@@ -19,8 +19,8 @@ from .errors import (
     QuadratureDivergence,
 )
 from .magnitude import (
-    _similarities, _verdict_index, magnitude_dimension_estimate, rayleigh, scale_sweep,
-    weighting,
+    _similarities, _verdict_index, magnitude_dimension_estimate, psd_tolerance, rayleigh,
+    scale_sweep, weighting,
 )
 from .metric_core import (
     FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _is_integer, _lp_distances, _lp_norm,
@@ -33,6 +33,7 @@ GROWTH_MARGIN = 0.05  # slack on the volume-ratio lower bound
 WITNESS_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 WITNESS_MAX_POINTS = 8
 _WITNESS_BLOCK = 256  # trials drawn, grouped by size and eigensolved together
+_SCREEN_SHIFT = psd_tolerance(1.0) / 2  # half the least verdict band
 
 
 @dataclass(frozen=True)
@@ -399,6 +400,24 @@ class WitnessSearchResult:
     witness_seed_index: Optional[int] = None
 
 
+def _first_indefinite(z: np.ndarray) -> Optional[tuple]:
+    """(trial, scale index, lambda_min) of the first Indefinite Z, by trial
+    then scale, in a (scale, trial, m, m) similarity stack, or None.
+
+    A unit diagonal makes each verdict band tau at least 2 sigma, sigma =
+    _SCREEN_SHIFT; if every Z + sigma I has a Cholesky factor, eigvalsh would
+    give each lambda_min >= -sigma - O(m^2 eps) > -tau, so none is computed."""
+    try:
+        np.linalg.cholesky(z + _SCREEN_SHIFT * np.eye(z.shape[-1]))
+    except np.linalg.LinAlgError:
+        vals = np.linalg.eigvalsh(z).swapaxes(0, 1)  # (trial, scale, m)
+        hits = np.argwhere(_verdict_index(vals[..., 0], vals[..., -1]) == 0)  # Indefinite
+        if len(hits):
+            j, k = hits[0]
+            return int(j), int(k), float(vals[j, k, 0])
+    return None
+
+
 def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearchResult:
     """Seeded random search for a non-PD finite subset of l_p^n.
 
@@ -406,8 +425,8 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
     every t in WITNESS_SCALES.  Absence of a witness is a valid (and for
     p <= 2, the expected) result.  Trials are drawn in blocks of
     _WITNESS_BLOCK, in the same order as one at a time; the trials of a
-    block that share a size get one distance call and one stacked eigvalsh,
-    and the first witness by trial, then by scale, is returned.
+    block that share a size get one distance call and one stacked screen
+    (`_first_indefinite`), and the first witness by trial, then scale, wins.
     """
     if not (_is_integer(budget) and budget >= 0):
         raise InvalidParams(f"budget must be a nonnegative integer, got {budget!r}")
@@ -429,12 +448,9 @@ def witness_search(p: float, n: int, budget: int, seed: int = 0) -> WitnessSearc
             index = [i for i, pts in enumerate(trials) if len(pts) == size]
             pts = np.stack([trials[i] for i in index])
             dist = _lp_distances(pts, pts, p)
-            # (scale, trial, size, size) -> (trial, scale) spectra
-            vals = np.linalg.eigvalsh(_similarities(dist, WITNESS_SCALES)).swapaxes(0, 1)
-            indefinite = _verdict_index(vals[..., 0], vals[..., -1]) == 0  # Indefinite
-            if indefinite.any():
-                j, k = np.argwhere(indefinite)[0]
-                hits.append((index[j], int(k), float(vals[j, k, 0])))
+            hit = _first_indefinite(_similarities(dist, WITNESS_SCALES))
+            if hit is not None:
+                hits.append((index[hit[0]], *hit[1:]))
         if hits:
             trial, k, lambda_min = min(hits)
             return WitnessSearchResult(

@@ -20,7 +20,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -196,18 +196,12 @@ class _Kron:
         self.zs = zs
 
     def spectrum(self) -> SpectrumDiagnostics:
-        return _spectra(_per_distinct(lambda f: f[None], self.zs))[0]
-
-    def _weightings(self, diag: SpectrumDiagnostics) -> tuple:
-        ws = _per_distinct(lambda f: _solve(f, diag), self.zs)
-        return ws, math.prod(float(w.sum()) for w in ws)
+        return _diagnostics(*_spectra(_per_distinct(lambda f: f[None], self.zs))[:2])[0]
 
     def weighting(self, diag: SpectrumDiagnostics) -> tuple:
-        ws, mag = self._weightings(diag)
+        ws = _per_distinct(lambda f: next(_solve(f[None], [0], [diag.lambda_min])), self.zs)
+        mag = math.prod(float(w.sum()) for w in ws)
         return functools.reduce(np.multiply.outer, ws).ravel(), mag
-
-    def magnitude(self, diag: SpectrumDiagnostics) -> float:
-        return self._weightings(diag)[1]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Z v: apply each factor on the leading axis, then rotate it last."""
@@ -233,14 +227,16 @@ def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
     return _similarity(space).spectrum()
 
 
-def _spectra(zs: tuple) -> list:
-    """`_Kron.spectrum` at each of k scales, given one (k, m, m) stack per
-    factor, from one eigvalsh per distinct stack: the extremes of the products
-    of the factors' eigenvalues, which may have either sign."""
+def _spectra(zs: tuple) -> tuple:
+    """`_Kron`'s lambda_min, lambda_max and `_VERDICTS` index arrays at k
+    scales, given one (k, m, m) stack per factor, from one eigvalsh per
+    distinct stack: the extremes of the products of the factors'
+    eigenvalues, which may have either sign."""
     vals, *rest = _per_distinct(np.linalg.eigvalsh, zs)
     for v in rest:
         vals = (vals[..., None] * v[:, None]).reshape(len(v), -1)
-    return _diagnostics(vals.min(axis=1), vals.max(axis=1))
+    lo, hi = vals.min(axis=1), vals.max(axis=1)
+    return lo, hi, _verdict_index(lo, hi)
 
 
 def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
@@ -260,9 +256,12 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
     ]
 
 
-def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
+def _each_scale(space: FiniteMetricSpace, ts: list, task, per_block: bool = False) -> list:
     """[task(t, z, diag) for t in ts], with z = Z(tX) as a `_Kron` and diag
-    its SpectrumDiagnostics; task must keep no part of z.
+    its SpectrumDiagnostics; task must keep no part of z.  With per_block,
+    the list of a block's results is task(scales, zs, lo, hi, verdicts), zs
+    being its similarity stack per factor and the rest the arrays of
+    `_spectra`, so thousands of small matrices build no object per scale.
 
     Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
     each distinct factor's block is built as one stack and eigensolved by
@@ -283,10 +282,11 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
         zs = _per_distinct(
             lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
         )
-        return [
-            task(t, _Kron(_per_distinct(lambda z: z[j], zs)), diag)
-            for j, (t, diag) in enumerate(zip(scales, _spectra(zs)))
-        ]
+        lo, hi, verdicts = _spectra(zs)
+        if per_block:
+            return task(scales, zs, lo, hi, verdicts)
+        return [task(t, _Kron(_per_distinct(lambda z: z[j], zs)), diag)
+                for j, (t, diag) in enumerate(zip(scales, _diagnostics(lo, hi)))]
 
     return [r for rs in _each(block, blocks, buffers, _blas_threads()) for r in rs]
 
@@ -324,22 +324,22 @@ def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
     )
 
 
-def _solve(z: np.ndarray, diag: SpectrumDiagnostics) -> np.ndarray:
-    """w with Z w = 1: Cholesky with one step of iterative refinement."""
-    ones = np.ones(z.shape[0])
+def _solve(zs: np.ndarray, at, lambda_min) -> Iterator[np.ndarray]:
+    """w with Z w = 1 for each Z = zs[j], j in at, whose lambda_min is
+    lambda_min[j]: Cholesky with one step of iterative refinement."""
+    ones = np.ones(zs.shape[-1])
     # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
     potrf, potrs = _lapack()
-    factor, info = potrf(z, lower=True, clean=False)
-    if info == 0:
-        w = potrs(factor, ones, lower=True)[0]
-        return w + potrs(factor, ones - z @ w, lower=True)[0]
-    # Marginally PD matrices can fail to factor; least squares still
-    # yields a usable weighting with an honest residual.
-    logger.debug(
-        "Cholesky factor failed (potrf info %d, lambda_min %.3g); "
-        "weighting by least squares", info, diag.lambda_min,
-    )
-    return np.linalg.lstsq(z, ones, rcond=None)[0]
+    for j in at:
+        z = zs[j]
+        factor, info = potrf(z, lower=True, clean=False)
+        if info == 0:
+            w = potrs(factor, ones, lower=True)[0]
+            yield w + potrs(factor, ones - z @ w, lower=True)[0]
+        else:  # marginally PD: least squares gives a weighting with an honest residual
+            logger.debug("Cholesky factor failed (potrf info %d, lambda_min %.3g); "
+                         "weighting by least squares", info, lambda_min[j])
+            yield np.linalg.lstsq(z, ones, rcond=None)[0]
 
 
 def magnitude(space: FiniteMetricSpace) -> float:
@@ -372,19 +372,21 @@ def scale_sweep(
     if with_diversity:
         space.dist  # a factored space builds its dense matrix here, not on a worker
 
-    def record(t, z, diag):
-        mag = div = None
-        if diag.verdict == "PositiveDefinite":  # `_weighting`'s magnitude, no report
-            mag = z.magnitude(diag)
-        if with_diversity and diag.verdict in ("PositiveDefinite", "PositiveSemidefinite"):
-            dense = similarity(space, t) if space.factors else z.zs[0]
-            div = _max_diversity(dense, diag).diversity
-        return SweepRecord(
-            t=t, lambda_min=diag.lambda_min, verdict=diag.verdict,
-            magnitude=mag, diversity=div,
-        )
+    def block_records(scales, zs, lo, hi, verdicts):
+        # at the PD scales (index 2), `_weighting`'s magnitude with no report:
+        # the product of the factors' weight sums, by `_solve` per distinct stack
+        pd = np.flatnonzero(verdicts == 2).tolist()
+        sums = _per_distinct(lambda z: [float(w.sum()) for w in _solve(z, pd, lo)], zs)
+        mags = dict(zip(pd, map(math.prod, zip(*sums))))
+        divs = [None] * len(scales)
+        for j, diag in enumerate(_diagnostics(lo, hi) if with_diversity else ()):
+            if diag.verdict != "Indefinite":
+                dense = similarity(space, scales[j]) if space.factors else zs[0][j]
+                divs[j] = _max_diversity(dense, diag).diversity
+        return list(map(SweepRecord, scales, lo.tolist(), map(_VERDICTS.__getitem__, verdicts),
+                        map(mags.get, range(len(scales))), divs))
 
-    records = _each_scale(space, ts, record)
+    records = _each_scale(space, ts, block_records, per_block=True)
     spec = space.provenance
     return ScaleSweep(records=records, spec=None if spec is None else spec.to_json())
 

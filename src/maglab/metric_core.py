@@ -38,13 +38,14 @@ TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
 
 logger = logging.getLogger("maglab")
+_fields = functools.cache(dataclasses.fields)  # of a dataclass type, looked up once
 
 
 def _json_default(obj):
     """json.dumps's hook: a dataclass becomes the dict of its fields, in
     field order, and an array or a numpy scalar its Python value."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -664,15 +665,15 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
     seed the family cannot read raises InvalidParams, and a distance that
     overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
-    At snowflake 1 an l_1 grid_net carries its factors, and distinct points
-    of the line (a family of points in l_p, p >= 1, with one coordinate)
-    their sorted gaps; each builds its dense matrix only when read.
+    At snowflake 1 an l_1 grid_net of n >= 2 carries its factors, and distinct
+    points of the line (points in l_p, p >= 1, with one coordinate) their
+    sorted gaps; each builds its dense matrix only when read.
     """
     with np.errstate(all="ignore"):
         try:
             if spec.family == "grid_net" and spec.snowflake == 1.0:
                 axis, n, p = _grid_axis(spec.params)
-                if p == 1.0:
+                if p == 1.0 and n >= 2:  # one coordinate is a line, below
                     return _l1_grid(spec, axis, n)
             base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
             if isinstance(base, float):  # p, for points in l_p

@@ -84,9 +84,10 @@ def stability_scan(
     scales = sorted(float(t) for t in scales)
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
-    diags = _each_scale(space, scales, lambda t, z, diag: diag)
-    records = [ScanRecord(t, diag.lambda_min) for t, diag in zip(scales, diags)]
-    failing = [t for t, diag in zip(scales, diags) if diag.verdict == "Indefinite"]
+    found = _each_scale(space, scales, lambda ts, zs, lo, hi, verdicts: list(
+        zip(lo.tolist(), verdicts == 0)), per_block=True)  # 0: Indefinite
+    records = [ScanRecord(t, lam) for t, (lam, _) in zip(scales, found)]
+    failing = [t for t, (_, indefinite) in zip(scales, found) if indefinite]
     nt = negative_type_test(space)
     if failing:
         classification = "NotStablyPD"

@@ -19,9 +19,10 @@ from maglab import (
 from maglab import analysis as analysis_module
 from maglab.analysis import (
     WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
+    _first_indefinite,
 )
 from maglab.errors import InsufficientRecords, InvalidParams, QuadratureDivergence
-from maglab.magnitude import _Kron, similarity
+from maglab.magnitude import _Kron, psd_tolerance, similarity
 
 
 def _trapezoid_cosine(f, x, omegas):
@@ -467,3 +468,86 @@ class TestWitnessBlocks:
 
     def test_no_witness_past_several_blocks(self):
         self.check_budgets(2.0, 3, 5, (1000,))
+
+
+class TestWitnessScreen:
+    """A stacked Cholesky factor of Z + sigma I spares the eigensolve of each
+    size group that it shows holds no Indefinite matrix."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """("cholesky", shape, factored) and ("eigvalsh", shape), in order."""
+        calls = []
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            calls.append(("eigvalsh", a.shape))
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_cholesky(a, *args, **kwargs):
+            try:
+                factor = cholesky(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append(("cholesky", a.shape, False))
+                raise
+            calls.append(("cholesky", a.shape, True))
+            return factor
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        return calls
+
+    def test_p2_search_makes_no_eigensolve(self, calls):
+        """Every subset of l_2^3 is positive definite: each screen succeeds."""
+        assert not witness_search(p=2.0, n=3, budget=300, seed=1).found
+        # 256 + 44 trials of 3 to 8 points: one screen per size in each block
+        assert len(calls) == 12
+        assert all(call[0] == "cholesky" and call[2] for call in calls)
+
+    def test_pinf_eigensolves_only_the_failed_screens(self, calls):
+        assert witness_search(p=math.inf, n=3, budget=1000, seed=0).found
+        screens = [call for call in calls if call[0] == "cholesky"]
+        failed = [call for call in screens if not call[2]]
+        assert 0 < len(failed) < len(screens)
+        # each failed screen is followed by the eigensolve of its own stack
+        for i, call in enumerate(calls):
+            if call[0] == "eigvalsh":
+                assert calls[i - 1] == ("cholesky", call[1], False)
+        assert sum(call[0] == "eigvalsh" for call in calls) == len(failed)
+
+    @staticmethod
+    def _just_indefinite():
+        """K_{3,2} just below its threshold log sqrt 2, where eigvalsh puts
+        lambda_min about 1e-12 below the band -tau, found by bisection."""
+        space = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+
+        def excess(t):  # lambda_min + tau + 1e-12
+            vals = np.linalg.eigvalsh(similarity(space, t))
+            return vals[0] + psd_tolerance(vals[-1]) + 1e-12
+
+        lo, hi = 0.3, math.log(2.0) / 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+        return space, lo
+
+    def test_just_indefinite_matrix_falls_back_and_is_reported(self, calls):
+        space, t = self._just_indefinite()
+        z = similarity(space, t)
+        vals = np.linalg.eigvalsh(z)
+        tau = psd_tolerance(vals[-1])
+        assert -tau - 2e-12 < vals[0] < -tau - 0.5e-12
+        # (scale, trial) stack: positive definite matrices around z at (1, 1)
+        stack = np.stack([
+            [similarity(space, 1.0), similarity(space, 2.0), similarity(space, 3.0)],
+            [similarity(space, 1.5), z, similarity(space, 0.5)],
+        ])
+        del calls[:]
+        assert _first_indefinite(stack) == (1, 1, float(vals[0]))
+        assert calls == [("cholesky", stack.shape, False), ("eigvalsh", stack.shape)]
+
+    def test_positive_definite_stack_is_not_eigensolved(self, calls):
+        space = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+        stack = np.stack([[similarity(space, t)] for t in (0.4, 1.0, 4.0)])
+        assert _first_indefinite(stack) is None
+        assert calls == [("cholesky", stack.shape, True)]

@@ -437,6 +437,33 @@ class TestOneEigensolvePerScale:
         first = next(r.t for r in sweep.records if r.verdict != "Indefinite")
         assert first == pytest.approx(LOG_SQRT_2, abs=0.3 / 3999)
 
+    def test_k32_sweep_factors_only_its_positive_definite_scales(self, monkeypatch):
+        """Beside the one stacked eigvalsh, the sweep's per-scale work is one
+        Cholesky factor of each positive definite scale's Z, and none at any
+        other scale."""
+        eigvalsh_shapes, factored = [], []
+        eigvalsh, (potrf, potrs) = np.linalg.eigvalsh, magnitude_module._lapack()
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            eigvalsh_shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_potrf(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(magnitude_module, "_lapack", lambda: (counted_potrf, potrs))
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+        sweep = scale_sweep(s, np.linspace(0.2, 0.5, 4000))
+        assert eigvalsh_shapes == [(4000, 5, 5)]
+        pd = [r for r in sweep.records if r.verdict == "PositiveDefinite"]
+        assert 0 < len(pd) < len(sweep.records)
+        assert all(r.magnitude is None for r in sweep.records if r.verdict != "PositiveDefinite")
+        assert len(factored) == len(pd)
+        for z, r in zip(factored, pd):
+            assert z.tobytes() == similarity(s, r.t).tobytes()
+
 
 @pytest.mark.parametrize("space, grid", [
     (generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0})),
