@@ -230,33 +230,49 @@ class FourierReport:
 def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule, at every w.
 
-    ``x`` and ``omegas`` are uniform grids with any start.  The trapezoid
-    sum for all frequencies is one chirp-z (Bluestein) evaluation: with
-    x_j = x_0 + j dx and w_k = w_0 + k dw, the identity
-    2jk = j^2 + k^2 - (k - j)^2 turns sum_j g_j exp(-2 pi i x_j w_k) into a
-    convolution with the chirp exp(i pi dx dw n^2), done by FFT (of an
-    11-smooth length) in O((N + M) log(N + M)) instead of O(N M).
+    ``x`` and ``omegas`` are uniform grids with any start, x_j = x_0 + j dx
+    and w_k = w_0 + k dw.  The trapezoid sum sum_j g_j exp(-2 pi i x_j w_k)
+    is one chirp-z (Bluestein) evaluation: 2jk = j^2 + k^2 - (k - j)^2 makes
+    it a convolution with the chirp exp(i pi dx dw n^2), done by three FFTs of
+    the 11-smooth length S = next_fast_len(N + M - 1).  Where P = 1 / (dx dw)
+    is an integer in floating point and 2 <= P <= 3 S, x_j w_k = x_0 w_k +
+    j dx w_0 + jk / P makes it instead one length-P DFT of g_j exp(-2 pi i j dx
+    w_0) folded mod P, read at k mod P: a real FFT for real f at w_0 = 0.
     """
     from scipy.fft import next_fast_len  # scipy.fft stays out of `import maglab`
     n, m = len(x), len(omegas)
     size = next_fast_len(n + m - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dx = (x[-1] - x[0]) / max(n - 1, 1)
         dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
         g = f * dx
         g[0] *= 0.5
         g[-1] *= 0.5
-        # squares are exact in float64 below 2^53; powers of one complex
-        # ratio would compound rounding error along the chirp
-        sq = np.arange(max(n, m), dtype=float) ** 2
-        chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
-        u = np.zeros(size, dtype=complex)
-        u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
-        v = np.zeros(size, dtype=complex)
-        v[:m] = chirp[:m].conj()
-        v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-        conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
-        out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
+        period = 1.0 / (dx * dw)  # inf or nan for a product 0, subnormal or nan
+        if period.is_integer() and 2 <= period <= 3 * size:
+            period = int(period)
+            k = np.arange(m) % period
+            h = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) if omegas[0] else g
+            h = np.pad(h, (0, -n % period)).reshape(-1, period).sum(axis=0)  # sum over j mod P
+            if np.isrealobj(h):  # bins past P / 2 are the conjugates of those below
+                half = np.minimum(k, period - k)
+                spectrum = np.fft.rfft(h)[half]
+                spectrum.imag[half != k] *= -1.0
+            else:
+                spectrum = np.fft.fft(h)[k]
+            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * spectrum).real
+        else:
+            # squares are exact in float64 below 2^53; powers of one complex
+            # ratio would compound rounding error along the chirp
+            sq = np.arange(max(n, m), dtype=float) ** 2
+            chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
+            u = np.zeros(size, dtype=complex)
+            u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
+            v = np.zeros(size, dtype=complex)
+            v[:m] = chirp[:m].conj()
+            v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+            conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
+            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
     if not np.isfinite(out).all():
         raise NonFiniteEntry("cosine transform overflowed: grid spacing too large")
     return out
@@ -284,10 +300,12 @@ def gamma_hat_1d(
     """
     if not (0 < p <= 2):
         raise InvalidParams("gamma_hat_1d needs 0 < p <= 2")
-    if not (0 < L < math.inf and N >= 1 and n_omega >= 2 and 0 < omega_max < math.inf):
-        raise InvalidParams(
-            "gamma_hat_1d needs finite L > 0 and omega_max > 0, N >= 1 and n_omega >= 2"
-        )
+    if not (0 < L < math.inf and 0 < omega_max < math.inf):
+        raise InvalidParams("gamma_hat_1d needs finite L > 0 and omega_max > 0")
+    if not (_is_integer(N) and N >= 1):
+        raise InvalidParams(f"N must be an integer at least 1, got {N!r}")
+    if not (_is_integer(n_omega) and n_omega >= 2):
+        raise InvalidParams(f"n_omega must be an integer at least 2, got {n_omega!r}")
     tail = _stable_density_tail(p, L)
     if tail > TAIL_TOLERANCE:
         raise QuadratureDivergence(
@@ -333,7 +351,8 @@ def fourier_upper_bound_1d(
     supremum of its transform divided by the transform of the interval's
     metric kernel exp(-|x|^r), r = alpha * min(1, p).  ``L`` and ``N`` set
     the quadrature of that kernel transform, as in ``gamma_hat_1d``; r < 1
-    needs a larger L than the default.
+    needs a larger L than the default.  A quotient largest at omega_max is
+    refused with QuadratureDivergence: the grid does not show its supremum.
     """
     if not (0 < p <= 2) or not (0 < alpha <= 1):
         raise InvalidParams("need 0 < p <= 2 and 0 < alpha <= 1")
@@ -366,6 +385,11 @@ def fourier_upper_bound_1d(
     psi_hat = indicator_hat * bump_hat
     ratio = psi_hat / gamma.values
     idx = int(np.argmax(ratio))
+    if idx == len(omegas) - 1:
+        raise QuadratureDivergence(
+            f"the quotient is largest at the grid's last frequency {omegas[idx]:g}, "
+            "so the grid does not show its supremum"
+        )
     # quadrature error: tail truncation of the denominator, relative
     err = float(ratio[idx]) * gamma.tail_estimate / float(gamma.values[idx])
     return FourierUpperBound(

@@ -256,12 +256,11 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
     ]
 
 
-def _each_scale(space: FiniteMetricSpace, ts: list, task, per_block: bool = False) -> list:
-    """[task(t, z, diag) for t in ts], with z = Z(tX) as a `_Kron` and diag
-    its SpectrumDiagnostics; task must keep no part of z.  With per_block,
-    the list of a block's results is task(scales, zs, lo, hi, verdicts), zs
-    being its similarity stack per factor and the rest the arrays of
-    `_spectra`, so thousands of small matrices build no object per scale.
+def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
+    """One result per t in ts: a block of scales gives the list
+    task(scales, zs, lo, hi, verdicts), zs being its similarity stack per
+    factor and the rest the arrays of `_spectra`, so thousands of small
+    matrices build no object per scale; task must keep no part of zs.
 
     Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
     each distinct factor's block is built as one stack and eigensolved by
@@ -282,11 +281,7 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task, per_block: bool = Fals
         zs = _per_distinct(
             lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
         )
-        lo, hi, verdicts = _spectra(zs)
-        if per_block:
-            return task(scales, zs, lo, hi, verdicts)
-        return [task(t, _Kron(_per_distinct(lambda z: z[j], zs)), diag)
-                for j, (t, diag) in enumerate(zip(scales, _diagnostics(lo, hi)))]
+        return task(scales, zs, *_spectra(zs))
 
     return [r for rs in _each(block, blocks, buffers, _blas_threads()) for r in rs]
 
@@ -386,7 +381,7 @@ def scale_sweep(
         return list(map(SweepRecord, scales, lo.tolist(), map(_VERDICTS.__getitem__, verdicts),
                         map(mags.get, range(len(scales))), divs))
 
-    records = _each_scale(space, ts, block_records, per_block=True)
+    records = _each_scale(space, ts, block_records)
     spec = space.provenance
     return ScaleSweep(records=records, spec=None if spec is None else spec.to_json())
 

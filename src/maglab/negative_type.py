@@ -85,7 +85,7 @@ def stability_scan(
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
     found = _each_scale(space, scales, lambda ts, zs, lo, hi, verdicts: list(
-        zip(lo.tolist(), verdicts == 0)), per_block=True)  # 0: Indefinite
+        zip(lo.tolist(), verdicts == 0)))  # 0: Indefinite
     records = [ScanRecord(t, lam) for t, (lam, _) in zip(scales, found)]
     failing = [t for t, (_, indefinite) in zip(scales, found) if indefinite]
     nt = negative_type_test(space)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,21 @@ class TestCosineTransform:
             (np.linspace(0.0, 9.0, 980), np.linspace(-0.4, 4.0, 22)),
             # shorter than the frequency grid
             (np.linspace(-2.0, 3.0, 5), np.linspace(0.0, 1.0, 11)),
+            # commensurate grids, P = 1 / (dx dw) an integer at most 3 S:
+            # N = 4097 > P = 512 folds
+            (np.linspace(0.0, 4.0, 4097), np.linspace(0.0, 98.0, 50)),
+            # M - 1 = 199 > P / 2 = 128 reads conjugate bins, with x[0] < 0
+            (np.linspace(-1.5, 2.5, 257), np.linspace(0.0, 49.75, 200)),
+            # nonzero x[0] and w[0], P = 1024
+            (np.linspace(-1.0, 3.0, 1025), np.linspace(-0.75, 9.0, 40)),
+            # P = 2
+            (np.linspace(-0.5, 1.0, 4), np.linspace(0.0, 5.0, 6)),
+            # S = 1050: P = 3 S = 3150 takes the DFT, P = 3151 the chirp-z
+            (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3150, 33)),
+            (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3151, 33)),
+            # dx dw underflows to 0, and to a subnormal: no warning
+            (np.linspace(0.0, 1e-169, 11), np.linspace(0.0, 1e-169, 11)),
+            (np.linspace(0.0, 1e-160, 11), np.linspace(0.0, 1e-161, 11)),
         ],
     )
     def test_matches_trapezoid_reference(self, x, omegas):
@@ -59,18 +75,42 @@ class TestCosineTransform:
         got = _cosine_transform(f, x, omegas)
         assert np.abs(got - _trapezoid_cosine(f, x, omegas)).max() <= 1e-12
 
-    def test_default_grid_takes_a_fast_length(self, monkeypatch):
-        """N + M - 1 = 65,937 pads to the 11-smooth 66,000, not to 2^17."""
-        lengths = []
-        original = np.fft.fft
+    @pytest.fixture
+    def ffts(self, monkeypatch):
+        """(name, length) of each numpy FFT call."""
+        calls = []
 
-        def recorded(a, *args, **kwargs):
-            lengths.append(len(a))
-            return original(a, *args, **kwargs)
+        def recorded(name):
+            original = getattr(np.fft, name)
 
-        monkeypatch.setattr(np.fft, "fft", recorded)
+            def call(a, *args, **kwargs):
+                calls.append((name, len(a)))
+                return original(a, *args, **kwargs)
+            return call
+
+        for name in ("fft", "ifft", "rfft"):
+            monkeypatch.setattr(np.fft, name, recorded(name))
+        return calls
+
+    def test_incommensurate_grid_takes_a_fast_length(self, ffts):
+        """At L = 700, P = 3744.9; N + M - 1 = 65,937 pads to the 11-smooth
+        66,000, not to 2^17."""
+        gamma_hat_1d(0.5, L=700.0)
+        assert ffts == [("fft", 66000), ("fft", 66000), ("ifft", 66000)]
+
+    def test_default_grid_takes_one_real_fft(self, ffts):
+        """L = 40, N = 2^16 and w on k / 40 give P = 2^16."""
         gamma_hat_1d(1.0)
-        assert lengths == [66000, 66000]
+        assert ffts == [("rfft", 65536)]
+
+    @pytest.mark.parametrize("period, calls", [
+        (3150, [("rfft", 3150)]),
+        (3151, [("fft", 1050), ("fft", 1050), ("ifft", 1050)]),
+    ])
+    def test_dft_up_to_three_chirp_lengths(self, ffts, period, calls):
+        x, omegas = np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / period, 33)
+        _cosine_transform(np.exp(-np.abs(x)), x, omegas)
+        assert ffts == calls
 
 
 class TestApproxMagnitude:
@@ -304,6 +344,22 @@ class TestGammaHat:
             gamma_hat_1d(1.0, **kwargs)
 
 
+@pytest.mark.parametrize("transform", [
+    lambda **kwargs: gamma_hat_1d(1.0, **kwargs),
+    lambda **kwargs: fourier_upper_bound_1d(2.0, 1.0, 1.0, 4.0, **kwargs),
+], ids=["gamma_hat_1d", "fourier_upper_bound_1d"])
+@pytest.mark.parametrize("kwargs", [
+    {"N": 65536.5}, {"N": True}, {"N": np.float64(2**16)}, {"n_omega": 401.5},
+    {"n_omega": True},
+])
+def test_grid_sizes_must_be_integers(transform, kwargs):
+    """A fractional or boolean N or n_omega is refused, not rounded or
+    taken as 1."""
+    (value,) = kwargs.values()
+    with pytest.raises(InvalidParams, match=re.escape(f"got {value!r}") + "$"):
+        transform(**kwargs)
+
+
 class TestFourierUpperBound:
     def test_bounds_interval_magnitude(self):
         # |[0,2]| = 2 in the line metric; the quotient must sit above it
@@ -326,6 +382,13 @@ class TestFourierUpperBound:
         """The bound's omega_max = 20 is past N / (2L) = 3.3 at L = 1e4."""
         with pytest.raises(InvalidParams, match="Nyquist"):
             fourier_upper_bound_1d(2.0, 1.0, 1.0, 4.0, L=1e4)
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e-3])
+    def test_bound_past_the_grid_is_refused(self, radius):
+        """At ell = 0 a narrow mollifier's quotient still grows at omega_max
+        = 20; the grid maximum there would read 1.6e-296 or 15.7."""
+        with pytest.raises(QuadratureDivergence, match="does not show its supremum"):
+            fourier_upper_bound_1d(0.0, 1.0, 1.0, radius)
 
     def test_requires_radius_beyond_interval(self):
         with pytest.raises(InvalidParams):

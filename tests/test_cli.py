@@ -230,6 +230,20 @@ class TestFourierCommand:
         assert run(["fourier", "--p", "1", *grid]).exit_code == 1
         assert "InvalidParams" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["1e-300", "1e-3"])
+    def test_bound_past_the_grid_is_domain_error(self, radius, tmp_path, capsys):
+        """A quotient largest at the last frequency has no supremum on the
+        grid: one line on stderr, no report."""
+        out = tmp_path / "report.json"
+        argv = ["fourier", "--p", "1", "--upper-bound", "--ell", "0",
+                "--mollifier-radius", radius, "--json", str(out)]
+        assert run(argv).exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: QuadratureDivergence:")
+        assert captured.err.count("\n") == 1 and "supremum" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [
         ["--upper-bound", "--ell", "2", "--mollifier-radius", "1e308"],
     ])

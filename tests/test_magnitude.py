@@ -588,7 +588,8 @@ class TestStackedBlocks:
     def _assert_matches(space, grid, references):
         diags, sweep, with_diversity, (records, failing) = references
         ts = sorted(float(t) for t in grid)
-        assert repr(magnitude_module._each_scale(space, ts, lambda t, z, diag: diag)) == diags
+        assert repr(magnitude_module._each_scale(
+            space, ts, lambda ts, zs, lo, hi, v: magnitude_module._diagnostics(lo, hi))) == diags
         assert repr(scale_sweep(space, grid)) == sweep
         assert repr(scale_sweep(space, grid, True)) == with_diversity
         report = stability_scan(space, grid)

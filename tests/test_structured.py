@@ -44,7 +44,7 @@ from maglab import (
     weighting,
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
-from maglab.magnitude import _each_scale, _similarity, _weighting
+from maglab.magnitude import _diagnostics, _each_scale, _similarity, _weighting
 from maglab.metric_core import _L1Sum, _Line
 
 EPS = np.finfo(float).eps
@@ -384,7 +384,7 @@ def test_kronecker_paths_build_no_dense_matrix(unbuildable):
     assert report.magnitude == pytest.approx(_interval_magnitude(301, 1.0, 1.0) ** 2, rel=1e-12)
     ts = [100.0, 300.0, 900.0]
     assert [r.verdict for r in scale_sweep(space, ts).records] == ["PositiveDefinite"] * 3
-    assert len(_each_scale(space, ts, lambda t, z, diag: diag)) == len(ts)
+    assert len(_each_scale(space, ts, lambda ts, zs, lo, hi, v: _diagnostics(lo, hi))) == len(ts)
     study = growth_bound_study(spec, ts)
     assert len(study.checks) == len(ts)
     # mu = a x b has quotient (sum a sum b)^2 / ((a' Z_1 a)(b' Z_1 b)), Z_1 the axis's
