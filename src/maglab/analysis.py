@@ -134,8 +134,12 @@ def approx_magnitude(
     fit = [r for r in good if r.gap is not None][-3:]
     if len(fit) >= 2 and any(r.gap > 0 for r in fit):
         # m(k) = m_inf - c * gap(k), solved by least squares over the
-        # finest levels where the first-order model is accurate
+        # finest levels where the first-order model is accurate.  lstsq's
+        # rcond cutoff drops the intercept m_inf once the gap column dwarfs
+        # the ones column, so gaps from 1 up are divided, exactly, by the
+        # largest one's power of two; that rescales c alone
         g = np.array([r.gap for r in fit])
+        g = np.ldexp(g, -max(0, math.frexp(g.max())[1]))
         m = np.array([r.magnitude for r in fit])
         design = np.stack([np.ones_like(g), -g], axis=1)
         coef, *_ = np.linalg.lstsq(design, m, rcond=None)

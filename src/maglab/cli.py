@@ -140,9 +140,12 @@ def _cmd_diversity(args):
 def _cmd_sweep(args):
     sweep = scale_sweep(_load_space(args), args.scales, with_diversity=args.with_diversity)
     lines = [f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}"]
-    for r in sweep.records:
-        mag = f"{r.magnitude:.8g}" if r.magnitude is not None else "-"
-        lines.append(f"{r.t:>12.6g} {r.lambda_min:>14.6g} {r.verdict:>22} {mag:>14}")
+    lines += [
+        "%12.6g %14.6g %22s %14.8g" % (r.t, r.lambda_min, r.verdict, r.magnitude)
+        if r.magnitude is not None
+        else "%12.6g %14.6g %22s %14s" % (r.t, r.lambda_min, r.verdict, "-")
+        for r in sweep.records
+    ]
     return sweep, lines, 0
 
 

@@ -33,6 +33,8 @@ from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each, _Line
 logger = logging.getLogger("maglab")
 
 _STACK_ENTRIES = 2**20  # similarity entries per stacked eigensolve of a sweep or scan
+_BORDERED_SIDE = 32  # largest Z whose sweep magnitudes come from a stacked Cholesky
+_BORDERED_ENTRIES = 2**17  # entries per bordered stack: 1 MiB, and 1 MiB of factor
 _GAP_FLOOR = 1e-150  # least t * gap that `_Path.spectrum` puts in its bidiagonal
 
 _VERDICTS = ("Indefinite", "PositiveSemidefinite", "PositiveDefinite")
@@ -106,7 +108,8 @@ def _similarities(dist: np.ndarray, ts, out: Optional[np.ndarray] = None) -> np.
     """
     for t in ts:
         _check_scale(t)
-    z = np.multiply.outer(-np.asarray(ts, dtype=float), dist, out=out)
+    with np.errstate(over="ignore"):  # -t d overflows to -inf, whose exp is the correct 0
+        z = np.multiply.outer(-np.asarray(ts, dtype=float), dist, out=out)
     np.exp(z, out=z)
     i = np.arange(dist.shape[-1])
     z[..., i, i] = 1.0
@@ -337,6 +340,61 @@ def _solve(zs: np.ndarray, at, lambda_min) -> Iterator[np.ndarray]:
             yield np.linalg.lstsq(z, ones, rcond=None)[0]
 
 
+def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
+    """1'Z^-1 1 for each positive definite Z = zs[j], j in at, whose lambda_min
+    is lambda_min[j].
+
+    Up to side _BORDERED_SIDE, a stacked Cholesky factor of the bordered
+    [[Z, 1], [1', inf]] gives L^-1 1 as each factor's last row, and the
+    magnitude as its squared norm; the infinite corner's pivot never fails
+    and is never read.  The stacks hold at most _BORDERED_ENTRIES entries, so
+    they and their factors add at most 2 MiB to any sweep.  Past that side
+    the factor outweighs the per-matrix LAPACK round trip, and every matrix
+    takes `_solve`.  The path reads the side alone, and a matrix's bits do
+    not depend on its stack: a (space, t) gets the same bits in any block.
+    """
+    m = zs.shape[-1]
+    if m > _BORDERED_SIDE:
+        return [float(w.sum()) for w in _solve(zs, at, lambda_min)]
+    step = _BORDERED_ENTRIES // (m + 1) ** 2
+    return [
+        mag for i in range(0, len(at), step)
+        for mag in _bordered_magnitudes(zs, at[i : i + step], lambda_min)
+    ]
+
+
+def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
+    """`_magnitudes` of one bordered stack.  If its factor fails, each matrix
+    is factored alone, and one that fails alone takes `_solve`."""
+    m = zs.shape[-1]
+    bordered = np.empty((len(at), m + 1, m + 1))
+    bordered[:, m, :] = bordered[:, :, m] = 1.0
+    bordered[:, m, m] = np.inf
+    # copy each run of consecutive indices as one slice, with no zs[at] temporary
+    i = 0
+    for run in np.split(at, np.flatnonzero(np.diff(at) != 1) + 1):
+        bordered[i : i + len(run), :m, :m] = zs[run[0] : run[-1] + 1]
+        i += len(run)
+    try:
+        return _last_row_norms(bordered)
+    except np.linalg.LinAlgError:
+        pass
+    mags = []
+    for b, j in zip(bordered, at.tolist()):
+        try:
+            mags += _last_row_norms(b[None])
+        except np.linalg.LinAlgError:
+            mags.append(float(next(_solve(zs, [j], lambda_min)).sum()))
+    return mags
+
+
+def _last_row_norms(bordered: np.ndarray) -> list:
+    """The squared norm of each stacked Cholesky factor's last row, its corner
+    left out."""
+    y = np.linalg.cholesky(bordered)[:, -1, :-1]
+    return (y * y).sum(axis=1).tolist()
+
+
 def magnitude(space: FiniteMetricSpace) -> float:
     return weighting(space).magnitude
 
@@ -368,11 +426,11 @@ def scale_sweep(
         space.dist  # a factored space builds its dense matrix here, not on a worker
 
     def block_records(scales, zs, lo, hi, verdicts):
-        # at the PD scales (index 2), `_weighting`'s magnitude with no report:
-        # the product of the factors' weight sums, by `_solve` per distinct stack
-        pd = np.flatnonzero(verdicts == 2).tolist()
-        sums = _per_distinct(lambda z: [float(w.sum()) for w in _solve(z, pd, lo)], zs)
-        mags = dict(zip(pd, map(math.prod, zip(*sums))))
+        # at the PD scales (index 2), the magnitude with no weighting: the
+        # product of the factors' 1'Z^-1 1, by `_magnitudes` per distinct stack
+        pd = np.flatnonzero(verdicts == 2)
+        sums = _per_distinct(lambda z: _magnitudes(z, pd, lo), zs)
+        mags = dict(zip(pd.tolist(), map(math.prod, zip(*sums))))
         divs = [None] * len(scales)
         for j, diag in enumerate(_diagnostics(lo, hi) if with_diversity else ()):
             if diag.verdict != "Indefinite":

@@ -38,14 +38,30 @@ TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
 
 logger = logging.getLogger("maglab")
-_fields = functools.cache(dataclasses.fields)  # of a dataclass type, looked up once
+
+
+@functools.cache
+def _field_names(cls) -> Optional[tuple]:
+    """A dataclass type's field names in order, or None for any other type;
+    looked up once per type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _json_default(obj):
     """json.dumps's hook: a dataclass becomes the dict of its fields, in
-    field order, and an array or a numpy scalar its Python value."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
+    field order, and an array or a numpy scalar its Python value.
+
+    An instance dict that holds exactly the fields, in order, goes to the
+    encoder as it is, with no copy built per object.
+    """
+    names = _field_names(type(obj))
+    if names is not None:
+        own = getattr(obj, "__dict__", None)
+        if own is not None and tuple(own) == names:
+            return own
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -137,6 +137,15 @@ class TestApproxMagnitude:
             assert [r.magnitude for r in study.records] == [pytest.approx(1.0)]
             assert study.extrapolated_limit == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("length", [1e10, 1e16, 1e100, 1e300])
+    def test_limit_at_large_lengths(self, length):
+        """With gaps this large every tanh term is 1, so the nets of 2, 3 and
+        5 points have magnitudes 2, 3 and 5 at gaps L/2, L/4 and 0, and the
+        line through them by least squares meets gap 0 at 29/6."""
+        study = approx_magnitude(SpaceSpec("interval_net", {"length": length}), [2, 3, 5])
+        assert [r.magnitude for r in study.records] == [2.0, 3.0, 5.0]
+        assert study.extrapolated_limit == pytest.approx(29 / 6, rel=1e-14)
+
     @pytest.mark.parametrize("levels", [[11, 11, 11], [5, 11, 21, 21], [21, 5, 21]])
     def test_repeated_levels_refused(self, levels):
         # a repeated level would count one net twice in the gap fit

@@ -66,6 +66,18 @@ class TestNegtypeCommand:
         assert "negative_type: false" in out
         assert "NotStablyPD" in out
 
+    def test_overflowing_scaled_distance_warns_nothing(self, tmp_path, capsys):
+        """At scale 16 of the scan, -t d overflows to -inf, whose exp is the
+        exact similarity 0: no warning, and the two points are stably PD."""
+        path = tmp_path / "far.csv"
+        path.write_text("0,1e308\n1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["negtype", "--matrix", str(path)]).exit_code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "classification: StablyPositiveDefinite" in captured.out
+
 
 class TestDiversityCommand:
     def test_two_point(self, two_point_csv, capsys):

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,20 +382,27 @@ class TestOneEigensolvePerScale:
         assert report.classification == "StablyPositiveDefinite"
 
     def test_l1_cube_grid_solves_its_factor_once(self, monkeypatch, similarity_sides):
-        """The n = 3 grid's three factors are one array: one stack and one
-        eigvalsh per block of scales, one Cholesky factor per PD scale."""
-        eigvalsh_shapes, potrf_sides = [], []
-        eigvalsh, (potrf, potrs) = np.linalg.eigvalsh, magnitude_module._lapack()
+        """The n = 3 grid's three factors are one array: one stack, one
+        eigvalsh and one bordered Cholesky stack per block of scales, holding
+        each scale's factor once; `weighting` takes one `potrf`."""
+        eigvalsh_shapes, cholesky_shapes, potrf_sides = [], [], []
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        potrf, potrs = magnitude_module._lapack()
 
         def counted_eigvalsh(a, *args, **kwargs):
             eigvalsh_shapes.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
+
+        def counted_cholesky(a, *args, **kwargs):
+            cholesky_shapes.append(a.shape)
+            return cholesky(a, *args, **kwargs)
 
         def counted_potrf(a, *args, **kwargs):
             potrf_sides.append(len(a))
             return potrf(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(magnitude_module, "_lapack", lambda: (counted_potrf, potrs))
         s = generate(SpaceSpec("grid_net", {"m": 5, "n": 3, "p": 1.0}))
         assert len(s.factors) == 3
@@ -404,16 +412,18 @@ class TestOneEigensolvePerScale:
         ts = [0.5, 1.0, 2.0, 4.0, 8.0]
         sweep = scale_sweep(s, ts)
         assert eigvalsh_shapes == [(2, 5, 5), (2, 5, 5), (1, 5, 5)]
+        assert cholesky_shapes == [(2, 6, 6), (2, 6, 6), (1, 6, 6)]
         assert similarity_sides == [5] * len(ts)
-        assert potrf_sides == [5] * len(ts)
+        assert potrf_sides == []
         for r in sweep.records:
             t = r.t
             exact = (1.0 + 4.0 * math.tanh(t * 0.25 / 2.0)) ** 3
             assert r.verdict == "PositiveDefinite"
             assert r.magnitude == pytest.approx(exact, rel=1e-12)
-        del eigvalsh_shapes[:], potrf_sides[:]
-        assert weighting(s).magnitude == sweep.records[1].magnitude  # t = 1
-        assert eigvalsh_shapes == [(1, 5, 5)] and potrf_sides == [5]
+        del eigvalsh_shapes[:], cholesky_shapes[:]
+        # t = 1; the weighting's solve and the bordered factor differ in the last bits
+        assert weighting(s).magnitude == pytest.approx(sweep.records[1].magnitude, rel=1e-12)
+        assert eigvalsh_shapes == [(1, 5, 5)] and potrf_sides == [5] and cholesky_shapes == []
 
     def test_is_positively_weighted(self, eigensolves, similarities):
         s = random_cloud(46)
@@ -439,30 +449,37 @@ class TestOneEigensolvePerScale:
 
     def test_k32_sweep_factors_only_its_positive_definite_scales(self, monkeypatch):
         """Beside the one stacked eigvalsh, the sweep's per-scale work is one
-        Cholesky factor of each positive definite scale's Z, and none at any
-        other scale."""
+        bordered Cholesky stack: each positive definite scale's Z, bordered by
+        ones with an infinite corner, and no other scale's."""
         eigvalsh_shapes, factored = [], []
-        eigvalsh, (potrf, potrs) = np.linalg.eigvalsh, magnitude_module._lapack()
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        potrs = magnitude_module._lapack()[1]
 
         def counted_eigvalsh(a, *args, **kwargs):
             eigvalsh_shapes.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
-        def counted_potrf(a, *args, **kwargs):
+        def counted_cholesky(a, *args, **kwargs):
             factored.append(np.array(a))
-            return potrf(a, *args, **kwargs)
+            return cholesky(a, *args, **kwargs)
+
+        def no_potrf(a, *args, **kwargs):
+            raise AssertionError("the sweep of a 5-point space calls potrf")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(magnitude_module, "_lapack", lambda: (counted_potrf, potrs))
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(magnitude_module, "_lapack", lambda: (no_potrf, potrs))
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
         sweep = scale_sweep(s, np.linspace(0.2, 0.5, 4000))
         assert eigvalsh_shapes == [(4000, 5, 5)]
         pd = [r for r in sweep.records if r.verdict == "PositiveDefinite"]
         assert 0 < len(pd) < len(sweep.records)
         assert all(r.magnitude is None for r in sweep.records if r.verdict != "PositiveDefinite")
-        assert len(factored) == len(pd)
-        for z, r in zip(factored, pd):
-            assert z.tobytes() == similarity(s, r.t).tobytes()
+        [stack] = factored
+        assert stack.shape == (len(pd), 6, 6)
+        for b, r in zip(stack, pd):
+            assert b[:5, :5].tobytes() == similarity(s, r.t).tobytes()
+            assert (b[5, :5] == 1.0).all() and (b[:5, 5] == 1.0).all() and b[5, 5] == math.inf
 
 
 @pytest.mark.parametrize("space, grid", [
@@ -472,18 +489,30 @@ class TestOneEigensolvePerScale:
      np.geomspace(0.05, 20.0, 30)),
 ])
 def test_sweep_magnitude_is_the_weighting_reports(space, grid):
-    """The sweep sums its factors' weightings without building a report,
-    and gets `_weighting`'s magnitude bit for bit."""
+    """The sweep's magnitude, with no weighting vector, is `_weighting`'s to
+    16 u kappa relative, u being the unit roundoff and kappa the condition
+    number of Z: two backward stable solves differ in their last bits only
+    (the worst case here is 3.5 u kappa, on the l_1 grid's products)."""
     sweep = scale_sweep(space, grid)
     pd = [r for r in sweep.records if r.verdict == "PositiveDefinite"]
     assert pd
+    u = np.finfo(float).eps / 2
     for r in pd:
         z = _similarity(space, r.t)
-        assert r.magnitude == _weighting(z, z.spectrum()).magnitude
+        diag = z.spectrum()
+        expected = _weighting(z, diag).magnitude
+        assert abs(r.magnitude - expected) <= 16 * u * diag.condition_estimate * expected
+
+
+def one_matrix_magnitude(z, lambda_min):
+    """The sweep's magnitude 1'Z^-1 1 of one positive definite Z, computed
+    on a one-matrix stack."""
+    return magnitude_module._magnitudes(z[None], np.array([0]), [lambda_min])[0]
 
 
 def reference_sweep(space, grid, with_diversity=False):
-    """`scale_sweep` as a per-scale loop: one Z and one eigensolve each."""
+    """`scale_sweep` as a per-scale loop: one Z, one eigensolve and one
+    magnitude stack per factor each."""
     from maglab.diversity import _max_diversity
 
     records = []
@@ -492,7 +521,7 @@ def reference_sweep(space, grid, with_diversity=False):
         diag = z.spectrum()
         mag = div = None
         if diag.verdict == "PositiveDefinite":
-            mag = _weighting(z, diag).magnitude
+            mag = math.prod(one_matrix_magnitude(f, diag.lambda_min) for f in z.zs)
         if with_diversity and diag.verdict != "Indefinite":
             div = _max_diversity(similarity(space, t), diag).diversity
         records.append(SweepRecord(t, diag.lambda_min, diag.verdict, mag, div))
@@ -727,6 +756,90 @@ class TestWeightingFallback:
         [record] = caplog.records
         assert record.name == "maglab" and record.levelno == logging.DEBUG
         assert "least squares" in record.getMessage()
+
+
+def k32_near_threshold():
+    """K_{3,2}'s 20 positive definite scales of the 4000-scale grid nearest
+    log sqrt 2, where kappa(Z) reaches 1e6, and ten spread to t = 20."""
+    grid = np.linspace(0.2, 0.5, 4000)
+    near = sorted(grid[grid > LOG_SQRT_2])[:20]
+    return [*near, *np.geomspace(0.4, 20.0, 10)]
+
+
+class TestBorderedFactor:
+    """The sweep's magnitudes from the bordered Cholesky stack, against
+    1'Z^-1 1 solved at 50 digits on the same float Z (the product over an
+    l_1 sum's factors)."""
+
+    CASES = [
+        (generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0})),
+         k32_near_threshold()),
+        *[(random_cloud(seed, n_max=13, dim=2), np.geomspace(0.05, 30.0, 10))
+          for seed in range(3)],
+        (generate(SpaceSpec("sphere_fibonacci_net", {"n": 20})), np.geomspace(0.5, 30.0, 10)),
+        (generate(SpaceSpec("grid_net", {"m": 7, "n": 2, "p": 1.0})),
+         np.geomspace(0.05, 30.0, 10)),
+    ]
+
+    @staticmethod
+    def exact_magnitude(z) -> mpmath.mpf:
+        with mpmath.workdps(50):
+            w = mpmath.lu_solve(mpmath.matrix(z.tolist()), mpmath.matrix([1] * len(z)))
+            return mpmath.fsum(w)
+
+    @pytest.mark.parametrize("space, grid", CASES)
+    def test_matches_50_digit_solves(self, space, grid):
+        """Each relative error is at most 4 m u kappa, m being the factored
+        matrices' side, u the unit roundoff and kappa = lambda_max / lambda_min
+        from the sweep's own eigensolve (the worst here is 0.4 m u kappa)."""
+        ts = sorted(float(t) for t in grid)
+        factors = space.factors or (space.dist,)
+        assert max(len(d) for d in factors) <= magnitude_module._BORDERED_SIDE
+        kappas = magnitude_module._each_scale(
+            space, ts, lambda scales, zs, lo, hi, v: (hi / lo).tolist())
+        records = scale_sweep(space, ts).records
+        assert all(r.verdict == "PositiveDefinite" for r in records)
+        u = np.finfo(float).eps / 2
+        for r, kappa in zip(records, kappas):
+            exact = math.prod(
+                self.exact_magnitude(magnitude_module._similarities(d, [r.t])[0])
+                for d in factors
+            )
+            error = abs(mpmath.mpf(r.magnitude) / exact - 1)
+            assert error <= 4 * max(len(d) for d in factors) * u * kappa
+
+    def test_failed_stack_factors_each_matrix_alone(self, monkeypatch, caplog):
+        """A stack whose factor raises is factored one matrix at a time; the
+        one matrix that fails alone, and whose `potrf` fails too, takes the
+        logged least-squares fallback, and every other scale keeps its bits."""
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+        grid = np.geomspace(0.4, 20.0, 8)
+        expected = scale_sweep(s, grid).records
+        bad = similarity(s, float(grid[3]))
+        cholesky, (potrf, potrs) = np.linalg.cholesky, magnitude_module._lapack()
+        stacks = []
+
+        def failing_cholesky(a, *args, **kwargs):
+            stacks.append(len(a))
+            if any(np.array_equal(b[:5, :5], bad) for b in a):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        def failing_potrf(z, **kwargs):
+            return (np.zeros_like(z), 1) if np.array_equal(z, bad) else potrf(z, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        monkeypatch.setattr(magnitude_module, "_lapack", lambda: (failing_potrf, potrs))
+        with caplog.at_level(logging.DEBUG, logger="maglab"):
+            records = scale_sweep(s, grid).records
+        assert stacks == [8] + [1] * 8
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "least squares" in message
+        for j, (r, e) in enumerate(zip(records, expected)):
+            if j == 3:
+                assert r.magnitude == pytest.approx(e.magnitude, rel=1e-12)
+            else:
+                assert repr(r) == repr(e)
 
 
 class TestDimensionEstimate:
