@@ -130,8 +130,9 @@ def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     Inconsistent.  One similarity matrix serves the verdict and both solves.
     """
     z = similarity(space)
-    diag = _Kron((z,)).spectrum()
-    report = _weighting(_Kron((z,)), diag)  # raises NotPositiveDefinite when not PD
+    op = _Kron((z[None],))
+    diag = op.spectrum()
+    report = _weighting(op, diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
     div = _max_diversity(z, diag)
     gap = abs(report.magnitude - div.diversity)

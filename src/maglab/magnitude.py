@@ -8,9 +8,11 @@ and the diversity all read one Z, which the private helpers take as given.
 The private helpers take Z(tX) as the operator that `_similarity` alone
 chooses, each with `spectrum`, `weighting` and `matvec`.  Distinct points of
 the line give `_Path`, which reads the sorted points' gaps in O(n) (Leinster,
-arXiv:1012.5857).  Any other space gives `_Kron`, the Kronecker product of
-its factors' similarity matrices, never formed: one per factor of an l_1
-sum, else Z itself.  The diversity solve stays dense.
+arXiv:1012.5857).  A dense space whose point order is symmetric under
+reversal gives `_Fold`, two half-size blocks of Z read from its top rows.
+Any other space gives `_Kron`, the Kronecker product of its factors'
+similarity matrices, never formed: one per factor of an l_1 sum, else Z
+itself.  The diversity solve stays dense.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ _STACK_ENTRIES = 2**20  # similarity entries per stacked eigensolve of a sweep o
 _BORDERED_SIDE = 32  # largest Z whose sweep magnitudes come from a stacked Cholesky
 _BORDERED_ENTRIES = 2**17  # entries per bordered stack: 1 MiB, and 1 MiB of factor
 _GAP_FLOOR = 1e-150  # least t * gap that `_Path.spectrum` puts in its bidiagonal
+_SQRT2 = math.sqrt(2.0)
 
 _VERDICTS = ("Indefinite", "PositiveSemidefinite", "PositiveDefinite")
 
@@ -106,15 +109,22 @@ def _similarities(dist: np.ndarray, ts, out: Optional[np.ndarray] = None) -> np.
 
     `dist` may itself be a stack of (..., n, n) distance matrices.
     """
-    for t in ts:
-        _check_scale(t)
-    with np.errstate(over="ignore"):  # -t d overflows to -inf, whose exp is the correct 0
-        z = np.multiply.outer(-np.asarray(ts, dtype=float), dist, out=out)
-    np.exp(z, out=z)
+    z = _exps(dist, ts, out)
     i = np.arange(dist.shape[-1])
     z[..., i, i] = 1.0
     z.setflags(write=False)
     return z
+
+
+def _exps(dist: np.ndarray, ts, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-t d) for each t in ts, stacked on a new leading axis and
+    writable, built in `out` when it is given: `_similarities` of any block
+    of distances, its diagonal as computed."""
+    for t in ts:
+        _check_scale(t)
+    with np.errstate(over="ignore"):  # -t d overflows to -inf, whose exp is the correct 0
+        z = np.multiply.outer(-np.asarray(ts, dtype=float), dist, out=out)
+    return np.exp(z, out=z)
 
 
 def _per_distinct(fn, items) -> tuple:
@@ -148,8 +158,10 @@ class _Path:
         1, q_1 / s_1, 1 / s_1, q_2 / s_2, 1 / s_2, ..."""
         from scipy.linalg import eigvalsh_tridiagonal
         # a gap below the floor moves lambda_min by less than the floor, and
-        # keeps the squares of B's entries (below 2 / a) far from overflow
-        s = np.sqrt(-np.expm1(-2.0 * np.maximum(self.a, _GAP_FLOOR)))
+        # keeps the squares of B's entries (below 2 / a) far from overflow;
+        # a gap past half the float range overflows to -inf, whose expm1 is the correct -1
+        with np.errstate(over="ignore"):
+            s = np.sqrt(-np.expm1(-2.0 * np.maximum(self.a, _GAP_FLOOR)))
         n = len(self.a) + 1
         off = np.empty(2 * n - 1)
         off[0] = 1.0
@@ -190,39 +202,179 @@ class _Path:
 
 
 class _Kron:
-    """Z(tX) as the Kronecker product of the factor similarity matrices
-    `zs`, never formed; Z itself is the one-factor case.  Each factor of a
-    PD product is PD, its lambda_max being at least its mean eigenvalue 1,
-    so w and the magnitude are the products of the factors' w and sums."""
+    """Z(tX) at each scale of a block as the Kronecker product of the factor
+    similarity matrices, never formed; Z itself is the one-factor case.
+    Each of `zs` is a (k, m, m) stack, one matrix per scale, and `dists`
+    holds the factors' distances, from which `block` builds other scales;
+    one scale is a block of one.  Each factor of a PD product is PD, its
+    lambda_max being at least its mean eigenvalue 1, so w and the magnitude
+    are the products of the factors' w and sums.
+    """
 
-    def __init__(self, zs: tuple):
+    def __init__(self, zs: tuple, dists: tuple = ()):
         self.zs = zs
+        self.dists = dists
+
+    @classmethod
+    def of(cls, dists: tuple, ts: list, bufs: Optional[dict] = None) -> "_Kron":
+        """The block of scales ts, each distinct factor's stack built once,
+        in `bufs` (from `buffers`) when it is given."""
+        def stack(d):
+            return _similarities(d, ts, out=None if bufs is None else bufs[id(d)][: len(ts)])
+
+        return cls(_per_distinct(stack, dists), dists)
 
     def spectrum(self) -> SpectrumDiagnostics:
-        return _diagnostics(*_spectra(_per_distinct(lambda f: f[None], self.zs))[:2])[0]
+        return _diagnostics(*self.spectra()[:2])[0]
 
     def weighting(self, diag: SpectrumDiagnostics) -> tuple:
-        ws = _per_distinct(lambda f: next(_solve(f[None], [0], [diag.lambda_min])), self.zs)
+        ws = _per_distinct(lambda f: next(_solve(f, [0], [diag.lambda_min])), self.zs)
         mag = math.prod(float(w.sum()) for w in ws)
         return functools.reduce(np.multiply.outer, ws).ravel(), mag
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Z v: apply each factor on the leading axis, then rotate it last."""
         for f in self.zs:
-            v = (f @ v.reshape(len(f), -1)).T
+            v = (f[0] @ v.reshape(f.shape[-1], -1)).T
         return v.ravel()
 
+    @property
+    def entries(self) -> int:
+        """Z's entries per scale, as a block counts them: each factor's, a
+        repeated factor counted each time."""
+        return sum(d.size for d in self.dists)
 
-def _similarity(space: FiniteMetricSpace, t: float = 1.0):
-    """Z(tX) as the private helpers take it: a `_Path` for distinct points
-    of the line, else a `_Kron` of the factors' similarity matrices, or of
-    `similarity` alone for a space without factors."""
-    if isinstance(space, _Line):
+    def buffers(self, k: int) -> dict:
+        return {id(d): np.empty((k,) + d.shape) for d in self.dists}
+
+    def block(self, ts: list, bufs: Optional[dict] = None) -> "_Kron":
+        return _Kron.of(self.dists, ts, bufs)
+
+    def spectra(self) -> tuple:
+        return _spectra(self.zs)
+
+    def magnitudes(self, at: np.ndarray, lambda_min: np.ndarray) -> list:
+        """A block's 1'Z^-1 1 at each scale j in at: the product of the
+        factors' `_magnitudes`, one call per distinct stack."""
+        return list(map(math.prod, zip(*_per_distinct(
+            lambda z: _magnitudes(z, at, lambda_min), self.zs))))
+
+    def dense(self, j: int) -> Optional[np.ndarray]:
+        """Z at a block's j-th scale, if the block holds it: one factor."""
+        return self.zs[0][j] if len(self.zs) == 1 else None
+
+
+class _Fold:
+    """Z(tX) of a space whose point order is symmetric under the reversal
+    J: i -> n - 1 - i, so that JZJ = Z, read from Z's top rows alone.
+
+    With h = n // 2, A = Z[:h, :h] and B = Z[:h, n - h:], the orthonormal
+    basis Q of (e_i + J e_i) / sqrt 2, (e_i - J e_i) / sqrt 2 splits Z into
+    `sym` = A + BJ, bordered for odd n by the fixed middle point with its
+    couplings times sqrt 2, and `anti` = A - BJ.  Q'1 = `q1` (sqrt 2 per
+    pair, 1 for the middle point) is symmetric, so the weighting
+    w = (u, [w_mid,] Ju) and the magnitude q1' sym^-1 q1 come from `sym`
+    alone.  Both are stacks, one matrix per scale of ts,
+    held in one (2k, n - h, n - h) stack `z`, built in `buf` (from
+    `buffers`) when it is given; one scale is a block of one.
+    """
+
+    def __init__(self, dist: np.ndarray, ts: list, buf: Optional[np.ndarray] = None):
+        n, k = len(dist), len(ts)
+        h, r = n // 2, n - n // 2
+        z = np.empty((2 * k, r, r)) if buf is None else buf[: 2 * k]
+        sym, anti = z[:k], z[k:, :h, :h]
+        _exps(dist[:r, :r], ts, out=sym)[:, np.arange(r), np.arange(r)] = 1.0
+        _exps(dist[:h, n - h :][:, ::-1], ts, out=anti)  # BJ
+        sym[:, :h, :h] += anti
+        anti *= -2.0
+        anti += sym[:, :h, :h]  # (A + BJ) - 2 BJ
+        sym[:, :h, h:] *= _SQRT2  # the middle point's couplings: none for even n
+        sym[:, h:, :h] *= _SQRT2
+        # for odd n, `anti` is padded by an eigenvalue inside its range, its
+        # (0, 0) entry, so that both halves take one eigvalsh call
+        z[k:, h:, :] = z[k:, :, h:] = 0.0
+        z[k:, h:, h:] = anti[:, :1, :1]
+        self.z, self.sym, self.anti, self.dist = z, sym, anti, dist
+        self.q1 = np.repeat([_SQRT2, 1.0], [h, r - h])
+
+    def spectrum(self) -> SpectrumDiagnostics:
+        return _diagnostics(*self.spectra()[:2])[0]
+
+    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
+        h = len(self.dist) // 2
+        y = next(_solve(self.sym, [0], [diag.lambda_min], self.q1))
+        u = y[:h] / _SQRT2
+        return np.concatenate([u, y[h:], u[::-1]]), _dot(self.q1, y)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Z v = Q diag(sym, anti) Q'v."""
+        n = len(v)
+        h = n // 2
+        top, bottom = v[:h], v[::-1][:h]
+        ys = self.sym[0] @ np.concatenate([(top + bottom) / _SQRT2, v[h : n - h]])
+        ya = self.anti[0] @ ((top - bottom) / _SQRT2)
+        out = np.empty(n)
+        out[:h] = (ys[:h] + ya) / _SQRT2
+        out[h : n - h] = ys[h:]
+        out[n - h :] = ((ys[:h] - ya) / _SQRT2)[::-1]
+        return out
+
+    @property
+    def entries(self) -> int:
+        """Z's entries per scale, as a dense block counts them: a block holds
+        as many scales as the dense path's, in about half its buffer."""
+        return self.dist.size
+
+    def buffers(self, k: int) -> np.ndarray:
+        r = len(self.dist) - len(self.dist) // 2
+        return np.empty((2 * k, r, r))
+
+    def block(self, ts: list, buf: Optional[np.ndarray] = None) -> "_Fold":
+        return _Fold(self.dist, ts, buf)
+
+    def spectra(self) -> tuple:
+        """`_Kron.spectra` of a block, both halves from one eigvalsh call:
+        numpy holds the GIL through a stacked eigvalsh unless its matrix
+        count times their side exceeds 500, so a block of one 800-point
+        sphere scale would not run beside another worker's as two 400-side
+        calls."""
+        vals = np.linalg.eigvalsh(self.z)
+        k = len(vals) // 2
+        lo, hi = np.minimum(vals[:k, 0], vals[k:, 0]), np.maximum(vals[:k, -1], vals[k:, -1])
+        return lo, hi, _verdict_index(lo, hi)
+
+    def magnitudes(self, at: np.ndarray, lambda_min: np.ndarray) -> list:
+        return _magnitudes(self.sym, at, lambda_min, self.q1)
+
+    def dense(self, j: int) -> None:
+        return None
+
+
+def _similarity(space: FiniteMetricSpace, t=1.0):
+    """Z(tX) as the private helpers take it, and the one place that reads a
+    space's structure: a `_Path` for distinct points of the line, a `_Kron`
+    of the factors' similarity matrices for an l_1 sum, a `_Fold` for n >= 2
+    points whose distances equal their reversal's bit for bit, else the
+    `_Kron` of `similarity` alone.
+
+    Given a list of scales, the operator of that block, whose `block`
+    builds others (`_each_scale`); a line's block takes the dense space's
+    operator, `_Fold` or `_Kron`, as `_Path` stacks nothing.
+    """
+    one = not isinstance(t, list)
+    if isinstance(space, _Line) and one:
         _check_scale(t)
         return _Path(space.order, t * space.gaps)
+    ts = [t] if one else t
     if space.factors:
-        return _Kron(_per_distinct(lambda d: _similarities(d, [t])[0], space.factors))
-    return _Kron((similarity(space, t),))
+        return _Kron.of(space.factors, ts)
+    d = space.dist
+    if len(d) > 1 and np.array_equal(d, d[::-1, ::-1]):
+        return _Fold(d, ts)
+    if one:  # through `similarity`, which counts its entries
+        return _Kron((similarity(space, t)[None],), (d,))
+    return _Kron.of((d,), ts)
 
 
 def spectrum_diagnostics(space: FiniteMetricSpace) -> SpectrumDiagnostics:
@@ -261,32 +413,31 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
 
 def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
     """One result per t in ts: a block of scales gives the list
-    task(scales, zs, lo, hi, verdicts), zs being its similarity stack per
-    factor and the rest the arrays of `_spectra`, so thousands of small
-    matrices build no object per scale; task must keep no part of zs.
+    task(scales, z, lo, hi, verdicts), z being the block's operator from
+    `_similarity` and the rest the arrays of its `spectra`, so thousands of
+    small matrices build no object per scale; task must keep no part of z.
 
-    Scales go in blocks of at most _STACK_ENTRIES factor similarity entries;
-    each distinct factor's block is built as one stack and eigensolved by
-    one eigvalsh call.  A dense space from n = 725 on takes one scale per
-    block.  The blocks run on the shared worker pool (`_each`), each worker
-    building its stacks in buffers that the calling thread allocated, so the
-    live similarity entries grow only with the worker count.  The results, and
-    the first failing block's error, are those of a loop on one CPU.
+    Scales go in blocks of at most _STACK_ENTRIES similarity entries, as the
+    operator counts them per scale, and the operator builds each block and
+    eigensolves each of its stacks by one eigvalsh call.  A dense space
+    from n = 725 on takes one scale per block.  The blocks run on the shared
+    worker pool (`_each`), each worker building its stacks in buffers that
+    the calling thread allocated, so the live similarity entries grow only
+    with the worker count.  The results, and the first failing block's
+    error, are those of a loop on one CPU.
     """
-    factors = space.factors or (space.dist,)
-    k = max(1, _STACK_ENTRIES // sum(len(d) ** 2 for d in factors))
+    z = _similarity(space, [])
+    k = max(1, _STACK_ENTRIES // z.entries)
     blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
 
-    def buffers():
-        return {id(d): np.empty((len(blocks[0]),) + d.shape) for d in factors}
-
     def block(scales, bufs):
-        zs = _per_distinct(
-            lambda d: _similarities(d, scales, out=bufs[id(d)][: len(scales)]), factors
-        )
-        return task(scales, zs, *_spectra(zs))
+        b = z.block(scales, bufs)
+        return task(scales, b, *b.spectra())
 
-    return [r for rs in _each(block, blocks, buffers, _blas_threads()) for r in rs]
+    return [
+        r for rs in _each(block, blocks, lambda: z.buffers(len(blocks[0])), _blas_threads())
+        for r in rs
+    ]
 
 
 def _blas_threads() -> int:
@@ -322,30 +473,32 @@ def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
     )
 
 
-def _solve(zs: np.ndarray, at, lambda_min) -> Iterator[np.ndarray]:
-    """w with Z w = 1 for each Z = zs[j], j in at, whose lambda_min is
-    lambda_min[j]: Cholesky with one step of iterative refinement."""
-    ones = np.ones(zs.shape[-1])
+def _solve(zs: np.ndarray, at, lambda_min, rhs=None) -> Iterator[np.ndarray]:
+    """w with Z w = rhs, 1 when not given, for each Z = zs[j], j in at,
+    whose lambda_min is lambda_min[j]: Cholesky with one step of iterative
+    refinement."""
+    b = np.ones(zs.shape[-1]) if rhs is None else rhs
     # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
     potrf, potrs = _lapack()
     for j in at:
         z = zs[j]
         factor, info = potrf(z, lower=True, clean=False)
         if info == 0:
-            w = potrs(factor, ones, lower=True)[0]
-            yield w + potrs(factor, ones - z @ w, lower=True)[0]
+            w = potrs(factor, b, lower=True)[0]
+            yield w + potrs(factor, b - z @ w, lower=True)[0]
         else:  # marginally PD: least squares gives a weighting with an honest residual
             logger.debug("Cholesky factor failed (potrf info %d, lambda_min %.3g); "
                          "weighting by least squares", info, lambda_min[j])
-            yield np.linalg.lstsq(z, ones, rcond=None)[0]
+            yield np.linalg.lstsq(z, b, rcond=None)[0]
 
 
-def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
+def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -> list:
     """1'Z^-1 1 for each positive definite Z = zs[j], j in at, whose lambda_min
-    is lambda_min[j].
+    is lambda_min[j], or rhs'Z^-1 rhs when rhs is given.
 
     Up to side _BORDERED_SIDE, a stacked Cholesky factor of the bordered
-    [[Z, 1], [1', inf]] gives L^-1 1 as each factor's last row, and the
+    [[Z, 1], [1', inf]] (rhs in place of 1 when given) gives L^-1 1 as each
+    factor's last row, and the
     magnitude as its squared norm; the infinite corner's pivot never fails
     and is never read.  The stacks hold at most _BORDERED_ENTRIES entries, so
     they and their factors add at most 2 MiB to any sweep.  Past that side
@@ -355,20 +508,25 @@ def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
     """
     m = zs.shape[-1]
     if m > _BORDERED_SIDE:
-        return [float(w.sum()) for w in _solve(zs, at, lambda_min)]
+        return [_dot(rhs, w) for w in _solve(zs, at, lambda_min, rhs)]
     step = _BORDERED_ENTRIES // (m + 1) ** 2
     return [
         mag for i in range(0, len(at), step)
-        for mag in _bordered_magnitudes(zs, at[i : i + step], lambda_min)
+        for mag in _bordered_magnitudes(zs, at[i : i + step], lambda_min, rhs)
     ]
 
 
-def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
+def _dot(rhs, w: np.ndarray) -> float:
+    """rhs'w, as w's sum when rhs is not given."""
+    return float(w.sum() if rhs is None else rhs @ w)
+
+
+def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -> list:
     """`_magnitudes` of one bordered stack.  If its factor fails, each matrix
     is factored alone, and one that fails alone takes `_solve`."""
     m = zs.shape[-1]
     bordered = np.empty((len(at), m + 1, m + 1))
-    bordered[:, m, :] = bordered[:, :, m] = 1.0
+    bordered[:, m, :m] = bordered[:, :m, m] = 1.0 if rhs is None else rhs
     bordered[:, m, m] = np.inf
     # copy each run of consecutive indices as one slice, with no zs[at] temporary
     i = 0
@@ -384,7 +542,7 @@ def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min) -> list:
         try:
             mags += _last_row_norms(b[None])
         except np.linalg.LinAlgError:
-            mags.append(float(next(_solve(zs, [j], lambda_min)).sum()))
+            mags.append(_dot(rhs, next(_solve(zs, [j], lambda_min, rhs))))
     return mags
 
 
@@ -423,18 +581,18 @@ def scale_sweep(
     from .diversity import _max_diversity
 
     if with_diversity:
-        space.dist  # a factored space builds its dense matrix here, not on a worker
+        space.dist  # a lazy space builds its dense matrix here, not on a worker
 
-    def block_records(scales, zs, lo, hi, verdicts):
-        # at the PD scales (index 2), the magnitude with no weighting: the
-        # product of the factors' 1'Z^-1 1, by `_magnitudes` per distinct stack
+    def block_records(scales, z, lo, hi, verdicts):
+        # at the PD scales (index 2), the magnitude with no weighting
         pd = np.flatnonzero(verdicts == 2)
-        sums = _per_distinct(lambda z: _magnitudes(z, pd, lo), zs)
-        mags = dict(zip(pd.tolist(), map(math.prod, zip(*sums))))
+        mags = dict(zip(pd.tolist(), z.magnitudes(pd, lo)))
         divs = [None] * len(scales)
         for j, diag in enumerate(_diagnostics(lo, hi) if with_diversity else ()):
             if diag.verdict != "Indefinite":
-                dense = similarity(space, scales[j]) if space.factors else zs[0][j]
+                dense = z.dense(j)
+                if dense is None:  # a structured block: the solve reads Z itself
+                    dense = similarity(space, scales[j])
                 divs[j] = _max_diversity(dense, diag).diversity
         return list(map(SweepRecord, scales, lo.tolist(), map(_VERDICTS.__getitem__, verdicts),
                         map(mags.get, range(len(scales))), divs))

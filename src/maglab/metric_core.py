@@ -582,12 +582,21 @@ def _gen_sphere(params, seed):
     n = _count(params, "n")
     _require(radius > 0 and n >= 1, "sphere_fibonacci_net needs radius > 0, n >= 1")
     i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    z = (n - 1 - 2 * i) / n  # exactly odd under the half-turn i -> n - 1 - i
     rho = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    cosang = np.clip(pts @ pts.T, -1.0, 1.0)
-    return radius * np.arccos(cosang), radius * pts
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    # cos angle = z_i z_j + rho_i rho_j cos((i - j) g), built in place, the
+    # cosines gathered by offset |i - j| from one vector of length 2n - 1:
+    # exactly symmetric, and invariant under the half-turn
+    turns = np.cos(phi)
+    cos = np.multiply.outer(rho, rho)
+    cos *= np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([turns[:0:-1], turns]), n)[:, ::-1]
+    cos += np.multiply.outer(z, z)
+    np.clip(cos, -1.0, 1.0, out=cos)
+    np.arccos(cos, out=cos)
+    cos *= radius
+    return cos, radius * np.stack([rho * turns, rho * np.sin(phi), z], axis=1)
 
 
 def _gen_hyperbolic(params, seed):
@@ -701,8 +710,9 @@ def generate(spec: SpaceSpec) -> FiniteMetricSpace:
             raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
-        d = spec.scale * base**spec.snowflake
-    return FiniteMetricSpace(labels=range(d.shape[0]), dist=d, provenance=spec, coords=coords)
+        # rebound, so the generator's own matrix is freed before the symmetrized copy
+        base = spec.scale * base**spec.snowflake
+    return FiniteMetricSpace(labels=range(len(base)), dist=base, provenance=spec, coords=coords)
 
 
 def random_cloud_spec(

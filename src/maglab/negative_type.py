@@ -84,7 +84,7 @@ def stability_scan(
     scales = sorted(float(t) for t in scales)
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
-    found = _each_scale(space, scales, lambda ts, zs, lo, hi, verdicts: list(
+    found = _each_scale(space, scales, lambda ts, z, lo, hi, verdicts: list(
         zip(lo.tolist(), verdicts == 0)))  # 0: Indefinite
     records = [ScanRecord(t, lam) for t, (lam, _) in zip(scales, found)]
     failing = [t for t, (_, indefinite) in zip(scales, found) if indefinite]

@@ -500,7 +500,7 @@ def reference_witness_search(p, n, budget, seed=0):
         pts = rng.uniform(-1.0, 1.0, size=(size, n))
         space = generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": p}))
         for t in WITNESS_SCALES:
-            diag = _Kron((similarity(space, t),)).spectrum()
+            diag = _Kron((similarity(space, t)[None],)).spectrum()
             if diag.verdict == "Indefinite":
                 return WitnessSearchResult(
                     True, trial + 1, len(WITNESS_SCALES), pts.tolist(), float(t),

@@ -8,6 +8,7 @@ import pytest
 
 from maglab import SpaceSpec, generate
 from maglab.cli import _parse_scales, build_parser, run
+from maglab.magnitude import _Fold, _similarity
 
 
 @pytest.fixture
@@ -600,3 +601,34 @@ class TestNoTraceback:
                     assert code in (0, 1, 2), (spec, argv[0])
         capsys.readouterr()
         assert not escaped, escaped[:5]
+
+
+class TestWarningsAsErrors:
+    def test_extreme_inputs_exit_cleanly(self, tmp_path, capsys):
+        """With every warning raised as an error, extreme inputs still end in
+        an exit code: a line gap whose double overflows, and sweeps and scans
+        of a sphere net on the split path at scales where the similarities
+        round to 1 or underflow to 0."""
+        specs = {}
+        for name, scale in (("sphere", 1.0), ("tiny", 1e-300), ("huge", 1e300)):
+            spec = SpaceSpec("sphere_fibonacci_net", {"n": 65}, scale=scale)
+            assert isinstance(_similarity(generate(spec)), _Fold)
+            specs[name] = tmp_path / f"{name}.json"
+            specs[name].write_text(spec.to_json())
+        argvs = [
+            ["approx", "--family", "interval", "--levels", "2,3,5", "--length", "1.7e308"],
+            *(["sweep", "--spec", str(specs["sphere"]), "--scales", scales]
+              for scales in ("1e-300:1e-3:4log", "1e3:1e300:4log")),
+            *(["negtype", "--spec", str(specs[name])] for name in ("sphere", "tiny", "huge")),
+        ]
+        escaped, codes = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in argvs:
+                try:
+                    codes.append(run(argv).exit_code)
+                except Exception as exc:  # the fault under test
+                    escaped.append((argv, repr(exc)))
+        capsys.readouterr()
+        assert not escaped, escaped
+        assert set(codes) <= {0, 1, 2}

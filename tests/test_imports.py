@@ -1,5 +1,6 @@
 """Every name a maglab module imports is used in that module, only
-`magnitude._similarity` tests a space's structure, and no module imports
+`magnitude._similarity` tests a space's structure or its symmetry under
+reversal, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
 that needs it, also when that call runs on a worker, and only a triangle
@@ -37,12 +38,19 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-STRUCTURE_NAMES = ("isinstance", "_Line", "_Path", ".factors")
+STRUCTURE_NAMES = ("isinstance", "_Line", "_Path", "_Fold", ".factors", ".flip")
+REVERSAL = "[::-1, ::-1]"  # any subscript that reverses two or more axes
+
+
+def _reverses_axes(node) -> bool:
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and sum(ast.unparse(e) == "::-1" for e in node.slice.elts) > 1)
 
 
 def _structure_tests(path: Path) -> dict:
     """{name: the top-level definitions that read it} for each name in
-    STRUCTURE_NAMES found in `path`, an attribute written with its dot."""
+    STRUCTURE_NAMES found in `path`, an attribute written with its dot, and
+    for REVERSAL, the reversal check's subscript."""
     found = {}
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
@@ -50,30 +58,42 @@ def _structure_tests(path: Path) -> dict:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = "." + node.attr
+            elif _reverses_axes(node):
+                name = REVERSAL
             else:
                 continue
-            if name in STRUCTURE_NAMES:
+            if name in STRUCTURE_NAMES + (REVERSAL,):
                 found.setdefault(name, set()).add(getattr(top, "name", None))
     return found
 
 
 def test_only_similarity_decides_structure():
-    """`_similarity` alone picks a space's similarity operator; `_each_scale`
-    stacks the factors, and `scale_sweep` builds the diversity solve's Z."""
+    """`_similarity` alone picks a space's similarity operator and alone
+    makes the reversal check; `_each_scale` gets its blocks, and
+    `scale_sweep` whether a block holds Z, from the operator."""
     found = _structure_tests(SRC / "magnitude.py")
     assert "_similarity" in found["isinstance"]
+    assert found.pop(REVERSAL) == {"_similarity"}
     for name in ("isinstance", "_Line", "_Path"):
         assert found.pop(name) <= {"_similarity", "_Path"}, name
-    assert found.pop(".factors") <= {"_similarity", "_each_scale", "scale_sweep"}
+    assert found.pop("_Fold") <= {"_similarity", "_Fold"}
+    assert found.pop(".factors") <= {"_similarity"}
     assert found == {}
+    for path in MODULES:
+        if path.name != "magnitude.py":
+            found = _structure_tests(path)
+            assert not {REVERSAL, "_Fold", ".flip"} & set(found), path.name
 
 
 def test_structure_test_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from .metric_core import _Line\n\n\n"
-                      "def f(z):\n    return isinstance(z, _Path) or z.factors\n")
+                      "def f(z):\n    return isinstance(z, _Path) or z.factors\n\n\n"
+                      "def g(d, v):\n    return (d == d[::-1, ::-1]).all() and v[::-1] and _Fold\n\n\n"
+                      "def h(d):\n    return np.flip(d[:, ::-1]) is d[..., ::-1, ::-1]\n")
     assert _structure_tests(module) == {
         "isinstance": {"f"}, "_Path": {"f"}, ".factors": {"f"},
+        REVERSAL: {"g", "h"}, "_Fold": {"g"}, ".flip": {"h"},
     }
 
 

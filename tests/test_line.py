@@ -16,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_tiny_scales_agree_with_dense(scale):
     assert got.verdict == want.verdict == "PositiveSemidefinite"
     assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-12, abs=0)
     assert abs(got.lambda_min - want.lambda_min) <= 1e-14 * want.lambda_max
+
+
+def test_overflowing_gap_warns_nothing():
+    """Twice the gap of the 2-point net of length 1.7e308 overflows to inf,
+    and expm1 of its -inf is the correct -1: Z is the identity."""
+    space = generate(SpaceSpec("interval_net", {"n": 2, "length": 1.7e308}))
+    assert isinstance(space, _Line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = spectrum_diagnostics(space)
+    assert diag.lambda_min == pytest.approx(1.0, abs=1e-15)
+    assert diag.lambda_max == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("label, t", [

@@ -504,15 +504,16 @@ def test_sweep_magnitude_is_the_weighting_reports(space, grid):
         assert abs(r.magnitude - expected) <= 16 * u * diag.condition_estimate * expected
 
 
-def one_matrix_magnitude(z, lambda_min):
-    """The sweep's magnitude 1'Z^-1 1 of one positive definite Z, computed
-    on a one-matrix stack."""
-    return magnitude_module._magnitudes(z[None], np.array([0]), [lambda_min])[0]
+def one_scale_magnitude(space, t, lambda_min):
+    """The sweep's magnitude 1'Z^-1 1 at one positive definite scale, from
+    the operator of a block of that scale alone."""
+    block = _similarity(space, [t])
+    return block.magnitudes(np.array([0]), np.array([lambda_min]))[0]
 
 
 def reference_sweep(space, grid, with_diversity=False):
-    """`scale_sweep` as a per-scale loop: one Z, one eigensolve and one
-    magnitude stack per factor each."""
+    """`scale_sweep` as a per-scale loop: one operator and eigensolve, and
+    one block of one scale for the magnitude, each."""
     from maglab.diversity import _max_diversity
 
     records = []
@@ -521,7 +522,7 @@ def reference_sweep(space, grid, with_diversity=False):
         diag = z.spectrum()
         mag = div = None
         if diag.verdict == "PositiveDefinite":
-            mag = math.prod(one_matrix_magnitude(f, diag.lambda_min) for f in z.zs)
+            mag = one_scale_magnitude(space, t, diag.lambda_min)
         if with_diversity and diag.verdict != "Indefinite":
             div = _max_diversity(similarity(space, t), diag).diversity
         records.append(SweepRecord(t, diag.lambda_min, diag.verdict, mag, div))
@@ -648,11 +649,25 @@ class TestStackedBlocks:
         assert "verdict='PositiveSemidefinite', magnitude=None, diversity=1." in references[2]
         self._assert_matches(space, grid, references)
 
+    @pytest.mark.parametrize("n", [724, 725])
+    def test_large_dense_blocks_on_any_worker_count(self, workers, n):
+        """The same around n = 725 for a sphere with one symmetric pair of
+        distances moved by 1 ulp, which is not symmetric under reversal and
+        so takes dense `_Kron` blocks."""
+        space, grid, references = self._large_case(n, nudged=True)
+        assert isinstance(_similarity(space, []), _Kron)
+        assert "verdict='PositiveSemidefinite', magnitude=None, diversity=1." in references[2]
+        self._assert_matches(space, grid, references)
+
     @classmethod
     @functools.cache
-    def _large_case(cls, n):
+    def _large_case(cls, n, nudged=False):
         grid = [1e-4, 1.0, 2.0][: 3 if n == 724 else 2]  # two blocks at every n
         space = generate(SpaceSpec("sphere_fibonacci_net", {"n": n}))
+        if nudged:
+            d = np.array(space.dist)
+            d[0, 2] = d[2, 0] = np.nextafter(d[0, 2], np.inf)
+            space = FiniteMetricSpace(space.labels, d)
         return space, grid, cls._references(space, grid)
 
     def test_bad_scale_raises_on_any_worker_count(self, workers, two_points, monkeypatch):
@@ -731,12 +746,12 @@ class TestOneFactor:
     def test_matvec_is_matmul(self, seed):
         z = similarity(random_cloud(seed, n_max=40))
         w = np.random.default_rng(seed).normal(size=len(z))
-        assert _Kron((z,)).matvec(w).tobytes() == (z @ w).tobytes()
+        assert _Kron((z[None],)).matvec(w).tobytes() == (z @ w).tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_weighting_sums_and_residual(self, seed):
         z = similarity(random_cloud(seed, n_max=40))
-        report = _weighting(_Kron((z,)), _Kron((z,)).spectrum())
+        report = _weighting(_Kron((z[None],)), _Kron((z[None],)).spectrum())
         w = report.weighting
         assert report.magnitude == float(w.sum())
         assert report.residual == float(np.abs(z @ w - 1.0).max())

@@ -377,12 +377,17 @@ def _ref_grid(params, seed):
 
 def _ref_sphere(params, seed):
     radius, n = float(params.get("radius", 1.0)), params["n"]
-    i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    return radius * np.arccos(np.clip(pts @ pts.T, -1.0, 1.0)), radius * pts
+    z = [(n - 1 - 2 * i) / n for i in range(n)]
+    rho = [math.sqrt(max(0.0, 1.0 - zi * zi)) for zi in z]
+    phi = np.arange(n) * math.pi * (3.0 - math.sqrt(5.0))
+    turns = np.cos(phi)
+    cos = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            # the angle's cosine by the offset |i - j| of the Fibonacci turns
+            cos[i, j] = rho[i] * rho[j] * turns[abs(i - j)] + z[i] * z[j]
+    pts = np.stack([np.multiply(rho, turns), np.multiply(rho, np.sin(phi)), z], axis=1)
+    return radius * np.arccos(np.clip(cos, -1.0, 1.0)), radius * pts
 
 
 def _ref_hyperbolic(params, seed):

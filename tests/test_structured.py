@@ -44,7 +44,7 @@ from maglab import (
     weighting,
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
-from maglab.magnitude import _diagnostics, _each_scale, _similarity, _weighting
+from maglab.magnitude import _diagnostics, _each_scale, _Fold, _similarity, _weighting
 from maglab.metric_core import _L1Sum, _Line
 
 EPS = np.finfo(float).eps
@@ -323,8 +323,9 @@ def test_factored_dist_is_the_dense_build(label):
 
 
 def _dense_consumers(space):
-    """What subsets, distances, the Gram test, the diversity solve and the
-    Rayleigh quotient read off `dist`, as bytes and floats."""
+    """What subsets, distances, the Gram test and the diversity solve read
+    off `dist`, as bytes and floats, and the Rayleigh quotient, which reads
+    the similarity operator."""
     n = len(space)
     half = list(range(0, n, 2))
     sub = space.subspace(half[::-1])
@@ -348,7 +349,16 @@ def _dense_consumers(space):
 )
 def test_dense_consumers_see_the_dense_build(label):
     space, expected = _factored_cases()[label]
-    assert _dense_consumers(space) == _dense_consumers(FiniteMetricSpace(space.labels, expected))
+    dense = FiniteMetricSpace(space.labels, expected)
+    *got, quotient = _dense_consumers(space)
+    *want, oracle = _dense_consumers(dense)
+    assert got == want
+    if isinstance(_similarity(dense), _Fold):
+        # a dense build symmetric under reversal (the interval-circle's) takes
+        # `_Fold`'s matvec, the factored build `_Kron`'s
+        assert quotient == pytest.approx(oracle, rel=TOL, abs=0)
+    else:
+        assert quotient == oracle
 
 
 def test_overflowing_sum_refused_when_built():
