@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (e.g. a non-positive-definite
-similarity matrix, or a space too large for memory), 2 usage or I/O error
+similarity matrix, a space too large for memory, or a warning that the
+interpreter raises as an error, as under `python -W error`), 2 usage or I/O error
 (bad arguments, a missing file, a malformed spec).  Each subcommand maps its parsed arguments to a report,
 text lines and an exit code, and prints nothing; `run` writes the report to
 --json (and its records to --csv) before it prints the lines.
@@ -315,8 +316,8 @@ def run(argv) -> CommandResult:
         if exc.diagnostics is not None:
             print(f"lambda_min: {exc.diagnostics.lambda_min:.6g}", file=sys.stderr)
         return CommandResult(1)
-    except MemoryError as exc:  # a space too large for its dense matrix
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
+    except (MemoryError, Warning) as exc:  # too large for its dense matrix; a warning as error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CommandResult(1)
     print(*lines, sep="\n")
     return CommandResult(exit_code)

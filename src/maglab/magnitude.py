@@ -30,7 +30,7 @@ from .errors import (
     DegenerateQuadraticForm, InsufficientRecords, InvalidParams, NonFiniteEntry,
     NotPositiveDefinite,
 )
-from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each, _Line
+from .metric_core import FiniteMetricSpace, _check_scale, _cpus, _each
 
 logger = logging.getLogger("maglab")
 
@@ -351,24 +351,25 @@ class _Fold:
         return None
 
 
-def _similarity(space: FiniteMetricSpace, t=1.0):
+def _similarity(space: FiniteMetricSpace, t: float = 1.0, ts: Optional[list] = None):
     """Z(tX) as the private helpers take it, and the one place that reads a
-    space's structure: a `_Path` for distinct points of the line, a `_Kron`
-    of the factors' similarity matrices for an l_1 sum, a `_Fold` for n >= 2
-    points whose distances equal their reversal's bit for bit, else the
-    `_Kron` of `similarity` alone.
+    space's ``structure``: a `_Path` for distinct points of the line, a
+    `_Kron` of the factors' similarity matrices for an l_1 sum, a `_Fold` for
+    n >= 2 points whose distances equal their reversal's bit for bit, else
+    the `_Kron` of `similarity` alone.
 
-    Given a list of scales, the operator of that block, whose `block`
-    builds others (`_each_scale`); a line's block takes the dense space's
-    operator, `_Fold` or `_Kron`, as `_Path` stacks nothing.
+    Given a list `ts` of scales in place of t, the operator of that block,
+    whose `block` builds others (`_each_scale`); a line's block takes the
+    dense space's operator, `_Fold` or `_Kron`, as `_Path` stacks nothing.
     """
-    one = not isinstance(t, list)
-    if isinstance(space, _Line) and one:
+    s = space.structure
+    one = ts is None
+    if one and s is not None and s.gaps is not None:
         _check_scale(t)
-        return _Path(space.order, t * space.gaps)
-    ts = [t] if one else t
-    if space.factors:
-        return _Kron.of(space.factors, ts)
+        return _Path(s.order, t * s.gaps)
+    ts = [t] if one else ts
+    if s is not None and s.factors:
+        return _Kron.of(s.factors, ts)
     d = space.dist
     if len(d) > 1 and np.array_equal(d, d[::-1, ::-1]):
         return _Fold(d, ts)
@@ -426,7 +427,7 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
     with the worker count.  The results, and the first failing block's
     error, are those of a loop on one CPU.
     """
-    z = _similarity(space, [])
+    z = _similarity(space, ts=[])
     k = max(1, _STACK_ENTRIES // z.entries)
     blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
 

@@ -133,6 +133,34 @@ class SpaceSpec:
 
 
 @dataclass(frozen=True)
+class _Structure:
+    """What a structured space keeps in place of its distance matrix: the
+    arrays its similarity operator reads, and `build`, a partial of a
+    module-level function that gives the dense matrix.
+
+    An l_1 sum keeps its factors' distance matrices in ``factors``, first
+    factor slowest in the point order, so that Z(tX) is the Kronecker
+    product of the factors' Z.  Distinct points of the line keep ``order``,
+    the permutation that sorts them, and ``gaps``, the distances between
+    consecutive sorted points, on which Z(tX) alone depends.
+    """
+
+    build: Callable[[], np.ndarray]
+    factors: tuple = ()
+    order: Optional[np.ndarray] = None
+    gaps: Optional[np.ndarray] = None
+
+    def dense(self, n: int) -> np.ndarray:
+        """The dense matrix of the space's n points, read-only: the one place
+        that builds it, logged as a debug event on the "maglab" logger."""
+        logger.debug(
+            "%s space of %d points: building its dense %d x %d distance matrix",
+            "factored" if self.factors else "line", n, n, n,
+        )
+        return _symmetrized(self.build())
+
+
+@dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite metric space: point labels plus a symmetric distance matrix.
 
@@ -141,28 +169,41 @@ class FiniteMetricSpace:
     ambient coordinates when the generating family has a natural
     embedding (intervals, Cantor sets, grids, spheres, point clouds);
     the net-convergence study reads them for each level's Hausdorff gap and
-    for its 1-D quadrature cells.  ``factors`` is empty here; `_L1Sum`, an
-    l_1 sum of factor metrics, holds its factors' distance matrices there.
-    `generate` gives distinct points of the line as `_Line`, which keeps
-    their sorted gaps in place of ``dist``.
+    for its 1-D quadrature cells.
+
+    ``structure`` is None except for an l_1 sum (from `generate` or
+    `lp_product`) and distinct points of the line (from `generate`), which
+    are made with ``dist=None``.  Their spectra, weightings, magnitudes and
+    Rayleigh quotients read only the structure, as do the sweeps and scans
+    of an l_1 sum.  The first read of ``dist`` builds it and caches it
+    read-only; threads that read it first at once may each build it, with
+    the same bits.  A structured space given a matrix, as
+    `dataclasses.replace` gives it, checks it against a fresh build and
+    raises InvalidParams if any bit differs.
     """
 
     labels: Sequence
-    dist: np.ndarray = field(repr=False)
+    dist: Optional[np.ndarray] = field(repr=False)
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
-    factors = ()  # a class attribute, not a field
+    structure: Optional[_Structure] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise NonSquareMatrix(f"distance matrix has shape {d.shape}")
-        if d.shape[0] != len(self.labels):
-            raise InvalidParams("label count does not match matrix side")
-        if d.shape[0] < 1:
-            raise InvalidParams("a metric space needs at least one point")
-        # canonical symmetrization: copy the upper triangle to the lower
-        object.__setattr__(self, "dist", _symmetrized(d))
+        if self.dist is None and self.structure is not None:
+            object.__delattr__(self, "dist")  # built on its first read, below the class
+        else:
+            d = np.asarray(self.dist, dtype=float)
+            if d.ndim != 2 or d.shape[0] != d.shape[1]:
+                raise NonSquareMatrix(f"distance matrix has shape {d.shape}")
+            if d.shape[0] != len(self.labels):
+                raise InvalidParams("label count does not match matrix side")
+            if d.shape[0] < 1:
+                raise InvalidParams("a metric space needs at least one point")
+            # canonical symmetrization: copy the upper triangle to the lower
+            d = _symmetrized(d)
+            if self.structure is not None and not np.array_equal(d, self.structure.dense(len(d))):
+                raise InvalidParams("distance matrix differs from the one its structure builds")
+            object.__setattr__(self, "dist", d)
         object.__setattr__(self, "labels", _labels(self.labels))
         if self.coords is not None:
             object.__setattr__(self, "coords", _readonly(np.atleast_2d(self.coords)))
@@ -186,78 +227,25 @@ class FiniteMetricSpace:
         )
 
 
-class _Lazy(FiniteMetricSpace):
-    """A space that keeps a structure in place of its distance matrix.
-
-    The first read of ``dist`` builds it with `_build`, the dense code of
-    the constructor, logs a debug event on the "maglab" logger and caches
-    it read-only; threads that read it first at once may each build it,
-    with the same bits.  `_build` is a partial of a module-level function,
-    so the space pickles before and after that read.
-    """
-
-    _kind = ""  # the structure, as the debug event names it
-
-    def __init__(
-        self, labels: Sequence, build: Callable[[], np.ndarray],
-        provenance: Optional[SpaceSpec], coords: Optional[np.ndarray], **structure,
-    ):
-        self.__dict__.update(
-            labels=_labels(labels), provenance=provenance, _build=build,
-            coords=None if coords is None else _readonly(np.atleast_2d(coords)),
-            **structure,
-        )
-
-    @functools.cached_property
-    def dist(self) -> np.ndarray:
-        n = len(self.labels)
-        logger.debug(
-            "%s space of %d points: building its dense %d x %d distance matrix",
-            self._kind, n, n, n,
-        )
-        return _symmetrized(self._build())
+# set after @dataclass, which must see `dist` as a plain field: a space made with
+# a structure and dist=None has none, and its first read builds and caches it
+FiniteMetricSpace.dist = functools.cached_property(lambda space: space.structure.dense(len(space)))
+FiniteMetricSpace.dist.__set_name__(FiniteMetricSpace, "dist")
 
 
-class _L1Sum(_Lazy):
-    """The l_1 sum of `factors`, first factor slowest in the point order, so
-    that Z(tX) is the Kronecker product of the factors' Z; only `generate`
-    and `lp_product` make one.
-
-    Spectra, weightings, magnitudes, sweeps and scans read only the
-    factors.  The readers of ``dist`` are subspaces, Hausdorff distances,
-    the diameter, the metric transforms, `similarity` (so the diversity
-    solve and `rayleigh`) and the Gram test.
-    """
-
-    _kind = "factored"
-
-    def __init__(
-        self, labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
-        provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
-    ):
-        # the largest distance is the sum of the factors' largest, added in
-        # order, so an overflow raises here, as a dense build would
-        peak = 0.0
-        for f in factors:
-            peak += float(f.max())
-        if not math.isfinite(peak):
-            raise NonFiniteEntry("distance matrix contains non-finite entries")
-        super().__init__(labels, build, provenance, coords, factors=factors)
-
-
-class _Line(_Lazy):
-    """Distinct points of the real line at distance scale * |x - y|: the
-    l_p metric, p >= 1, of one coordinate.  Keeps ``order``, the
-    permutation that sorts the points, and ``gaps``, the distances between
-    consecutive sorted points, on which Z(tX) alone depends; only
-    `generate` makes one.
-
-    Spectra, weightings, magnitudes and Rayleigh quotients read only
-    those, in O(n).  The readers of ``dist`` are those of `_L1Sum`'s, and
-    sweeps and scans.
-    """
-
-    _kind = "line"
+def _l1_sum(
+    labels: Sequence, factors: tuple, build: Callable[[], np.ndarray],
+    provenance: Optional[SpaceSpec] = None, coords: Optional[np.ndarray] = None,
+) -> FiniteMetricSpace:
+    """The l_1 sum of `factors`, whose dense matrix `build` gives."""
+    # the largest distance is the sum of the factors' largest, added in
+    # order, so an overflow raises here, as a dense build would
+    peak = 0.0
+    for f in factors:
+        peak += float(f.max())
+    if not math.isfinite(peak):
+        raise NonFiniteEntry("distance matrix contains non-finite entries")
+    return FiniteMetricSpace(labels, None, provenance, coords, _Structure(build, factors))
 
 
 def _scaled_distances(scale: float, x: np.ndarray, p: float) -> np.ndarray:
@@ -265,8 +253,8 @@ def _scaled_distances(scale: float, x: np.ndarray, p: float) -> np.ndarray:
     return scale * _lp_distances(x, x, p)
 
 
-def _line(spec: SpaceSpec, x: np.ndarray, p: float) -> Optional[_Line]:
-    """The points x in l_p as a `_Line`, or None unless they are distinct
+def _line(spec: SpaceSpec, x: np.ndarray, p: float) -> Optional[FiniteMetricSpace]:
+    """The points x in l_p as a line space, or None unless they are distinct
     points of one coordinate at snowflake 1 and p >= 1, where the l_p
     distance is |x - y|."""
     if spec.snowflake != 1.0 or x.shape[1] != 1 or not p >= 1:
@@ -280,9 +268,9 @@ def _line(spec: SpaceSpec, x: np.ndarray, p: float) -> Optional[_Line]:
     # the largest distance, from first to last; the others are no larger
     if not np.isfinite(spec.scale * _lp_norm(np.abs(x[order[-1:]] - x[order[:1]]), p)[0]):
         raise NonFiniteEntry("distance matrix contains non-finite entries")
-    return _Line(
-        range(len(x)), functools.partial(_scaled_distances, spec.scale, x, p), spec, x,
-        order=order, gaps=_readonly(gaps),
+    build = functools.partial(_scaled_distances, spec.scale, x, p)
+    return FiniteMetricSpace(
+        range(len(x)), None, spec, x, _Structure(build, order=order, gaps=_readonly(gaps))
     )
 
 
@@ -565,16 +553,13 @@ def _gen_grid(params, seed):
     return p, _grid_points(axis, n)
 
 
-def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> _L1Sum:
+def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> FiniteMetricSpace:
     """The l_1 grid_net at snowflake 1: the l_1 sum of n copies of the scaled
     axis metric, with the dense matrix `generate` would build on demand."""
     pts = _grid_points(axis, n)
-    x = axis[:, None]
-    factor = _readonly(_scaled_distances(spec.scale, x, 1.0))
-    return _L1Sum(
-        range(len(pts)), (factor,) * n,
-        functools.partial(_scaled_distances, spec.scale, pts, 1.0), provenance=spec, coords=pts,
-    )
+    factor = _readonly(_scaled_distances(spec.scale, axis[:, None], 1.0))
+    build = functools.partial(_scaled_distances, spec.scale, pts, 1.0)
+    return _l1_sum(range(len(pts)), (factor,) * n, build, spec, pts)
 
 
 def _gen_sphere(params, seed):
@@ -756,8 +741,10 @@ def lp_product(
         raise ExponentOutOfRange(f"product exponent must be >= 1, got {q}")
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     if q == 1:
-        factors = (a.factors or (a.dist,)) + (b.factors or (b.dist,))
-        return _L1Sum(labels, factors, functools.partial(_product_dist, a, b, q))
+        factors = ()
+        for s in (a, b):
+            factors += getattr(s.structure, "factors", ()) or (s.dist,)
+        return _l1_sum(labels, factors, functools.partial(_product_dist, a, b, q))
     return FiniteMetricSpace(labels=labels, dist=_product_dist(a, b, q))
 
 

@@ -608,7 +608,8 @@ class TestWarningsAsErrors:
         """With every warning raised as an error, extreme inputs still end in
         an exit code: a line gap whose double overflows, and sweeps and scans
         of a sphere net on the split path at scales where the similarities
-        round to 1 or underflow to 0."""
+        round to 1 or underflow to 0.  There the diversity solve warns that
+        Z + 11' is singular, which ends in exit 1 and one error line."""
         specs = {}
         for name, scale in (("sphere", 1.0), ("tiny", 1e-300), ("huge", 1e300)):
             spec = SpaceSpec("sphere_fibonacci_net", {"n": 65}, scale=scale)
@@ -620,8 +621,10 @@ class TestWarningsAsErrors:
             *(["sweep", "--spec", str(specs["sphere"]), "--scales", scales]
               for scales in ("1e-300:1e-3:4log", "1e3:1e300:4log")),
             *(["negtype", "--spec", str(specs[name])] for name in ("sphere", "tiny", "huge")),
+            ["sweep", "--spec", str(specs["sphere"]), "--scales", "1e-300:1e-3:4log",
+             "--with-diversity"],
         ]
-        escaped, codes = [], []
+        escaped, codes, errors = [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for argv in argvs:
@@ -629,6 +632,9 @@ class TestWarningsAsErrors:
                     codes.append(run(argv).exit_code)
                 except Exception as exc:  # the fault under test
                     escaped.append((argv, repr(exc)))
-        capsys.readouterr()
+                errors.append(capsys.readouterr().err)
         assert not escaped, escaped
         assert set(codes) <= {0, 1, 2}
+        assert codes[-1] == 1
+        assert errors[-1].startswith("error: RuntimeWarning: Z + 11' is singular")
+        assert errors[-1].count("\n") == 1

@@ -69,37 +69,19 @@ def test_corpus_is_exactly_invariant():
         assert np.array_equal(d, d[::-1, ::-1]), label
 
 
-# (label, t) whose split and dense weightings differ by more than TOL of
-# their largest entry.  Each solve is off the exact weighting by up to about
-# 2 kappa eps, kappa the condition estimate (3.2e3 to 6.5e8 here): at t = 1
-# on the 200-point circle, whose exact weighting is uniform, the split one
-# is 0.5 and the dense one 1.0 kappa eps off.
-FORWARD_ERROR = {
-    *((f"sphere-n{n}-r{r}-s{s:g}-a{a:g}", 1e-3) for n in (64, 65, 400, 401) for r in (1, 3)
-      for s, a in TRANSFORMS),
-    *((f"sphere-n{n}-r1-s1-a{a}", 0.3) for n in (400, 401) for a in (0.5, 1)),
-    ("sphere-n7-r1-s1-a1", 1e-3),
-    *((f"circle-n{n}-s{s}-a{a}", 1e-3) for n in (4, 9) for s, a in ((1, 1), (2.5, 1))),
-    ("circle-n9-s1-a0.5", 1e-3),
-    ("circle-n200-s1-a0.5", 1e-3), ("circle-n200-s2.5-a1", 1e-3),
-    ("circle-n200-s1-a1", 0.3), ("circle-n200-s2.5-a1", 0.3), ("circle-n200-s1-a1", 1.0),
-    ("k33-r1-s1-a0.5", 1e-3), ("k33-threshold-s1-a0.5", 1e-3),
-}
-
-
-def test_forward_error_cases_are_in_the_corpus():
-    assert len(FORWARD_ERROR) == 41
-    assert {label for label, _ in FORWARD_ERROR} <= set(CORPUS)
-
-
 @pytest.mark.parametrize("label", sorted(CORPUS))
 def test_agrees_with_dense(label):
     """lambda_min and lambda_max to TOL lambda_max; the verdict wherever the
     dense lambda_min lies farther than that from the band's edges; the
-    magnitude and the weighting to TOL relative, the weighting as a share of
-    its largest entry, except at the ill-conditioned FORWARD_ERROR scales,
-    where it agrees to 4 kappa eps; and the split vector solves the dense
-    system to TOL."""
+    magnitude to TOL relative; the weighting to TOL or 4 kappa eps, whichever
+    is larger, as a share of its largest entry, kappa being the condition
+    estimate; and the split vector solves the dense system to TOL.
+
+    Each solve is off the exact weighting by up to about 2 kappa eps: at
+    t = 1 on the 200-point circle, whose exact weighting is uniform, the
+    split one is 0.5 and the dense one 1.0 kappa eps off.  On the corpus the
+    two differ by at most 2.5 kappa eps where 4 kappa eps passes TOL, and by
+    at most 2.3e-13 elsewhere, with OpenBLAS on one thread or on two."""
     space = _space(label)
     for t in SCALES:
         z, oracle = _similarity(space, t), _dense(space, t)
@@ -117,7 +99,7 @@ def test_agrees_with_dense(label):
         assert a.magnitude == pytest.approx(b.magnitude, rel=TOL, abs=0)
         scale = np.abs(b.weighting).max()
         kappa = want.condition_estimate
-        bound = 4 * kappa * EPS if (label, t) in FORWARD_ERROR else TOL
+        bound = max(TOL, 4 * kappa * EPS)
         assert np.abs(a.weighting - b.weighting).max() <= bound * scale
         assert np.abs(oracle.matvec(a.weighting) - 1.0).max() <= TOL
         assert a.residual <= TOL
@@ -173,7 +155,7 @@ def _nudged():
 ], ids=["k32", *[f"cloud{seed}" for seed in range(5)], "one-point", "nudged-sphere"])
 def test_stays_dense(space):
     assert isinstance(_similarity(space, 1.0), _Kron)
-    assert isinstance(_similarity(space, [1.0, 2.0]), _Kron)
+    assert isinstance(_similarity(space, ts=[1.0, 2.0]), _Kron)
 
 
 def test_product_counterexample_stays_dense(monkeypatch):
@@ -182,8 +164,8 @@ def test_product_counterexample_stays_dense(monkeypatch):
     built = []
     original = magnitude_module._similarity
 
-    def recorded(space, t=1.0):
-        z = original(space, t)
+    def recorded(space, t=1.0, ts=None):
+        z = original(space, t, ts)
         built.append(type(z))
         return z
 
@@ -243,7 +225,7 @@ class TestHalfSizeEigensolves:
     def test_any_worker_count_and_block_cap(self, monkeypatch, space, grid, with_diversity):
         monkeypatch.setattr(magnitude_module, "_blas_threads", lambda: 1)
         expected = self._per_scale(space, grid, with_diversity)
-        entries = _similarity(space, []).entries
+        entries = _similarity(space, ts=[]).entries
         for cpus in (1, 2):
             monkeypatch.setattr(metric_core, "_cpus", lambda: cpus)
             for per_block in (1, 2, len(grid) - 1, len(grid)):

@@ -1,6 +1,6 @@
 """Every name a maglab module imports is used in that module, only
-`magnitude._similarity` tests a space's structure or its symmetry under
-reversal, and no module imports
+`magnitude._similarity` reads a space's structure or tests its symmetry
+under reversal, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
 that needs it, also when that call runs on a worker, and only a triangle
@@ -38,7 +38,7 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-STRUCTURE_NAMES = ("isinstance", "_Line", "_Path", "_Fold", ".factors", ".flip")
+STRUCTURE_NAMES = ("isinstance", ".structure", "_Path", "_Fold", ".factors", ".flip")
 REVERSAL = "[::-1, ::-1]"  # any subscript that reverses two or more axes
 
 
@@ -68,31 +68,35 @@ def _structure_tests(path: Path) -> dict:
 
 
 def test_only_similarity_decides_structure():
-    """`_similarity` alone picks a space's similarity operator and alone
-    makes the reversal check; `_each_scale` gets its blocks, and
-    `scale_sweep` whether a block holds Z, from the operator."""
+    """`_similarity` alone reads a space's structure, with no type test,
+    picks its similarity operator and makes the reversal check;
+    `_each_scale` gets its blocks, and `scale_sweep` whether a block holds
+    Z, from the operator.  Outside `metric_core`, which makes structured
+    spaces, no other module reads the structure."""
     found = _structure_tests(SRC / "magnitude.py")
-    assert "_similarity" in found["isinstance"]
+    assert found.pop(".structure") == {"_similarity"}
     assert found.pop(REVERSAL) == {"_similarity"}
-    for name in ("isinstance", "_Line", "_Path"):
-        assert found.pop(name) <= {"_similarity", "_Path"}, name
+    assert found.pop("_Path") <= {"_similarity", "_Path"}
     assert found.pop("_Fold") <= {"_similarity", "_Fold"}
     assert found.pop(".factors") <= {"_similarity"}
-    assert found == {}
+    assert found == {}  # no `isinstance` either
     for path in MODULES:
         if path.name != "magnitude.py":
             found = _structure_tests(path)
             assert not {REVERSAL, "_Fold", ".flip"} & set(found), path.name
+            if path.name != "metric_core.py":
+                assert ".structure" not in found, path.name
 
 
 def test_structure_test_is_caught(tmp_path):
     module = tmp_path / "m.py"
-    module.write_text("from .metric_core import _Line\n\n\n"
+    module.write_text("from .metric_core import _Structure\n\n\n"
                       "def f(z):\n    return isinstance(z, _Path) or z.factors\n\n\n"
+                      "def k(space):\n    return space.structure\n\n\n"
                       "def g(d, v):\n    return (d == d[::-1, ::-1]).all() and v[::-1] and _Fold\n\n\n"
                       "def h(d):\n    return np.flip(d[:, ::-1]) is d[..., ::-1, ::-1]\n")
     assert _structure_tests(module) == {
-        "isinstance": {"f"}, "_Path": {"f"}, ".factors": {"f"},
+        "isinstance": {"f"}, "_Path": {"f"}, ".factors": {"f"}, ".structure": {"k"},
         REVERSAL: {"g", "h"}, "_Fold": {"g"}, ".flip": {"h"},
     }
 

@@ -8,6 +8,7 @@ take O(n) at each scale.  Each case here is rebuilt as
 `_Kron` spectrum and `_weighting` of that copy are the oracle.
 """
 
+import dataclasses
 import functools
 import json
 import logging
@@ -34,9 +35,9 @@ from maglab import (
     weighting,
 )
 from maglab.analysis import _ambient_gap, _voronoi_cell_measure
-from maglab.errors import NotPositiveDefinite
+from maglab.errors import InvalidParams, NotPositiveDefinite
 from maglab.magnitude import _Kron, _Path, _similarity, _weighting
-from maglab.metric_core import FAMILY_TABLE, _L1Sum, _Line, _lp_distances
+from maglab.metric_core import FAMILY_TABLE, _lp_distances, _Structure
 
 SCALES = (1e-3, 1e-2, 0.3, 1.0, 30.0)
 
@@ -68,6 +69,11 @@ def _dense(space):
     return FiniteMetricSpace(space.labels, space.dist)
 
 
+def _is_line(space):
+    """A line space: a `FiniteMetricSpace` whose structure holds sorted gaps."""
+    return type(space) is FiniteMetricSpace and getattr(space.structure, "gaps", None) is not None
+
+
 def _leinster(space, t):
     """|tX| = 1 + sum of tanh(t l / 2) over the gaps l of the sorted points."""
     x = np.sort(space.coords[:, 0])
@@ -78,7 +84,7 @@ def _leinster(space, t):
 @pytest.mark.parametrize("label", sorted(CORPUS))
 def test_agrees_with_dense(label):
     space = CORPUS[label]()
-    assert isinstance(space, _Line)
+    assert _is_line(space)
     dense = _dense(space)
     for t in SCALES:
         z = _similarity(space, t)
@@ -118,7 +124,7 @@ def test_tiny_scales_agree_with_dense(scale):
     """Where t l underflows past the squares of B's entries, the floor on it
     keeps the verdict and lambda_max, and lambda_min stays below the band."""
     space = generate(SpaceSpec("interval_net", {"n": 5}, scale=scale))
-    assert isinstance(space, _Line)
+    assert _is_line(space)
     got, want = spectrum_diagnostics(space), spectrum_diagnostics(_dense(space))
     assert got.verdict == want.verdict == "PositiveSemidefinite"
     assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-12, abs=0)
@@ -129,7 +135,7 @@ def test_overflowing_gap_warns_nothing():
     """Twice the gap of the 2-point net of length 1.7e308 overflows to inf,
     and expm1 of its -inf is the correct -1: Z is the identity."""
     space = generate(SpaceSpec("interval_net", {"n": 2, "length": 1.7e308}))
-    assert isinstance(space, _Line)
+    assert _is_line(space)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         diag = spectrum_diagnostics(space)
@@ -176,7 +182,7 @@ def test_matvec_is_dense_matmul(seed):
 ])
 def test_stays_dense(spec):
     space = generate(spec)
-    assert type(space) is FiniteMetricSpace
+    assert type(space) is FiniteMetricSpace and space.structure is None
     assert isinstance(_similarity(space, 1.0), _Kron)
 
 
@@ -203,7 +209,7 @@ def test_one_column_families_take_the_line_path(family):
     params = FAMILY_PARAMS[family]
     _, coords = FAMILY_TABLE[family][0](params, 0)
     one_column = coords is not None and coords.shape[1] == 1
-    assert isinstance(generate(SpaceSpec(family, params)), _Line) == one_column
+    assert _is_line(generate(SpaceSpec(family, params))) == one_column
     assert type(generate(SpaceSpec(family, params, snowflake=0.5))) is FiniteMetricSpace
 
 
@@ -213,11 +219,11 @@ def test_family_params_cover_the_table():
 
 @pytest.fixture
 def unbuildable(monkeypatch):
-    """Make any read of a line space's dist fail."""
-    def refuse(self):
+    """Make any dense build of a structured space fail."""
+    def refuse(self, n):
         raise AssertionError("a line space built its dense distance matrix")
 
-    monkeypatch.setattr(_Line, "dist", property(refuse))
+    monkeypatch.setattr(_Structure, "dense", refuse)
 
 
 @pytest.mark.parametrize("family, key, levels", [
@@ -308,15 +314,43 @@ def test_pickle_round_trip(label, read_first):
     if read_first:
         space.dist
     copy = pickle.loads(pickle.dumps(space))
-    assert type(copy) is type(space) and ("dist" in vars(copy)) == read_first
+    assert type(copy) is type(space) is FiniteMetricSpace
+    assert ("dist" in vars(copy)) == read_first
     assert copy.dist.tobytes() == _pickle_cases()[label].dist.tobytes()
-    assert len(copy.factors) == len(space.factors)
-    for a, b in zip(copy.factors, space.factors):
+    got, want = copy.structure, space.structure
+    assert len(got.factors) == len(want.factors)
+    for a, b in zip(got.factors, want.factors):
         assert a.tobytes() == b.tobytes()
-    if isinstance(space, _Line):
-        assert copy.gaps.tobytes() == space.gaps.tobytes()
-        assert copy.order.tobytes() == space.order.tobytes()
-    assert isinstance(space, (_L1Sum, _Line))
+    if _is_line(space):
+        assert got.gaps.tobytes() == want.gaps.tobytes()
+        assert got.order.tobytes() == want.order.tobytes()
+    assert want.factors or _is_line(space)
+
+
+@pytest.mark.parametrize("label", sorted(_pickle_cases()))
+@pytest.mark.parametrize("read_first", [False, True])
+def test_replace_keeps_dist_and_structure(label, read_first):
+    """`dataclasses.replace` of the labels, coords or provenance of a
+    structured space keeps its structure and its dist bits.  Given another
+    matrix, even one 1 ulp away, it raises InvalidParams; dropping the
+    structure gives the dense space."""
+    space = _pickle_cases()[label]
+    if read_first:
+        space.dist
+    want = _pickle_cases()[label].dist.tobytes()
+    n = len(space)
+    for change in ({"labels": [f"x{i}" for i in range(n)]}, {"coords": np.zeros((n, 1))},
+                   {"provenance": None}):
+        copy = dataclasses.replace(space, **change)
+        assert type(copy) is FiniteMetricSpace and copy.structure is space.structure
+        assert copy.dist.tobytes() == want
+        assert magnitude(copy) == magnitude(space)
+    other = np.array(space.dist)
+    other[0, -1] = other[-1, 0] = np.nextafter(other[0, -1], np.inf)
+    with pytest.raises(InvalidParams, match="differs from the one its structure builds"):
+        dataclasses.replace(space, dist=other)
+    dense = dataclasses.replace(space, structure=None)
+    assert dense.structure is None and dense.dist.tobytes() == want
 
 
 def test_large_line_nets_form_no_dense_matrix(tmp_path):
@@ -372,7 +406,7 @@ def test_large_line_nets_form_no_dense_matrix(tmp_path):
 
 def test_weighting_of_one_point():
     space = _net("interval_net", n=1)
-    assert isinstance(space, _Line)
+    assert _is_line(space)
     report = weighting(scale_space(space, 2.0))
     line = weighting(space)
     assert line.weighting.tolist() == report.weighting.tolist() == [1.0]

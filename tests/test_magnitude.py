@@ -53,6 +53,12 @@ magnitude_module = importlib.import_module("maglab.magnitude")
 LOG_SQRT_2 = math.log(2.0) / 2.0
 
 
+def _factors(space) -> tuple:
+    """The distance matrices that Z's Kronecker factors are built from: an
+    l_1 sum's factors, else the space's own."""
+    return getattr(space.structure, "factors", ()) or (space.dist,)
+
+
 def two_point_magnitude(d: float) -> float:
     # hand-solved 2x2 system [[1, q], [q, 1]] w = 1 with q = exp(-d)
     return 2.0 / (1.0 + math.exp(-d))
@@ -405,7 +411,7 @@ class TestOneEigensolvePerScale:
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(magnitude_module, "_lapack", lambda: (counted_potrf, potrs))
         s = generate(SpaceSpec("grid_net", {"m": 5, "n": 3, "p": 1.0}))
-        assert len(s.factors) == 3
+        assert len(s.structure.factors) == 3
         # two scales per block: each block's entry count holds all three factors
         monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 2 * 3 * 5 * 5)
         monkeypatch.setattr(metric_core, "_cpus", lambda: 1)  # blocks in order
@@ -507,7 +513,7 @@ def test_sweep_magnitude_is_the_weighting_reports(space, grid):
 def one_scale_magnitude(space, t, lambda_min):
     """The sweep's magnitude 1'Z^-1 1 at one positive definite scale, from
     the operator of a block of that scale alone."""
-    block = _similarity(space, [t])
+    block = _similarity(space, ts=[t])
     return block.magnitudes(np.array([0]), np.array([lambda_min]))[0]
 
 
@@ -565,7 +571,7 @@ class TestStackedBlocks:
         """Set the entry cap so that a block holds this many scales."""
         def cap(space, k):
             per_block = {"one": 1, "two": 2, "all_but_one": k - 1, "all": k}[request.param]
-            sides = [len(d) for d in space.factors or (space.dist,)]
+            sides = [len(d) for d in _factors(space)]
             monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES",
                                 per_block * sum(m * m for m in sides))
         return cap
@@ -586,7 +592,8 @@ class TestStackedBlocks:
         assert report.failing_scales == failing
 
     def test_factored_cases_include_an_indefinite_factor(self):
-        assert [len(space.factors) for space, _ in self.CASES] == [0, 0, 0, 0, 2, 2]
+        assert [space.structure is None for space, _ in self.CASES] == [True] * 4 + [False] * 2
+        assert [len(_factors(space)) for space, _ in self.CASES] == [1, 1, 1, 1, 2, 2]
         space, grid = self.CASES[-1]
         verdicts = {r.verdict for r in scale_sweep(space, grid).records}
         assert verdicts == {"Indefinite", "PositiveDefinite"}
@@ -636,7 +643,7 @@ class TestStackedBlocks:
         count = max(1, workers + offset)
         per_block = -(-12 // count)
         assert -(-12 // per_block) == count
-        sides = [len(d) for d in space.factors or (space.dist,)]
+        sides = [len(d) for d in _factors(space)]
         monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES",
                             per_block * sum(m * m for m in sides))
         self._assert_matches(space, grid, self._references(space, grid))
@@ -655,7 +662,7 @@ class TestStackedBlocks:
         distances moved by 1 ulp, which is not symmetric under reversal and
         so takes dense `_Kron` blocks."""
         space, grid, references = self._large_case(n, nudged=True)
-        assert isinstance(_similarity(space, []), _Kron)
+        assert isinstance(_similarity(space, ts=[]), _Kron)
         assert "verdict='PositiveSemidefinite', magnitude=None, diversity=1." in references[2]
         self._assert_matches(space, grid, references)
 
@@ -808,7 +815,7 @@ class TestBorderedFactor:
         matrices' side, u the unit roundoff and kappa = lambda_max / lambda_min
         from the sweep's own eigensolve (the worst here is 0.4 m u kappa)."""
         ts = sorted(float(t) for t in grid)
-        factors = space.factors or (space.dist,)
+        factors = _factors(space)
         assert max(len(d) for d in factors) <= magnitude_module._BORDERED_SIDE
         kappas = magnitude_module._each_scale(
             space, ts, lambda scales, zs, lo, hi, v: (hi / lo).tolist())

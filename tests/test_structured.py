@@ -45,7 +45,7 @@ from maglab import (
 )
 from maglab.errors import NonFiniteEntry, NotPositiveDefinite
 from maglab.magnitude import _diagnostics, _each_scale, _Fold, _similarity, _weighting
-from maglab.metric_core import _L1Sum, _Line
+from maglab.metric_core import _Structure
 
 EPS = np.finfo(float).eps
 TOL = 1e-12
@@ -141,9 +141,10 @@ def test_agrees_with_dense(label):
     space = CORPUS[label]()
     # a one-coordinate grid is distinct points of the line, on the O(n) path
     # of tests/test_line.py, and meets the same dense oracle at TOL
-    assert isinstance(space, _Line) if "-n1-" in label else space.factors
+    assert type(space) is FiniteMetricSpace
+    assert space.structure.gaps is not None if "-n1-" in label else space.structure.factors
     dense = _dense(space)
-    assert not dense.factors
+    assert dense.structure is None
     for t in SCALES:
         z = _similarity(space, t)
         got = z.spectrum()
@@ -254,9 +255,10 @@ def test_dense_constructions_carry_no_factors(tmp_path):
         lp_product(interval, interval, 2.0),
         lp_product(grid, interval, math.inf),
     ]
-    assert [s.factors for s in dense] == [()] * len(dense)
-    assert len(grid.factors) == 2
-    assert len(lp_product(grid, interval, 1.0).factors) == 3
+    assert [(type(s), s.structure) for s in dense] == [(FiniteMetricSpace, None)] * len(dense)
+    factored = [grid, lp_product(grid, interval, 1.0)]
+    assert [type(s) for s in factored] == [FiniteMetricSpace] * 2
+    assert [len(s.structure.factors) for s in factored] == [2, 3]
 
 
 def _cloud_grid(m, n, scale):
@@ -374,18 +376,23 @@ def test_overflowing_sum_refused_when_built():
 
 @pytest.fixture
 def unbuildable(monkeypatch):
-    """Make any read of a factored space's dist fail."""
-    def refuse(self):
-        raise AssertionError("a factored space built its dense distance matrix")
+    """Make any dense build of a factored space fail; a line space, such as
+    an interval factor of a product, still builds."""
+    dense = _Structure.dense
 
-    monkeypatch.setattr(_L1Sum, "dist", property(refuse))
+    def refuse(self, n):
+        if self.factors:
+            raise AssertionError("a factored space built its dense distance matrix")
+        return dense(self, n)
+
+    monkeypatch.setattr(_Structure, "dense", refuse)
 
 
 def test_kronecker_paths_build_no_dense_matrix(unbuildable):
     # 90,601 points: the dense matrix would take 65 GB
     spec = SpaceSpec("grid_net", {"m": 301, "n": 2, "p": 1.0})
     space = generate(spec)
-    assert len(space) == 301**2 and len(space.factors) == 2
+    assert len(space) == 301**2 and len(space.structure.factors) == 2
     assert "labels=" in repr(space)
     assert spectrum_diagnostics(space).lambda_max > 1.0
     # at t = 300 each axis has spacing 1: 1 + 300 tanh(1/2) per axis
@@ -403,7 +410,18 @@ def test_kronecker_paths_build_no_dense_matrix(unbuildable):
     a, b = np.random.default_rng(0).uniform(size=(2, 301))
     want = (a.sum() * b.sum()) ** 2 / ((a @ z1 @ a) * (b @ z1 @ b))
     assert rayleigh(space, np.outer(a, b).ravel()) == pytest.approx(want, rel=TOL, abs=0)
-    assert len(lp_product(space, _space("interval_net", n=3), 1.0).factors) == 3
+    assert len(lp_product(space, _space("interval_net", n=3), 1.0).structure.factors) == 3
+
+
+def test_repr_of_a_million_point_grid_builds_nothing(unbuildable):
+    """The repr names the labels, the spec and the coordinates, summarized
+    by numpy, and no array of the structure."""
+    space = generate(SpaceSpec("grid_net", {"m": 1001, "n": 2, "p": 1.0}))
+    text = repr(space)
+    assert text.startswith("FiniteMetricSpace(labels=range(0, 1002001), provenance=SpaceSpec(")
+    assert text.endswith(f", coords={space.coords!r})") and text.count("array(") == 1
+    assert len(text) < 1000
+    assert "dist" not in vars(space)
 
 
 def test_first_dense_read_is_logged(caplog):
