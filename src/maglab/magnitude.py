@@ -412,33 +412,44 @@ def _diagnostics(lo: np.ndarray, hi: np.ndarray) -> list:
     ]
 
 
-def _each_scale(space: FiniteMetricSpace, ts: list, task) -> list:
-    """One result per t in ts: a block of scales gives the list
-    task(scales, z, lo, hi, verdicts), z being the block's operator from
-    `_similarity` and the rest the arrays of its `spectra`, so thousands of
-    small matrices build no object per scale; task must keep no part of z.
+def _each_scale(space: FiniteMetricSpace, ts: list, task, lead=None) -> list:
+    """One result per t in ts, after lead() if a lead is given: a block of
+    scales gives the list task(scales, z, lo, hi, verdicts), z being the
+    block's operator from `_similarity` and the rest the arrays of its
+    `spectra`, so thousands of small matrices build no object per scale;
+    task must keep no part of z.
 
     Scales go in blocks of at most _STACK_ENTRIES similarity entries, as the
     operator counts them per scale, and the operator builds each block and
     eigensolves each of its stacks by one eigvalsh call.  A dense space
-    from n = 725 on takes one scale per block.  The blocks run on the shared
-    worker pool (`_each`), each worker building its stacks in buffers that
-    the calling thread allocated, so the live similarity entries grow only
-    with the worker count.  The results, and the first failing block's
-    error, are those of a loop on one CPU.
+    from n = 725 on takes one scale per block.  The lead, then the blocks,
+    run on the shared worker pool (`_each`), each worker building its
+    stacks in buffers that the calling thread allocated, so the live
+    similarity entries grow only with the worker count.  The results, and
+    the error raised, are those of a loop on one CPU that calls lead after
+    the blocks.
     """
     z = _similarity(space, ts=[])
     k = max(1, _STACK_ENTRIES // z.entries)
     blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
 
-    def block(scales, bufs):
+    failed = []
+
+    def item(scales, bufs):
+        if scales is None:  # the lead: its error waits until every block has run
+            try:
+                return [lead()]
+            except Exception as exc:
+                failed.append(exc)
+                return []
         b = z.block(scales, bufs)
         return task(scales, b, *b.spectra())
 
-    return [
-        r for rs in _each(block, blocks, lambda: z.buffers(len(blocks[0])), _blas_threads())
-        for r in rs
-    ]
+    items = blocks if lead is None else [None, *blocks]
+    results = _each(item, items, lambda: z.buffers(len(blocks[0])), _blas_threads())
+    if failed:
+        raise failed[0]
+    return [r for rs in results for r in rs]
 
 
 def _blas_threads() -> int:

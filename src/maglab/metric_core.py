@@ -36,6 +36,7 @@ from .errors import (
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
+_BAND = 64  # rows per band of `_symmetrized`
 
 logger = logging.getLogger("maglab")
 
@@ -80,12 +81,22 @@ def _labels(labels) -> Sequence:
 
 def _symmetrized(d: np.ndarray) -> np.ndarray:
     """The upper triangle of d copied to the lower, read-only; NonFiniteEntry
-    on a non-finite entry."""
-    d = np.triu(d, 1)
-    d = d + d.T
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteEntry("distance matrix contains non-finite entries")
-    return _readonly(d)
+    on a non-finite entry of the upper triangle.
+
+    The bits of np.triu(d, 1) + np.triu(d, 1).T, built in one copy of d by
+    bands of rows, so that no second n x n array is ever live.
+    """
+    out = np.array(d, dtype=float, order="C")
+    out += 0.0  # -0.0 becomes +0.0, as in the sum with the zero triangle
+    for a in range(0, len(out), _BAND):
+        b = a + _BAND
+        out[a:b, :a] = out[:a, a:b].T
+        diag = np.triu(out[a:b, a:b], 1)
+        out[a:b, a:b] = diag + diag.T
+        if not np.isfinite(out[a:b]).all():
+            raise NonFiniteEntry("distance matrix contains non-finite entries")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ class _Structure:
         return _symmetrized(self.build())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space: point labels plus a symmetric distance matrix.
 
@@ -169,7 +180,8 @@ class FiniteMetricSpace:
     ambient coordinates when the generating family has a natural
     embedding (intervals, Cantor sets, grids, spheres, point clouds);
     the net-convergence study reads them for each level's Hausdorff gap and
-    for its 1-D quadrature cells.
+    for its 1-D quadrature cells.  Identity decides equality and hashing,
+    as it does for any object: two spaces of the same bits are not equal.
 
     ``structure`` is None except for an l_1 sum (from `generate` or
     `lp_product`) and distinct points of the line (from `generate`), which
@@ -186,7 +198,7 @@ class FiniteMetricSpace:
     dist: Optional[np.ndarray] = field(repr=False)
     provenance: Optional[SpaceSpec] = None
     coords: Optional[np.ndarray] = None
-    structure: Optional[_Structure] = field(default=None, repr=False, compare=False)
+    structure: Optional[_Structure] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dist is None and self.structure is not None:

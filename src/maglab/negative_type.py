@@ -84,11 +84,14 @@ def stability_scan(
     scales = sorted(float(t) for t in scales)
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
-    found = _each_scale(space, scales, lambda ts, z, lo, hi, verdicts: list(
-        zip(lo.tolist(), verdicts == 0)))  # 0: Indefinite
+    space.dist  # a lazy space builds its dense matrix here, not on a worker
+    nt, *found = _each_scale(
+        space, scales,
+        lambda ts, z, lo, hi, verdicts: list(zip(lo.tolist(), verdicts == 0)),  # 0: Indefinite
+        lead=lambda: negative_type_test(space),  # on the pool, beside the blocks
+    )
     records = [ScanRecord(t, lam) for t, (lam, _) in zip(scales, found)]
     failing = [t for t, (_, indefinite) in zip(scales, found) if indefinite]
-    nt = negative_type_test(space)
     if failing:
         classification = "NotStablyPD"
     elif nt.negative_type:

@@ -203,8 +203,9 @@ class TestHalfSizeEigensolves:
         stability_scan(space, ts)
         r = n - n // 2
         blocks = [(4, r, r), (4, r, r), (2, r, r)]
-        # the scan's Gram test is the one n - 1 side solve
-        assert eigvalsh_shapes == blocks * 2 + [(n - 1, n - 1)]
+        # the scan's Gram test is the one n - 1 side solve, the first item of
+        # the scan's batch
+        assert eigvalsh_shapes == blocks + [(n - 1, n - 1)] + blocks
 
     CASES = [
         (generate(SpaceSpec("sphere_fibonacci_net", {"n": 31}, scale=2.0)),

@@ -707,6 +707,79 @@ class TestFiniteMetricSpace:
         assert validate_metric(sub.dist).ok
 
 
+    def test_identity_decides_equality_and_hashing(self):
+        a, b = (generate(SpaceSpec("circle_net", {"n": 4})) for _ in range(2))
+        assert a.dist.tobytes() == b.dist.tobytes()
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+
+
+class TestSymmetrized:
+    """`_symmetrized` builds the old two-array formula's bits in one copy."""
+
+    @staticmethod
+    def _reference(d):
+        d = np.triu(d, 1)
+        return d + d.T
+
+    @staticmethod
+    def _matrix(n, seed):
+        """Random entries with a signed zero, a random diagonal, and non-finite
+        values in the lower triangle alone."""
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(-1.0, 1.0, size=(n, n))
+        d[rng.random((n, n)) < 0.1] = -0.0
+        lower = np.tril_indices(n, -1)
+        pick = rng.random(len(lower[0])) < 0.1
+        d[lower[0][pick], lower[1][pick]] = rng.choice([math.nan, math.inf, -math.inf], pick.sum())
+        return d
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+    def test_bits_of_the_two_array_formula(self, n):
+        d = self._matrix(n, n)
+        before = d.tobytes()
+        out = metric_core._symmetrized(d)
+        assert d.tobytes() == before  # the caller's array is never written
+        assert not out.flags.writeable and out.flags.c_contiguous
+        assert out.tobytes() == self._reference(d).tobytes()
+        assert not np.signbit(out[out == 0]).any()  # an upper -0.0 becomes +0.0
+
+    def test_fortran_order_and_integer_input(self):
+        d = self._matrix(70, 1)
+        assert metric_core._symmetrized(np.asfortranarray(d)).tobytes() == \
+            metric_core._symmetrized(d).tobytes()
+        ints = np.arange(16).reshape(4, 4)
+        assert metric_core._symmetrized(ints).tobytes() == self._reference(ints.astype(float)).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 99), (70, 71), (98, 99)])
+    def test_nonfinite_upper_entry_raises(self, value, i, j):
+        d = np.ones((100, 100))
+        d[i, j] = value
+        with pytest.raises(NonFiniteEntry):
+            metric_core._symmetrized(d)
+
+    def test_peak_is_one_copy(self):
+        """At n = 400, the peak above the input is the copy and a band's
+        temporaries, where the two-array formula holds two n x n arrays."""
+        import tracemalloc
+
+        d = self._matrix(400, 2)
+        size = d.nbytes
+        tracemalloc.start()
+        try:
+            out = metric_core._symmetrized(d)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            self._reference(d)
+            _, old_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == size
+        assert peak < 1.25 * size
+        assert old_peak > 2 * size
+
+
 class TestTransforms:
     def test_scale_two_points(self, two_points):
         assert scale_space(two_points, 2.0).dist[0, 1] == 2.0
