@@ -7,9 +7,9 @@ semidefinite Z is singular.  With one Cholesky factor L L' = Z + 11' and
 b = L^-1 1, the vector w = L'^-1 b solves (Z + 11') w = 1 and is
 proportional to Z^-1 1.  When w >= 0 the space is positively weighted and
 mu = w / sum(w) is exact.  Otherwise the minimizer is the positive weighting
-of some subset (Leinster & Meckes, arXiv:1512.06314), found by
-Lawson-Hanson nonnegative least squares min ||L' w - b|| over w >= 0 on the
-same factor, whose objective is w' (Z + 11') w - 2 1'w plus a constant.
+of some subset (Leinster & Meckes, arXiv:1512.06314): the w >= 0 that
+minimizes w' (Z + 11') w - 2 1'w, found by block principal pivoting on
+A = Z + 11' itself, started from the sign pattern of the w already solved.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
 GAP_TOL = 1e-8  # converged when the KKT gap is at most GAP_TOL * q(mu)
-NNLS_MAX_ITERS = 100_000  # active-set steps before NotConverged
+NNLS_MAX_ITERS = 100_000  # pivoting steps before NotConverged
+BACKUP_EXCHANGES = 3  # exchanges of every infeasible index that may not lower their count
+PIVOT_TOL = 1e-12  # y_i = (Aw - 1)_i above -PIVOT_TOL counts as feasible
 AGREEMENT_TOL = 1e-7  # relative |magnitude - diversity| of a positive weighting
 
 
@@ -47,8 +49,8 @@ def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
     """Minimize mu' Z mu over the probability simplex exactly.
 
     Takes one triangular solve pair when the space is positively weighted
-    and one NNLS solve (at most NNLS_MAX_ITERS active-set steps) otherwise;
-    `iterations` counts the solves.  `fw_gap` is the KKT gap
+    and one nonnegative solve (at most NNLS_MAX_ITERS pivoting steps)
+    otherwise; `iterations` counts the solves.  `fw_gap` is the KKT gap
     2 mu'Z mu - 2 min(Z mu) at the returned measure, so 1/(q(mu) - gap)
     bounds the maximum diversity from above, and the report is converged
     when the gap is at most GAP_TOL * q(mu).
@@ -67,8 +69,8 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     """`max_diversity`, given Z and its spectrum diagnostics, not Indefinite."""
     from scipy.linalg import solve_triangular
     potrf = _lapack()[0]
-    # clean=True zeroes the upper triangle, which NNLS reads through factor.T
-    factor, info = potrf(z + 1.0, lower=True)
+    a = z + 1.0
+    factor, info = potrf(a, lower=True)
     if info != 0:
         # A semidefinite Z can be singular along a mean-zero direction, which
         # adding 11' does not lift (K_{n,n} at its threshold log(n-1)).  The
@@ -80,24 +82,19 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             RuntimeWarning,
             stacklevel=2,
         )
-        factor, info = potrf(z + 1.0 + shift * np.eye(z.shape[0]), lower=True)
+        a += shift * np.eye(z.shape[0])
+        factor, info = potrf(a, lower=True)
     if info != 0:
         raise IndefiniteForm(
             f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
+    # two triangular solves, not potrs, whose bits differ in the last place
     b = solve_triangular(factor, np.ones(z.shape[0]), lower=True)
     w = solve_triangular(factor, b, lower=True, trans="T")
     iterations = 1
     if w.min() < 0.0:
-        from scipy.optimize import nnls
-
-        try:
-            w, _ = nnls(factor.T, b, maxiter=NNLS_MAX_ITERS)
-        except RuntimeError as exc:
-            raise NotConverged(
-                f"nonnegative least squares stopped after {NNLS_MAX_ITERS} steps"
-            ) from exc
+        w = _pivot(a, w > 0.0)
         iterations = 2
 
     mu = w / w.sum()
@@ -117,12 +114,49 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     )
 
 
+def _pivot(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """min w'Aw - 2 1'w over w >= 0 for a positive definite A, by block
+    principal pivoting (Judice & Pires 1994; Kim & Park 2011) from the free
+    set `free`, which it updates in place.
+
+    Each step solves A_FF w_F = 1 with w = 0 off F, then moves every
+    infeasible index to the other set: w_i < 0 on F, or y_i < -PIVOT_TOL on
+    the rest, where y = Aw - 1.  After BACKUP_EXCHANGES such exchanges that
+    do not lower the infeasible count, it moves only the largest infeasible
+    index, which makes the steps finite.  The tolerance on y keeps roundoff
+    at a degenerate index (w_i = y_i = 0) from moving it to and fro.
+    """
+    potrf, potrs = _lapack()
+    n = a.shape[0]
+    fewest, backups = n + 1, BACKUP_EXCHANGES
+    for _ in range(NNLS_MAX_ITERS):
+        f = np.flatnonzero(free)
+        w = np.zeros(n)
+        factor, info = potrf(a[np.ix_(f, f)], lower=True)
+        if info != 0:
+            raise NotConverged(f"a principal block of Z + 11' has no Cholesky factor "
+                               f"(potrf info {info})")
+        w[f] = potrs(factor, np.ones(f.size), lower=True)[0]
+        infeasible = np.where(free, w < 0.0, a @ w - 1.0 < -PIVOT_TOL)
+        count = np.count_nonzero(infeasible)
+        if count == 0:
+            return w
+        if count < fewest:
+            fewest, backups = count, BACKUP_EXCHANGES
+        elif backups > 0:
+            backups -= 1
+        else:
+            infeasible = np.arange(n) == np.flatnonzero(infeasible)[-1]
+        free ^= infeasible
+    raise NotConverged(f"nonnegative least squares stopped after {NNLS_MAX_ITERS} steps")
+
+
 def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     """Decide whether magnitude equals maximum diversity.
 
     The verdict is the sign of the weighting.  The diversity solve
-    cross-checks it: its NNLS branch runs exactly when Z^-1 1 has a negative
-    entry, so a negative weighting must have taken that branch.  The values
+    cross-checks it: its nonnegative branch runs exactly when Z^-1 1 has a
+    negative entry, so a negative weighting must have taken it.  The values
     cannot confirm a negative sign, because the diversity deficit is second
     order in the negative weight (-2e-4 gives a relative gap near 1e-9), so
     they are compared only for a nonnegative weighting, where magnitude and

@@ -138,6 +138,56 @@ def l1_grid(m: int) -> FiniteMetricSpace:
     return generate(SpaceSpec("grid_net", {"m": m, "n": 2, "p": 1.0}))
 
 
+def pivot_steps(space: FiniteMetricSpace, monkeypatch) -> tuple:
+    """`max_diversity(space)` and its pivoting steps: the Cholesky factors
+    after the first, which is of Z + 11' itself (no shift)."""
+    potrf, potrs = diversity._lapack()
+    shapes = []
+
+    def counted(a, **kwargs):
+        shapes.append(a.shape)
+        return potrf(a, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(diversity, "_lapack", lambda: (counted, potrs))
+        rep = max_diversity(space)
+    assert shapes[0] == (len(space), len(space))
+    return rep, len(shapes) - 1
+
+
+def lawson_hanson(a, free):
+    """scipy's Lawson-Hanson NNLS min ||L'w - L^-1 1|| over w >= 0, where
+    LL' = A: the solve that block principal pivoting replaced."""
+    from scipy.linalg import solve_triangular
+    from scipy.optimize import nnls
+
+    factor = diversity._lapack()[0](a, lower=True)[0]
+    b = solve_triangular(factor, np.ones(len(a)), lower=True)
+    return nnls(factor.T, b, maxiter=diversity.NNLS_MAX_ITERS)[0]
+
+
+def assert_matches_lawson_hanson(space, monkeypatch):
+    new = max_diversity(space)
+    with monkeypatch.context() as m:
+        m.setattr(diversity, "_pivot", lawson_hanson)
+        old = max_diversity(space)
+    assert (new.support, new.iterations, new.converged) == (
+        old.support, old.iterations, old.converged)
+    assert new.diversity == pytest.approx(old.diversity, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(new.measure, old.measure, rtol=0.0, atol=1e-12)
+    return new
+
+
+def plane_cloud(n: int) -> FiniteMetricSpace:
+    """n seeded points uniform in [0, 4]^2 under the Euclidean metric."""
+    pts = np.random.default_rng(n).uniform(0.0, 4.0, size=(n, 2))
+    return generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 2.0}))
+
+
+SMALL_NEGATIVE_WEIGHT = [(14, 1, 8), (21, 2, 14), (115, 1, 26), (120, 1, 15), (201, 2, 14),
+                         (278, 1, 22)]
+
+
 class TestExactSolver:
     def test_matches_subset_oracle(self):
         nnls_runs = 0
@@ -201,9 +251,23 @@ class TestExactSolver:
         err = capsys.readouterr().err
         assert "IndefiniteForm" in err and "lambda_min" in err
 
+    def test_unfactorable_block_is_not_converged(self, monkeypatch):
+        potrf, potrs = diversity._lapack()
+        calls = []
+
+        def second_fails(a, **kwargs):
+            calls.append(a.shape)
+            factor, info = potrf(a, **kwargs)
+            return factor, info if len(calls) == 1 else 1
+
+        monkeypatch.setattr(diversity, "_lapack", lambda: (second_fails, potrs))
+        with pytest.raises(NotConverged, match="principal block"):
+            max_diversity(negative_weight_cloud())
+
     def test_nnls_iteration_limit(self, tmp_path, monkeypatch, capsys):
-        s = random_cloud(0)
-        assert max_diversity(s).iterations == 2
+        s = random_cloud(15)
+        rep, steps = pivot_steps(s, monkeypatch)
+        assert rep.iterations == 2 and steps >= 2
         monkeypatch.setattr(diversity, "NNLS_MAX_ITERS", 1)
         with pytest.raises(NotConverged):
             max_diversity(s)
@@ -216,6 +280,74 @@ class TestExactSolver:
     def test_solver_options_removed(self, flag, tmp_path, capsys):
         assert run_diversity(random_cloud(0), tmp_path, flag, "1") == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+class TestPivoting:
+    """Block principal pivoting against scipy's Lawson-Hanson NNLS: the same
+    support, path and convergence, the diversity within 1e-12 relative and
+    the measure within 1e-12 absolute."""
+
+    def test_random_clouds(self, monkeypatch):
+        nnls_runs = sum(
+            assert_matches_lawson_hanson(random_cloud(seed), monkeypatch).iterations == 2
+            for seed in range(300)
+        )
+        assert 100 < nnls_runs < 200  # 139 of the 300 are not positively weighted
+
+    @pytest.mark.parametrize("seed,p,n", SMALL_NEGATIVE_WEIGHT)
+    def test_small_negative_weight_clouds(self, seed, p, n, monkeypatch):
+        s = generate(random_cloud_spec(n, 2, p=p, seed=seed, box=3.0))
+        assert assert_matches_lawson_hanson(s, monkeypatch).iterations == 2
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_plane_clouds(self, n, monkeypatch):
+        rep = assert_matches_lawson_hanson(plane_cloud(n), monkeypatch)
+        assert rep.iterations == 2 and len(rep.support) < n
+
+    def test_shift_path(self, monkeypatch):
+        with pytest.warns(RuntimeWarning, match="singular"):
+            assert_matches_lawson_hanson(bipartite(4, 4, math.log(3.0) - 1e-9), monkeypatch)
+
+    @pytest.mark.parametrize("seed,p,n", SMALL_NEGATIVE_WEIGHT[:2])
+    def test_optimal_sign_pattern_takes_one_step(self, seed, p, n, monkeypatch):
+        # the weighting's positive entries are already the optimal support
+        s = generate(random_cloud_spec(n, 2, p=p, seed=seed, box=3.0))
+        positive = tuple(int(i) for i in np.flatnonzero(weighting(s).weighting > 0.0))
+        rep, steps = pivot_steps(s, monkeypatch)
+        assert rep.iterations == 2 and rep.support == positive
+        assert steps == 1
+
+    def test_plane_cloud_takes_few_steps(self, monkeypatch):
+        rep, steps = pivot_steps(plane_cloud(400), monkeypatch)
+        assert rep.iterations == 2 and 2 <= steps <= 10  # Lawson-Hanson takes 190
+
+    def test_tolerance_ends_a_roundoff_cycle(self, monkeypatch):
+        # K_{8,8} at its threshold log 7: every index off the support is
+        # degenerate (w_i = y_i = 0), and with no tolerance roundoff moves
+        # one to and fro forever
+        s = bipartite(8, 8, math.log(7.0))
+        rep = max_diversity(s)
+        assert rep.iterations == 2 and rep.converged
+        assert rep.diversity == pytest.approx(7.0, rel=1e-12)
+        monkeypatch.setattr(diversity, "PIVOT_TOL", 0.0)
+        monkeypatch.setattr(diversity, "NNLS_MAX_ITERS", 1000)
+        with pytest.raises(NotConverged):
+            max_diversity(s)
+
+    def test_backup_rule_ends_a_cycle(self, monkeypatch):
+        # from this start, exchanging every infeasible index cycles forever
+        a = np.array([[1.278, 2.027, 0.286, -0.53], [2.027, 3.339, 0.637, -0.368],
+                      [0.286, 0.637, 0.855, 1.576], [-0.53, -0.368, 1.576, 4.171]])
+        start = np.array([True, True, False, False])
+        w = diversity._pivot(a, start.copy())
+        y = a @ w - 1.0
+        assert w.min() >= 0.0 and y.min() >= -1e-12
+        assert np.abs(w * y).max() < 1e-12
+        np.testing.assert_array_equal(w > 0.0, [True, False, True, False])
+        monkeypatch.setattr(diversity, "BACKUP_EXCHANGES", 10**6)
+        monkeypatch.setattr(diversity, "NNLS_MAX_ITERS", 50)
+        with pytest.raises(NotConverged, match="after 50 steps"):
+            diversity._pivot(a, start.copy())
 
 
 class TestPositivelyWeighted:
@@ -234,10 +366,7 @@ class TestPositivelyWeighted:
         assert weighting(s).weighting.min() < -1e-6
         assert not is_positively_weighted(s)
 
-    @pytest.mark.parametrize(
-        "seed,p,n",
-        [(14, 1, 8), (21, 2, 14), (115, 1, 26), (120, 1, 15), (201, 2, 14), (278, 1, 22)],
-    )
+    @pytest.mark.parametrize("seed,p,n", SMALL_NEGATIVE_WEIGHT)
     def test_small_negative_weight(self, seed, p, n):
         # weights down to -2e-4 leave magnitude and diversity within 1e-7
         # relative, since the deficit is second order in the negative weight

@@ -142,8 +142,40 @@ def test_eager_scipy_import_is_caught(tmp_path):
 HEAVY = ("scipy.fft", "scipy.sparse", "scipy.optimize", "scipy.integrate")
 
 
+def _scipy_optimize_imports(path: Path) -> list:
+    """Line numbers of the imports of scipy.optimize in `path`, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            names = []
+        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_optimize(path):
+    assert _scipy_optimize_imports(path) == []
+
+
+def test_scipy_optimize_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import scipy.linalg\n"
+        "from scipy import optimize\n"
+        "\n\ndef f():\n    import scipy.optimize as so\n"
+        "\n\nclass A:\n    def g(self):\n        from scipy.optimize import nnls\n"
+        "\n\ndef h():\n    from scipy.optimized import x\n"
+    )
+    assert _scipy_optimize_imports(module) == [2, 6, 11]
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
-    # the NNLS solve imports scipy.optimize when a diversity solve needs it
+    # the first fourier call imports scipy.fft and scipy.special; no call imports the rest
     code = f"import sys, maglab; print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
@@ -167,8 +199,9 @@ def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
 
 def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
     """Importing the CLI loads no scipy module, nor do `validate`, `negtype`
-    and both experiments; `magnitude` loads scipy.linalg alone, and
-    `fourier` scipy.special and scipy.fft."""
+    and both experiments; `magnitude` loads scipy.linalg alone, `diversity`
+    on a cloud that takes the nonnegative solve adds no scipy.optimize, and
+    `fourier` loads scipy.special and scipy.fft."""
     spec = tmp_path / "k32.json"
     spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
     matrix = tmp_path / "cloud.csv"
@@ -180,6 +213,7 @@ def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
         ["experiment", "product-counterexample"],
         ["experiment", "witness-search", "--budget", "50"],
         ["magnitude", "--matrix", str(matrix)],
+        ["diversity", "--matrix", str(matrix), "--json", str(tmp_path / "diversity.json")],
         ["fourier", "--p", "1"],
     ]
     code = (
@@ -195,10 +229,12 @@ def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    *cheap, magnitude, fourier = map(set, json.loads(out.stdout.splitlines()[-1]))
+    *cheap, magnitude, diversity, fourier = map(set, json.loads(out.stdout.splitlines()[-1]))
     assert cheap == [set()] * 5  # the import, then validate, negtype, the experiments
     assert "scipy.linalg" in magnitude
     assert not {"scipy.special", "scipy.fft"} & magnitude
+    assert json.loads((tmp_path / "diversity.json").read_text())["iterations"] == 2
+    assert not any(m.startswith("scipy.optimize") for m in diversity)
     assert {"scipy.linalg", "scipy.special", "scipy.fft"} <= fourier
 
 

@@ -10,7 +10,7 @@ import pytest
 from referencing import Registry, Resource
 
 from maglab import SpaceSpec, generate
-from maglab.cli import run
+from maglab.cli import build_parser, run
 from maglab.metric_core import FAMILY_TABLE
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -152,3 +152,76 @@ def test_space_spec(registry):
 def test_space_spec_families(registry):
     family = registry.contents("maglab/space_spec/v1")["properties"]["family"]
     assert sorted(family["enum"]) == sorted(FAMILY_TABLE)
+
+
+# The fields whose --json value may be the non-strict token Infinity or
+# -Infinity today, by subcommand.  The v2 schemas give each a finite value or
+# null; until then the list may shrink but not grow.
+NONFINITE_TODAY = {("validate", "worst_asymmetry")}
+
+
+def _strict(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def _nonfinite_paths(node, path="") -> set:
+    """Paths ("records[].field") of the values parsed from a non-finite token."""
+    if isinstance(node, dict):
+        return set().union(*(_nonfinite_paths(v, f"{path}.{k}".lstrip(".")) for k, v in
+                             node.items()))
+    if isinstance(node, list):
+        return set().union(*(_nonfinite_paths(v, f"{path}[]") for v in node))
+    return {path} if isinstance(node, float) and not math.isfinite(node) else set()
+
+
+def test_json_is_strict_but_for_known_fields(tmp_path, capsys):
+    """Every subcommand's --json on ordinary inputs, and `validate` on a
+    matrix whose asymmetry overflows, parses with parse_constant set to
+    raise, except for the fields in NONFINITE_TODAY, each of which the
+    corpus shows holding inf."""
+    def csv(name, dist):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, dist, delimiter=",", fmt="%.17g")
+        return str(path)
+
+    def spec(name, space_spec):
+        path = tmp_path / f"{name}.json"
+        path.write_text(space_spec.to_json())
+        return str(path)
+
+    cloud = csv("cloud", generate(SPACES["cloud"]).dist)
+    k32 = spec("k32", SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
+    threshold = spec("k32-threshold", SPACES["k32-threshold"])
+    corpus = [
+        (["validate", csv("pair", [[0, 1], [1, 0]])], 0),
+        (["validate", csv("triangle", [[0, 1, 3], [1, 0, 1], [3, 1, 0]])], 1),
+        (["validate", csv("overflow", [[0, 1e308], [-1e308, 0]])], 1),
+        (["magnitude", "--matrix", cloud], 0),
+        (["magnitude", "--spec", k32], 0),
+        (["diversity", "--matrix", cloud], 0),
+        (["diversity", "--matrix", csv("l1-grid", generate(SPACES["l1-grid"]).dist)], 0),
+        (["diversity", "--spec", threshold], 0),
+        (["sweep", "--spec", threshold, "--scales", "0.25:1:4log", "--with-diversity"], 0),
+        (["negtype", "--spec", k32], 0),
+        (["approx", "--family", "interval", "--levels", "3,5,9"], 0),
+        (["fourier", "--p", "1.5"], 0),
+        (["fourier", "--p", "2", "--upper-bound", "--ell", "2"], 0),
+        (["experiment", "product-counterexample"], 0),
+        (["experiment", "witness-search", "--p", "inf", "--budget", "400"], 0),
+    ]
+    seen = set()
+    out = tmp_path / "report.json"
+    for argv, exit_code in corpus:
+        assert run([*argv, "--json", str(out)]).exit_code == exit_code, argv
+        text = out.read_text()
+        paths = _nonfinite_paths(json.loads(text))
+        assert {(argv[0], path) for path in paths} <= NONFINITE_TODAY, argv
+        seen |= {(argv[0], path) for path in paths}
+        if not paths:
+            json.loads(text, parse_constant=_strict)
+        else:
+            with pytest.raises(ValueError, match="non-strict"):
+                json.loads(text, parse_constant=_strict)
+    assert seen == NONFINITE_TODAY
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+    assert {argv[0] for argv, _ in corpus} == set(commands)
