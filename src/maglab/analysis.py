@@ -23,8 +23,8 @@ from .magnitude import (
     scale_sweep, weighting,
 )
 from .metric_core import (
-    FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _is_integer, _lp_distances, _lp_norm,
-    generate, lp_product,
+    FAMILY_TABLE, FiniteMetricSpace, SpaceSpec, _is_integer, _lp_distances, generate,
+    lp_product,
 )
 from .negative_type import StabilityReport, stability_scan
 
@@ -53,35 +53,12 @@ class ConvergenceStudy:
     monotone: bool
 
 
-def _nearest(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j| for each x_i and its nearest y_j, for points of the line
-    and y sorted."""
-    j = np.searchsorted(y, x)
-    below = y[np.maximum(j - 1, 0)]
-    above = y[np.minimum(j, len(y) - 1)]
-    return np.minimum(np.abs(x - below), np.abs(x - above))
-
-
 def _ambient_gap(coarse: FiniteMetricSpace, fine: FiniteMetricSpace) -> Optional[float]:
     """Hausdorff distance between two nets of one family, in the net metric."""
     if coarse.coords is None or fine.coords is None:
         return None
     spec = fine.provenance
-    p = float(spec.params.get("p", 2.0))
-    if coarse.coords.shape[1] == 1:
-        # on the line, nearest points by sorting; the l_p norm of one
-        # coordinate is monotone in it, so it commutes with the sup-inf
-        x, y = np.sort(coarse.coords[:, 0]), np.sort(fine.coords[:, 0])
-        gap = _lp_norm(np.array([[max(_nearest(x, y).max(), _nearest(y, x).max())]]), p)[0]
-    else:
-        cross = _lp_distances(coarse.coords, fine.coords, p)
-        gap = max(cross.min(axis=1).max(), cross.min(axis=0).max())
-    # monotone distance transforms commute with the sup-inf structure: the
-    # sphere's geodesic distance is 2r asin(chord / 2r), whose arccos form
-    # would read about 1e-8 for a net against itself
-    if spec.family == "sphere_fibonacci_net":
-        radius = float(spec.params.get("radius", 1.0))
-        gap = 2.0 * radius * math.asin(min(1.0, gap / (2.0 * radius)))
+    gap = FAMILY_TABLE[spec.family].gap(spec.params, coarse.coords, fine.coords)
     return float(spec.scale * gap**spec.snowflake)
 
 
@@ -106,7 +83,7 @@ def approx_magnitude(
     levels = sorted(int(k) for k in levels)
     if not levels or len(set(levels)) < len(levels):
         raise InvalidParams(f"levels must be nonempty and distinct, got {levels}")
-    key = FAMILY_TABLE[template.family][1]
+    key = FAMILY_TABLE[template.family].refine
     if key is None:
         raise InvalidParams(f"family {template.family!r} has no refinement parameter")
     records = []

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndefiniteForm, Inconsistent, NotConverged
-from .magnitude import (
-    SpectrumDiagnostics, _Kron, _lapack, _weighting, similarity, spectrum_diagnostics,
-)
+from .magnitude import SpectrumDiagnostics, _Kron, _lapack, _similarity, _weighting, similarity
 from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
@@ -55,14 +53,16 @@ def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
     bounds the maximum diversity from above, and the report is converged
     when the gap is at most GAP_TOL * q(mu).
     """
-    diag = spectrum_diagnostics(space)
+    z = _similarity(space)
+    diag = z.spectrum()
     if diag.verdict == "Indefinite":
         raise IndefiniteForm(
             f"similarity matrix is indefinite (lambda_min={diag.lambda_min:.3g}); "
             "the quadratic form is nonconvex",
             diagnostics=diag,
         )
-    return _max_diversity(similarity(space), diag)
+    dense = z.dense(0)  # the verdict's Z, where its operator holds it
+    return _max_diversity(similarity(space) if dense is None else dense, diag)
 
 
 def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:

@@ -200,6 +200,9 @@ class _Path:
         out[self.order] = np.add(left, right) - u
         return out
 
+    def dense(self, j: int) -> None:
+        return None
+
 
 class _Kron:
     """Z(tX) at each scale of a block as the Kronecker product of the factor

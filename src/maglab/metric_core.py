@@ -265,27 +265,6 @@ def _scaled_distances(scale: float, x: np.ndarray, p: float) -> np.ndarray:
     return scale * _lp_distances(x, x, p)
 
 
-def _line(spec: SpaceSpec, x: np.ndarray, p: float) -> Optional[FiniteMetricSpace]:
-    """The points x in l_p as a line space, or None unless they are distinct
-    points of one coordinate at snowflake 1 and p >= 1, where the l_p
-    distance is |x - y|."""
-    if spec.snowflake != 1.0 or x.shape[1] != 1 or not p >= 1:
-        return None
-    order = np.argsort(x[:, 0], kind="stable")
-    order.setflags(write=False)
-    # the kernel's own arithmetic: each gap has the bits of its dist entry
-    gaps = spec.scale * _lp_norm(np.abs(np.diff(x[order], axis=0)), p)
-    if not np.all(gaps > 0):  # repeated points (and NaN) stay dense
-        return None
-    # the largest distance, from first to last; the others are no larger
-    if not np.isfinite(spec.scale * _lp_norm(np.abs(x[order[-1:]] - x[order[:1]]), p)[0]):
-        raise NonFiniteEntry("distance matrix contains non-finite entries")
-    build = functools.partial(_scaled_distances, spec.scale, x, p)
-    return FiniteMetricSpace(
-        range(len(x)), None, spec, x, _Structure(build, order=order, gaps=_readonly(gaps))
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -511,72 +490,88 @@ def _require(cond: bool, msg: str):
         raise InvalidParams(msg)
 
 
-def _gen_interval(params, seed):
-    length = _real(params, "length", 1.0)
-    n = _count(params, "n")
+def _dense(spec: SpaceSpec, base: np.ndarray, coords=None) -> FiniteMetricSpace:
+    """The space of the family's distances `base` at the spec's scale and snowflake."""
+    return FiniteMetricSpace(range(len(base)), spec.scale * base**spec.snowflake, spec, coords)
+
+
+def _points(spec: SpaceSpec, x: np.ndarray, p: float) -> FiniteMetricSpace:
+    """The points x in l_p: a line space if they are distinct points of one
+    coordinate at snowflake 1 and p >= 1, where d(x, y) = |x - y|, else dense."""
+    if spec.snowflake == 1.0 and x.shape[1] == 1 and p >= 1:
+        order = np.argsort(x[:, 0], kind="stable")
+        order.setflags(write=False)
+        # the kernel's own arithmetic: each gap has the bits of its dist entry
+        gaps = spec.scale * _lp_norm(np.abs(np.diff(x[order], axis=0)), p)
+        if np.all(gaps > 0):  # repeated points (and NaN) stay dense
+            # the largest distance, from first to last; the others are no larger
+            if not np.isfinite(spec.scale * _lp_norm(np.abs(x[order[-1:]] - x[order[:1]]), p)[0]):
+                raise NonFiniteEntry("distance matrix contains non-finite entries")
+            build = functools.partial(_scaled_distances, spec.scale, x, p)
+            return FiniteMetricSpace(range(len(x)), None, spec, x,
+                                     _Structure(build, order=order, gaps=_readonly(gaps)))
+    return _dense(spec, _lp_distances(x, x, p), x)
+
+
+def _gen_interval(spec):
+    length = _real(spec.params, "length", 1.0)
+    n = _count(spec.params, "n")
     _require(length > 0 and n >= 1, "interval_net needs length > 0 and n >= 1")
-    return 1.0, np.linspace(0.0, length, n)[:, None]
+    return _points(spec, np.linspace(0.0, length, n)[:, None], 1.0)
 
 
-def _gen_interval_chebyshev(params, seed):
-    length = _real(params, "length", 1.0)
-    n = _count(params, "n")
+def _gen_interval_chebyshev(spec):
+    length = _real(spec.params, "length", 1.0)
+    n = _count(spec.params, "n")
     _require(length > 0 and n >= 1, "interval_chebyshev_net needs length > 0, n >= 1")
     x = 0.5 * length * (1.0 - np.cos(math.pi * np.arange(n) / max(n - 1, 1)))
-    return 2.0, x[:, None]
+    return _points(spec, x[:, None], 2.0)
 
 
-def _gen_circle(params, seed):
-    circumference = _real(params, "circumference", 2 * math.pi)
-    n = _count(params, "n")
+def _gen_circle(spec):
+    circumference = _real(spec.params, "circumference", 2 * math.pi)
+    n = _count(spec.params, "n")
     _require(circumference > 0 and n >= 1, "circle_net needs circumference > 0, n >= 1")
     k = np.arange(n)
     frac = np.abs(k[:, None] - k[None, :]) / n
     frac = np.minimum(frac, 1.0 - frac)
-    return circumference * frac, None
+    return _dense(spec, circumference * frac)
 
 
-def _gen_cantor(params, seed):
-    length = _real(params, "length", 1.0)
-    level = _count(params, "level")
+def _gen_cantor(spec):
+    length = _real(spec.params, "length", 1.0)
+    level = _count(spec.params, "level")
     _require(length > 0 and level >= 1, "cantor_net needs length > 0 and level >= 1")
     pts = np.array([0.0, 1.0])
     for _ in range(level - 1):
         pts = np.concatenate([pts / 3.0, 2.0 / 3.0 + pts / 3.0])
-    return 1.0, np.sort(pts)[:, None] * length
+    return _points(spec, np.sort(pts)[:, None] * length, 1.0)
 
 
-def _grid_axis(params) -> tuple:
-    """grid_net's axis points in [0, 1], dimension n and exponent p, checked."""
-    n = _count(params, "n", 2)
-    p = _real(params, "p", 2.0)
-    m = _count(params, "m")
+def _gen_grid(spec):
+    """n copies of the axis linspace(0, 1, m) in l_p: one axis is its points, more
+    the l_p sum of n copies of the axis metric |i - j| / (m - 1), from integer
+    offsets, so exactly symmetric under reversal, at p = 1 and snowflake 1 an l_1 sum."""
+    n = _count(spec.params, "n", 2)
+    p = _real(spec.params, "p", 2.0)
+    m = _count(spec.params, "m")
     _require(n >= 1 and m >= 1 and p > 0, "grid_net needs n,m >= 1 and p > 0")
-    return np.linspace(0.0, 1.0, m), n, p
+    axis = np.linspace(0.0, 1.0, m)
+    if n == 1:
+        return _points(spec, axis[:, None], p)
+    coords = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+    k = np.arange(m)
+    metric = FiniteMetricSpace(range(m), np.abs(k[:, None] - k) / max(m - 1, 1))
+    build = functools.partial(_lp_dist, (metric,) * n, p, spec.scale, spec.snowflake)
+    if p == 1.0 and spec.snowflake == 1.0:
+        factors = (_readonly(spec.scale * metric.dist),) * n
+        return _l1_sum(range(len(coords)), factors, build, spec, coords)
+    return FiniteMetricSpace(range(len(coords)), build(), spec, coords)
 
 
-def _grid_points(axis: np.ndarray, n: int) -> np.ndarray:
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
-
-
-def _gen_grid(params, seed):
-    axis, n, p = _grid_axis(params)
-    return p, _grid_points(axis, n)
-
-
-def _l1_grid(spec: SpaceSpec, axis: np.ndarray, n: int) -> FiniteMetricSpace:
-    """The l_1 grid_net at snowflake 1: the l_1 sum of n copies of the scaled
-    axis metric, with the dense matrix `generate` would build on demand."""
-    pts = _grid_points(axis, n)
-    factor = _readonly(_scaled_distances(spec.scale, axis[:, None], 1.0))
-    build = functools.partial(_scaled_distances, spec.scale, pts, 1.0)
-    return _l1_sum(range(len(pts)), (factor,) * n, build, spec, pts)
-
-
-def _gen_sphere(params, seed):
-    radius = _real(params, "radius", 1.0)
-    n = _count(params, "n")
+def _gen_sphere(spec):
+    radius = _real(spec.params, "radius", 1.0)
+    n = _count(spec.params, "n")
     _require(radius > 0 and n >= 1, "sphere_fibonacci_net needs radius > 0, n >= 1")
     i = np.arange(n)
     z = (n - 1 - 2 * i) / n  # exactly odd under the half-turn i -> n - 1 - i
@@ -593,13 +588,13 @@ def _gen_sphere(params, seed):
     np.clip(cos, -1.0, 1.0, out=cos)
     np.arccos(cos, out=cos)
     cos *= radius
-    return cos, radius * np.stack([rho * turns, rho * np.sin(phi), z], axis=1)
+    return _dense(spec, cos, radius * np.stack([rho * turns, rho * np.sin(phi), z], axis=1))
 
 
-def _gen_hyperbolic(params, seed):
-    r_max = _real(params, "r_max", 1.0)
-    n_r = _count(params, "n_r", 3)
-    n_theta = _count(params, "n_theta", 6)
+def _gen_hyperbolic(spec):
+    r_max = _real(spec.params, "r_max", 1.0)
+    n_r = _count(spec.params, "n_r", 3)
+    n_theta = _count(spec.params, "n_theta", 6)
     _require(r_max > 0 and n_r >= 1 and n_theta >= 1, "hyperbolic_disk_net params out of range")
     # the centre, then n_theta equally spaced angles on each of n_r rings
     rings = r_max * np.arange(1, n_r + 1) / n_r
@@ -610,23 +605,23 @@ def _gen_hyperbolic(params, seed):
         np.cosh(r)[:, None] * np.cosh(r)[None, :]
         - np.sinh(r)[:, None] * np.sinh(r)[None, :] * np.cos(th[:, None] - th[None, :])
     )
-    return np.arccosh(np.maximum(1.0, cosh_d)), None
+    return _dense(spec, np.arccosh(np.maximum(1.0, cosh_d)))
 
 
-def _gen_bipartite(params, seed):
-    m = _count(params, "m")
-    n = _count(params, "n")
-    r = _real(params, "r", 1.0)
+def _gen_bipartite(spec):
+    m = _count(spec.params, "m")
+    n = _count(spec.params, "n")
+    r = _real(spec.params, "r", 1.0)
     _require(m >= 1 and n >= 1 and r > 0, "complete_bipartite needs m,n >= 1 and r > 0")
     side = np.array([0] * m + [1] * n)
     cross = side[:, None] != side[None, :]
-    return np.where(cross, r, 2.0 * r), None
+    return _dense(spec, np.where(cross, r, 2.0 * r))
 
 
-def _gen_ultrametric(params, seed):
-    n = _count(params, "n")
+def _gen_ultrametric(spec):
+    n = _count(spec.params, "n")
     _require(n >= 1, "ultrametric_tree needs n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     d = np.zeros((n, n))
     clusters = [[i] for i in range(n)]
     height = 0.0
@@ -637,79 +632,100 @@ def _gen_ultrametric(params, seed):
         d[np.ix_(clusters[j], clusters[i])] = 2.0 * height
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
-    return d, None
+    return _dense(spec, d)
 
 
-def _gen_weighted_tree(params, seed):
-    n = _count(params, "n")
+def _gen_weighted_tree(spec):
+    n = _count(spec.params, "n")
     _require(n >= 1, "weighted_tree needs n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     d = np.zeros((n, n))
     for i in range(1, n):
         parent = int(rng.integers(0, i))
         w = float(rng.uniform(0.5, 2.0))
         # d[parent, parent] + w is exactly w
         d[i, :i] = d[:i, i] = d[parent, :i] + w
-    return d, None
+    return _dense(spec, d)
 
 
-def _gen_point_cloud(params, seed):
-    pts = np.asarray(params["points"], dtype=float)
-    p = _real(params, "p", 2.0)
+def _gen_point_cloud(spec):
+    pts = np.asarray(spec.params["points"], dtype=float)
+    p = _real(spec.params, "p", 2.0)
     _require(p > 0, "point_cloud_lp needs p > 0")
     if pts.ndim == 1:
         pts = pts[:, None]
     _require(pts.ndim == 2 and len(pts) >= 1, "point_cloud_lp needs at least one point")
-    return p, pts
+    return _points(spec, pts, p)
 
 
-# family name -> (generator, the parameter a refinement level substitutes);
-# every generator maps (params, seed) to (distances, coordinates or None),
-# and a family of points in l_p gives p in place of their distances
+def _directed_hausdorff(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest |x_i - y_j| of an x_i and its nearest y_j, for points of
+    the line and y sorted."""
+    j = np.minimum(np.maximum(np.searchsorted(y, x), 1), len(y) - 1)
+    return np.minimum(np.abs(x - y[j - 1]), np.abs(x - y[j])).max()
+
+
+def _lp_gap(p: Optional[float], params: dict, x: np.ndarray, y: np.ndarray) -> float:
+    """The Hausdorff distance between the points x and y of l_p, p None for
+    the params' p.  On the line, nearest points by sorting: the l_p norm of
+    one coordinate is monotone in it, so it commutes with the sup-inf."""
+    p = _real(params, "p", 2.0) if p is None else p
+    if x.shape[1] > 1:
+        cross = _lp_distances(x, y, p)
+        return max(cross.min(axis=1).max(), cross.min(axis=0).max())
+    a, b = np.sort(x[:, 0]), np.sort(y[:, 0])
+    return _lp_norm(np.array([[max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))]]), p)[0]
+
+
+def _sphere_gap(params: dict, x: np.ndarray, y: np.ndarray) -> float:
+    """The geodesic Hausdorff distance 2r asin(chord / 2r), as monotone maps
+    commute with the sup-inf; an arccos form reads 1e-8 for a net and itself."""
+    radius = _real(params, "radius", 1.0)
+    return 2.0 * radius * math.asin(min(1.0, _lp_gap(2.0, params, x, y) / (2.0 * radius)))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family of generated spaces, and the only code that knows it:
+    ``net`` builds a spec's space, with its structure at snowflake 1;
+    ``refine`` names the parameter a refinement level substitutes; ``gap``
+    maps (params, x, y) to the Hausdorff distance between the coordinates of
+    two of its nets before scale and snowflake."""
+
+    net: Callable[[SpaceSpec], FiniteMetricSpace]
+    refine: Optional[str] = None
+    gap: Optional[Callable[[dict, np.ndarray, np.ndarray], float]] = None
+
+
 FAMILY_TABLE = {
-    "interval_net": (_gen_interval, "n"),
-    "interval_chebyshev_net": (_gen_interval_chebyshev, "n"),
-    "circle_net": (_gen_circle, "n"),
-    "cantor_net": (_gen_cantor, "level"),
-    "grid_net": (_gen_grid, "m"),
-    "sphere_fibonacci_net": (_gen_sphere, "n"),
-    "hyperbolic_disk_net": (_gen_hyperbolic, "n_r"),
-    "complete_bipartite": (_gen_bipartite, None),
-    "ultrametric_tree": (_gen_ultrametric, "n"),
-    "weighted_tree": (_gen_weighted_tree, "n"),
-    "point_cloud_lp": (_gen_point_cloud, None),
+    "interval_net": _Family(_gen_interval, "n", functools.partial(_lp_gap, 1.0)),
+    "interval_chebyshev_net": _Family(_gen_interval_chebyshev, "n", functools.partial(_lp_gap, 2.0)),
+    "circle_net": _Family(_gen_circle, "n"),
+    "cantor_net": _Family(_gen_cantor, "level", functools.partial(_lp_gap, 1.0)),
+    "grid_net": _Family(_gen_grid, "m", functools.partial(_lp_gap, None)),
+    "sphere_fibonacci_net": _Family(_gen_sphere, "n", _sphere_gap),
+    "hyperbolic_disk_net": _Family(_gen_hyperbolic, "n_r"),
+    "complete_bipartite": _Family(_gen_bipartite),
+    "ultrametric_tree": _Family(_gen_ultrametric, "n"),
+    "weighted_tree": _Family(_gen_weighted_tree, "n"),
+    "point_cloud_lp": _Family(_gen_point_cloud, gap=functools.partial(_lp_gap, None)),
 }
 
 
 def generate(spec: SpaceSpec) -> FiniteMetricSpace:
-    """Build the space described by ``spec``, then apply snowflake and scale.
+    """Build the space described by ``spec`` with its family's `net`.
 
     The returned metric is d' = scale * d_base**snowflake.  A parameter or
     seed the family cannot read raises InvalidParams, and a distance that
     overflows or is NaN raises NonFiniteEntry instead of a numpy warning.
-    At snowflake 1 an l_1 grid_net of n >= 2 carries its factors, and distinct
-    points of the line (points in l_p, p >= 1, with one coordinate) their
-    sorted gaps; each builds its dense matrix only when read.
     """
     with np.errstate(all="ignore"):
         try:
-            if spec.family == "grid_net" and spec.snowflake == 1.0:
-                axis, n, p = _grid_axis(spec.params)
-                if p == 1.0 and n >= 2:  # one coordinate is a line, below
-                    return _l1_grid(spec, axis, n)
-            base, coords = FAMILY_TABLE[spec.family][0](spec.params, spec.seed)
-            if isinstance(base, float):  # p, for points in l_p
-                line = _line(spec, coords, base)
-                if line is not None:
-                    return line
-                base = _lp_distances(coords, coords, base)
+            return FAMILY_TABLE[spec.family].net(spec)
         except KeyError as exc:
             raise InvalidParams(f"{spec.family} needs parameter {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"{spec.family}: {exc}") from exc
-        # rebound, so the generator's own matrix is freed before the symmetrized copy
-        base = spec.scale * base**spec.snowflake
-    return FiniteMetricSpace(labels=range(len(base)), dist=base, provenance=spec, coords=coords)
 
 
 def random_cloud_spec(
@@ -752,18 +768,21 @@ def lp_product(
     if not q >= 1:
         raise ExponentOutOfRange(f"product exponent must be >= 1, got {q}")
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    if q == 1:
-        factors = ()
-        for s in (a, b):
-            factors += getattr(s.structure, "factors", ()) or (s.dist,)
-        return _l1_sum(labels, factors, functools.partial(_product_dist, a, b, q))
-    return FiniteMetricSpace(labels=labels, dist=_product_dist(a, b, q))
+    build = functools.partial(_lp_dist, (a, b), q)
+    if q != 1:
+        return FiniteMetricSpace(labels=labels, dist=build())
+    factors = [getattr(s.structure, "factors", ()) or (s.dist,) for s in (a, b)]
+    return _l1_sum(labels, factors[0] + factors[1], build)
 
 
-def _product_dist(a: FiniteMetricSpace, b: FiniteMetricSpace, q: float) -> np.ndarray:
-    pair = np.broadcast_arrays(a.dist[:, None, :, None], b.dist[None, :, None, :])
-    n = len(a) * len(b)
-    return _lp_norm(np.stack(pair, axis=-1), q).reshape(n, n)
+def _lp_dist(spaces: tuple, p: float, scale: float = 1.0, snowflake: float = 1.0) -> np.ndarray:
+    """scale * d**snowflake for the l_p sum d of `spaces`, the first slowest:
+    d(x, y) = ||(d_c(x_c, y_c))_c||_p^min(1,p), each d_c along axes c and k + c."""
+    k, n = len(spaces), math.prod(map(len, spaces))
+    axes = [s.dist.reshape([len(s) if a % k == c else 1 for a in range(2 * k)])
+            for c, s in enumerate(spaces)]
+    d = _lp_norm(np.stack(np.broadcast_arrays(*axes), axis=-1), p).reshape(n, n)
+    return scale * d**snowflake
 
 
 def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:

@@ -130,6 +130,16 @@ class TestApproxMagnitude:
         mags = [r.magnitude for r in study.records]
         assert mags[-1] - mags[-2] < 1e-4
 
+    @pytest.mark.parametrize("family", ["interval_net", "interval_chebyshev_net", "cantor_net"])
+    def test_gap_ignores_a_parameter_the_family_does_not_read(self, family):
+        """A line net's gaps are in its own metric |x - y|, whatever a stray
+        `p` in its params says."""
+        levels = [2, 3, 5] if family == "cantor_net" else [3, 5, 9]
+        plain = approx_magnitude(SpaceSpec(family, {"length": 2.0}), levels)
+        stray = approx_magnitude(SpaceSpec(family, {"length": 2.0, "p": 0.5}), levels)
+        assert [r.gap for r in stray.records] == [r.gap for r in plain.records]
+        assert plain.records[0].gap > 0
+
     def test_singleton_family_constant(self):
         # the one-point net reads 1 at every length
         for length in (0.5, 1.0, 4.0):

@@ -87,6 +87,14 @@ class TestMaxDiversity:
         with pytest.raises(IndefiniteForm):
             max_diversity(s)
         assert built == [[1.0]]  # the verdict's Z only
+        # a positive definite cloud: the verdict's Z is the one the solve reads
+        cloud = generate(random_cloud_spec(40, 2, seed=3))
+        built.clear()
+        report = max_diversity(cloud)
+        assert built == [[1.0]]
+        want = diversity._max_diversity(similarity(cloud), spectrum_diagnostics(cloud))
+        assert report.measure.tobytes() == want.measure.tobytes()
+        assert dataclasses.replace(report, measure=None) == dataclasses.replace(want, measure=None)
 
     def test_deletion_never_increases_diversity(self):
         for seed in range(200):
@@ -242,7 +250,9 @@ class TestExactSolver:
         diag = spectrum_diagnostics(s)
         assert diag.lambda_min < -0.2
         claimed = dataclasses.replace(diag, verdict="PositiveSemidefinite")
-        monkeypatch.setattr(diversity, "spectrum_diagnostics", lambda space: claimed)
+        z = diversity._similarity(s)
+        monkeypatch.setattr(z, "spectrum", lambda: claimed)
+        monkeypatch.setattr(diversity, "_similarity", lambda space: z)
         with pytest.warns(RuntimeWarning), pytest.raises(IndefiniteForm) as info:
             max_diversity(s)
         assert info.value.diagnostics is claimed

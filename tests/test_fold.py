@@ -44,6 +44,11 @@ def _specs():
     for m in (3, 4):
         specs[f"k{m}{m}-threshold"] = ("complete_bipartite", {"m": m, "n": m, "r": math.log(m - 1)})
         specs[f"k{m}{m}-r1"] = ("complete_bipartite", {"m": m, "n": m, "r": 1.0})
+    # dense grids, odd and even m: the p = 1 grid is dense only when snowflaked
+    for p in (0.5, 1.5, 2.0, math.inf):
+        for n, ms in ((2, (4, 5)), (3, (3, 4))):
+            for m in ms:
+                specs[f"grid-p{p:g}-n{n}-m{m}"] = ("grid_net", {"m": m, "n": n, "p": p})
     return {
         f"{label}-s{scale:g}-a{snowflake:g}": SpaceSpec(family, params, scale, snowflake)
         for label, (family, params) in specs.items()

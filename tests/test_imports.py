@@ -1,6 +1,7 @@
 """Every name a maglab module imports is used in that module, only
 `magnitude._similarity` reads a space's structure or tests its symmetry
-under reversal, and no module imports
+under reversal, `generate` and the convergence study know a family only
+by its `FAMILY_TABLE` record, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
 that needs it, also when that call runs on a worker, and only a triangle
@@ -99,6 +100,51 @@ def test_structure_test_is_caught(tmp_path):
         "isinstance": {"f"}, "_Path": {"f"}, ".factors": {"f"}, ".structure": {"k"},
         REVERSAL: {"g", "h"}, "_Fold": {"g"}, ".flip": {"h"},
     }
+
+
+# the functions that learn all they know of a family from its FAMILY_TABLE record
+FAMILY_BLIND = {"metric_core.py": {"generate"}, "analysis.py": {"approx_magnitude", "_ambient_gap"}}
+
+
+def _is_params(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "params" or (
+        isinstance(node, ast.Attribute) and node.attr == "params")
+
+
+def _family_knowledge(path: Path, names: set) -> list:
+    """The source of each comparison with a string and each read of a
+    `params` key, by subscript or by method call, in the top-level
+    functions `names` of `path`."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top) if getattr(top, "name", None) in names else ():
+            compares_str = isinstance(node, ast.Compare) and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) for c in ast.walk(node))
+            reads_key = isinstance(node, ast.Subscript) and _is_params(node.value) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and _is_params(node.func.value))
+            if compares_str or reads_key:
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BLIND))
+def test_family_code_names_no_family(name):
+    assert _family_knowledge(SRC / name, FAMILY_BLIND[name]) == []
+
+
+def test_family_knowledge_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def generate(spec):\n    if spec.family in ('grid_net',):\n        return spec.params['m']\n"
+        "\n\ndef _ambient_gap(coarse, fine):\n    params = fine.provenance.params\n"
+        "    return params.get('p', 2.0), 'sphere' != fine\n"
+        "\n\ndef other(spec):\n    return spec.family == 'grid_net' or spec.params['m']\n"
+    )
+    assert _family_knowledge(module, {"generate", "_ambient_gap"}) == [
+        "spec.family in ('grid_net',)", "spec.params['m']", "params.get('p', 2.0)",
+        "'sphere' != fine",
+    ]
 
 
 def _eager_scipy_imports(path: Path) -> list:

@@ -207,9 +207,9 @@ def test_one_column_families_take_the_line_path(family):
     """A family whose generator gives one coordinate column is a line space
     at snowflake 1 and dense when snowflaked; any other family never is."""
     params = FAMILY_PARAMS[family]
-    _, coords = FAMILY_TABLE[family][0](params, 0)
-    one_column = coords is not None and coords.shape[1] == 1
-    assert _is_line(generate(SpaceSpec(family, params))) == one_column
+    space = generate(SpaceSpec(family, params))
+    one_column = space.coords is not None and space.coords.shape[1] == 1
+    assert _is_line(space) == one_column
     assert type(generate(SpaceSpec(family, params, snowflake=0.5))) is FiniteMetricSpace
 
 

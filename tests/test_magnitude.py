@@ -20,6 +20,7 @@ from maglab import (
     magnitude,
     magnitude_dimension_estimate,
     max_diversity,
+    random_cloud_spec,
     rayleigh,
     scale_space,
     scale_sweep,
@@ -336,7 +337,7 @@ class TestOneEigensolvePerScale:
 
     @pytest.mark.parametrize("with_diversity", [False, True])
     def test_sweep(self, eigensolves, similarities, with_diversity):
-        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 2.0}))
+        s = generate(random_cloud_spec(36, 2, seed=1))
         ts = [0.5, 1.0, 2.0, 4.0]
         sweep = scale_sweep(s, ts, with_diversity=with_diversity)
         assert [r.verdict for r in sweep.records] == ["PositiveDefinite"] * len(ts)
@@ -349,7 +350,7 @@ class TestOneEigensolvePerScale:
                 assert r.diversity == max_diversity(scaled).diversity
 
     def test_stability_scan(self, eigensolves, similarities):
-        s = generate(SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 2.0}))
+        s = generate(random_cloud_spec(36, 2, seed=1))
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
         report = stability_scan(s, ts)
         assert [r.t for r in report.records] == ts

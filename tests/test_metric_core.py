@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing
@@ -40,6 +41,7 @@ from maglab.metric_core import (
     ValidationReport,
     _each,
     _lp_distances,
+    _lp_norm,
     _min_plus_square,
 )
 
@@ -368,11 +370,17 @@ def _ref_cantor(params, seed):
 
 
 def _ref_grid(params, seed):
+    # the l_p sum of the axis metric |i - j| / (m - 1), pair by pair over the
+    # integer offsets of the points' indices
     dim, p, m = params.get("n", 2), float(params.get("p", 2.0)), params["m"]
     axis = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.0])
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    return _lp_distances(pts, pts, p), pts
+    idx = list(itertools.product(range(m), repeat=dim))
+    d = np.empty((len(idx), len(idx)))
+    for a, u in enumerate(idx):
+        for b, v in enumerate(idx):
+            offsets = [abs(i - j) / max(m - 1, 1) for i, j in zip(u, v)]
+            d[a, b] = _lp_norm(np.array([offsets]), p)[0]
+    return d, np.array([[axis[i] for i in u] for u in idx])
 
 
 def _ref_sphere(params, seed):

@@ -261,11 +261,14 @@ def test_dense_constructions_carry_no_factors(tmp_path):
     assert [len(s.structure.factors) for s in factored] == [2, 3]
 
 
-def _cloud_grid(m, n, scale):
-    """The l_1 grid's points as a point_cloud_lp spec: a dense build of the
-    same distances through another family."""
-    axis = np.linspace(0.0, 1.0, m)
-    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+def _grid_dist(m, n, scale):
+    """The l_1 grid's distances built densely: scale * sum_k |i_k - j_k| / (m - 1)
+    over the integer offsets of two points' indices.  One axis is a line,
+    whose distances come from its points, as a point_cloud_lp's do."""
+    if n > 1:
+        idx = np.array(list(itertools.product(range(m), repeat=n)))
+        return scale * (np.abs(idx[:, None] - idx[None, :]) / max(m - 1, 1)).sum(axis=-1)
+    pts = np.linspace(0.0, 1.0, m)[:, None]
     spec = SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 1.0}, scale=scale)
     return generate(spec).dist
 
@@ -284,10 +287,10 @@ def _factored_cases():
     c = _space("weighted_tree", seed=4, n=4)
     k = _space("complete_bipartite", m=3, n=2, r=1.0)
     grid = _grid(3, 2, 2.5)
-    g = _cloud_grid(3, 2, 2.5)
+    g = _grid_dist(3, 2, 2.5)
     point = FiniteMetricSpace(("a",), [[0.0]])
     return {
-        "grid": (_grid(4, 2, 1.0), _cloud_grid(4, 2, 1.0)),
+        "grid": (_grid(4, 2, 1.0), _grid_dist(4, 2, 1.0)),
         "interval-circle": (_product(a, b), _l1_sum(a.dist, b.dist)),
         "left-nested": (_product(a, c, k), _l1_sum(_l1_sum(a.dist, c.dist), k.dist)),
         "right-nested": (
@@ -310,7 +313,7 @@ FACTORED = sorted(_factored_cases())
 def test_grid_dist_is_the_dense_build(m, n, scale):
     space = _grid(m, n, scale)
     assert "dist" not in vars(space)
-    expected = _cloud_grid(m, n, scale)
+    expected = _grid_dist(m, n, scale)
     assert np.array_equal(space.dist, expected)
     assert space.dist is space.dist
     assert not space.dist.flags.writeable
