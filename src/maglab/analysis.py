@@ -208,6 +208,21 @@ class FourierReport:
     tail_estimate: float
 
 
+def _next_fast_len(target: int) -> int:
+    """The least 11-smooth integer >= target >= 1, the complex-transform
+    length that scipy.fft.next_fast_len gives, with no scipy.fft import."""
+    bound = 1 << (target - 1).bit_length()  # a power of 2 is 11-smooth
+    odd = [1]
+    for prime in (3, 5, 7, 11):
+        grown = []
+        for q in odd:
+            while q <= bound:
+                grown.append(q)
+                q *= prime
+        odd = grown
+    return min(q << (-(-target // q) - 1).bit_length() for q in odd)
+
+
 def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule, at every w.
 
@@ -215,14 +230,14 @@ def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.nd
     and w_k = w_0 + k dw.  The trapezoid sum sum_j g_j exp(-2 pi i x_j w_k)
     is one chirp-z (Bluestein) evaluation: 2jk = j^2 + k^2 - (k - j)^2 makes
     it a convolution with the chirp exp(i pi dx dw n^2), done by three FFTs of
-    the 11-smooth length S = next_fast_len(N + M - 1).  Where P = 1 / (dx dw)
-    is an integer in floating point and 2 <= P <= 3 S, x_j w_k = x_0 w_k +
-    j dx w_0 + jk / P makes it instead one length-P DFT of g_j exp(-2 pi i j dx
-    w_0) folded mod P, read at k mod P: a real FFT for real f at w_0 = 0.
+    the 11-smooth length S = _next_fast_len(N + M - 1), in place in two
+    complex buffers of length S.  Where P = 1 / (dx dw) is an integer in
+    floating point and 2 <= P <= 3 S, x_j w_k = x_0 w_k + j dx w_0 + jk / P
+    makes it instead one length-P DFT of g_j exp(-2 pi i j dx w_0) folded
+    mod P, read at k mod P: a real FFT for real f at w_0 = 0.
     """
-    from scipy.fft import next_fast_len  # scipy.fft stays out of `import maglab`
     n, m = len(x), len(omegas)
-    size = next_fast_len(n + m - 1)
+    size = _next_fast_len(n + m - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dx = (x[-1] - x[0]) / max(n - 1, 1)
         dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
@@ -243,17 +258,27 @@ def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.nd
                 spectrum = np.fft.fft(h)[k]
             out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * spectrum).real
         else:
-            # squares are exact in float64 below 2^53; powers of one complex
-            # ratio would compound rounding error along the chirp
-            sq = np.arange(max(n, m), dtype=float) ** 2
-            chirp = np.exp(-1j * math.pi * (dx * dw) * sq)
+            # the chirp in u, its conjugate at both ends of v; squares are
+            # exact in float64 below 2^53, where powers of one complex ratio
+            # would compound rounding error along the chirp
             u = np.zeros(size, dtype=complex)
-            u[:n] = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) * chirp[:n]
+            chirp = u[: max(n, m)]
+            sq = np.arange(len(chirp), dtype=float)
+            sq *= sq
+            np.multiply(-1j * math.pi * (dx * dw), sq, out=chirp)
+            del sq
+            np.exp(chirp, out=chirp)
             v = np.zeros(size, dtype=complex)
-            v[:m] = chirp[:m].conj()
-            v[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-            conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[:m]
-            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * chirp[:m] * conv).real
+            np.conjugate(chirp[:m], out=v[:m])
+            np.conjugate(chirp[n - 1 : 0 : -1], out=v[size - n + 1 :])
+            head = chirp[:m].copy()
+            u[n:] = 0.0
+            h = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) if omegas[0] else g
+            np.multiply(h, u[:n], out=u[:n])  # complex products round by operand order
+            np.fft.fft(u, out=u)
+            u *= np.fft.fft(v, out=v)
+            np.fft.ifft(u, out=u)
+            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * head * u[:m]).real
     if not np.isfinite(out).all():
         raise NonFiniteEntry("cosine transform overflowed: grid spacing too large")
     return out
@@ -300,7 +325,9 @@ def gamma_hat_1d(
         )
     x = np.linspace(0.0, L, N + 1)
     with np.errstate(over="ignore"):  # exp(-inf) is 0
-        f = np.exp(-(x**p))
+        f = x**p
+        np.negative(f, out=f)
+        np.exp(f, out=f)
     omegas = np.linspace(0.0, omega_max, n_omega)
     values = _cosine_transform(f, x, omegas)
     positive = bool(values.min() > 0.0)

@@ -61,16 +61,15 @@ def max_diversity(space: FiniteMetricSpace) -> DiversityReport:
             "the quadratic form is nonconvex",
             diagnostics=diag,
         )
-    dense = z.dense(0)  # the verdict's Z, where its operator holds it
-    return _max_diversity(similarity(space) if dense is None else dense, diag)
+    z = z.dense(0)  # the verdict's Z where its operator holds it; the operator goes
+    return _max_diversity(similarity(space) if z is None else z, diag)
 
 
 def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     """`max_diversity`, given Z and its spectrum diagnostics, not Indefinite."""
     from scipy.linalg import solve_triangular
-    potrf = _lapack()[0]
-    a = z + 1.0
-    factor, info = potrf(a, lower=True)
+    shift = 0.0
+    factor, info = _factor(_plus_ones(z, shift))
     if info != 0:
         # A semidefinite Z can be singular along a mean-zero direction, which
         # adding 11' does not lift (K_{n,n} at its threshold log(n-1)).  The
@@ -82,8 +81,8 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             RuntimeWarning,
             stacklevel=2,
         )
-        a += shift * np.eye(z.shape[0])
-        factor, info = potrf(a, lower=True)
+        del factor  # the failed factor is not live beside the shifted A
+        factor, info = _factor(_plus_ones(z, shift))
     if info != 0:
         raise IndefiniteForm(
             f"Z + 11' has no Cholesky factor (lambda_min={diag.lambda_min:.3g})",
@@ -92,9 +91,10 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     # two triangular solves, not potrs, whose bits differ in the last place
     b = solve_triangular(factor, np.ones(z.shape[0]), lower=True)
     w = solve_triangular(factor, b, lower=True, trans="T")
+    del factor  # no block of the nonnegative solve is live beside it
     iterations = 1
     if w.min() < 0.0:
-        w = _pivot(a, w > 0.0)
+        w = _pivot(z, w > 0.0, shift)
         iterations = 2
 
     mu = w / w.sum()
@@ -114,30 +114,49 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
     )
 
 
-def _pivot(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """min w'Aw - 2 1'w over w >= 0 for a positive definite A, by block
-    principal pivoting (Judice & Pires 1994; Kim & Park 2011) from the free
-    set `free`, which it updates in place.
+def _plus_ones(z: np.ndarray, shift: float, f=None) -> np.ndarray:
+    """A = Z + 11' + shift I, or its principal block A_FF, formed from Z in
+    one new array: the bits of (z + 1.0) + shift * np.eye(n)."""
+    a = z.copy() if f is None else z[np.ix_(f, f)]
+    a += 1.0
+    if shift:
+        a.flat[:: len(a) + 1] += shift
+    return a
+
+
+def _factor(a: np.ndarray) -> tuple:
+    """potrf's lower Cholesky factor of a symmetric C-ordered `a`, made in
+    a's place (its transpose is the same matrix in Fortran order), and info."""
+    return _lapack()[0](a.T, lower=True, overwrite_a=True)
+
+
+def _pivot(z: np.ndarray, free: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """min w'Aw - 2 1'w over w >= 0 for a positive definite A = Z + 11' +
+    shift I, by block principal pivoting (Judice & Pires 1994; Kim & Park
+    2011) from the free set `free`, which it updates in place.
 
     Each step solves A_FF w_F = 1 with w = 0 off F, then moves every
     infeasible index to the other set: w_i < 0 on F, or y_i < -PIVOT_TOL on
-    the rest, where y = Aw - 1.  After BACKUP_EXCHANGES such exchanges that
-    do not lower the infeasible count, it moves only the largest infeasible
-    index, which makes the steps finite.  The tolerance on y keeps roundoff
-    at a degenerate index (w_i = y_i = 0) from moving it to and fro.
+    the rest, where y = Aw - 1.  After BACKUP_EXCHANGES such exchanges
+    that do not lower the infeasible count, it moves only the largest
+    infeasible index, which makes the steps finite.  The tolerance on y
+    keeps roundoff at a degenerate index (w_i = y_i = 0) from moving it to
+    and fro.  A_FF and A are each formed from Z when a step needs them and
+    dropped after, so no two of them are ever live.
     """
-    potrf, potrs = _lapack()
-    n = a.shape[0]
+    potrs = _lapack()[1]
+    n = z.shape[0]
     fewest, backups = n + 1, BACKUP_EXCHANGES
     for _ in range(NNLS_MAX_ITERS):
         f = np.flatnonzero(free)
         w = np.zeros(n)
-        factor, info = potrf(a[np.ix_(f, f)], lower=True)
+        factor, info = _factor(_plus_ones(z, shift, f))
         if info != 0:
             raise NotConverged(f"a principal block of Z + 11' has no Cholesky factor "
                                f"(potrf info {info})")
         w[f] = potrs(factor, np.ones(f.size), lower=True)[0]
-        infeasible = np.where(free, w < 0.0, a @ w - 1.0 < -PIVOT_TOL)
+        del factor
+        infeasible = np.where(free, w < 0.0, _plus_ones(z, shift) @ w - 1.0 < -PIVOT_TOL)
         count = np.count_nonzero(infeasible)
         if count == 0:
             return w

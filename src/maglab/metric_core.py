@@ -36,7 +36,7 @@ from .errors import (
 
 TRIANGLE_SLACK = 1e-9  # relative to the largest distance entry
 _MIN_PLUS_TILE = 2**17  # sums per tile of the min-plus square: 1 MiB of temporary
-_BAND = 64  # rows per band of `_symmetrized`
+_BAND = 64  # rows per band of the n x n builds and passes that keep no second matrix
 
 logger = logging.getLogger("maglab")
 
@@ -79,14 +79,23 @@ def _labels(labels) -> Sequence:
     return labels if isinstance(labels, range) else tuple(labels)
 
 
-def _symmetrized(d: np.ndarray) -> np.ndarray:
+class _Own:
+    """A distance matrix made for the one space it is given to, writable,
+    float and C-ordered: the space symmetrizes it in place and keeps it,
+    where it copies any other array."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _symmetrized(d: np.ndarray, in_place: bool = False) -> np.ndarray:
     """The upper triangle of d copied to the lower, read-only; NonFiniteEntry
     on a non-finite entry of the upper triangle.
 
-    The bits of np.triu(d, 1) + np.triu(d, 1).T, built in one copy of d by
-    bands of rows, so that no second n x n array is ever live.
+    The bits of np.triu(d, 1) + np.triu(d, 1).T, built in one copy of d, or
+    in d itself, by bands of rows, so that no second n x n array is ever live.
     """
-    out = np.array(d, dtype=float, order="C")
+    out = d if in_place else np.array(d, dtype=float, order="C")
     out += 0.0  # -0.0 becomes +0.0, as in the sum with the zero triangle
     for a in range(0, len(out), _BAND):
         b = a + _BAND
@@ -168,7 +177,7 @@ class _Structure:
             "%s space of %d points: building its dense %d x %d distance matrix",
             "factored" if self.factors else "line", n, n, n,
         )
-        return _symmetrized(self.build())
+        return _symmetrized(self.build(), in_place=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +213,8 @@ class FiniteMetricSpace:
         if self.dist is None and self.structure is not None:
             object.__delattr__(self, "dist")  # built on its first read, below the class
         else:
-            d = np.asarray(self.dist, dtype=float)
+            own = isinstance(self.dist, _Own)
+            d = self.dist.array if own else np.asarray(self.dist, dtype=float)
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise NonSquareMatrix(f"distance matrix has shape {d.shape}")
             if d.shape[0] != len(self.labels):
@@ -212,7 +222,7 @@ class FiniteMetricSpace:
             if d.shape[0] < 1:
                 raise InvalidParams("a metric space needs at least one point")
             # canonical symmetrization: copy the upper triangle to the lower
-            d = _symmetrized(d)
+            d = _symmetrized(d, in_place=own)
             if self.structure is not None and not np.array_equal(d, self.structure.dense(len(d))):
                 raise InvalidParams("distance matrix differs from the one its structure builds")
             object.__setattr__(self, "dist", d)
@@ -234,7 +244,7 @@ class FiniteMetricSpace:
         _check_indices(idx, len(self), distinct=True)
         return FiniteMetricSpace(
             labels=tuple(self.labels[i] for i in idx),
-            dist=self.dist[np.ix_(idx, idx)],
+            dist=_Own(self.dist[np.ix_(idx, idx)]),
             coords=None if self.coords is None else self.coords[idx],
         )
 
@@ -359,7 +369,7 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     d = np.ascontiguousarray(d)
     e = d if symmetric else np.ascontiguousarray(d.T)
     b = max(1, math.isqrt(_MIN_PLUS_TILE // n))
-    m = np.full((n, n), np.inf)
+    m = np.empty((n, n))
 
     def band(i, _):
         rows = slice(i, i + b)
@@ -370,7 +380,10 @@ def _min_plus_square(d: np.ndarray) -> np.ndarray:
     # an overflowed sum is +inf, never the minimum that shows a violation
     with np.errstate(over="ignore"):
         _each(band, range(0, n, b))
-    return np.minimum(m, m.T) if symmetric else m
+    if symmetric:  # M is too: its upper tiles mirrored, by bands of rows
+        for i in range(b, n, b):
+            m[i : i + b, :i] = m[:i, i : i + b].T
+    return m
 
 
 def validate_metric(dist) -> ValidationReport:
@@ -392,14 +405,20 @@ def validate_metric(dist) -> ValidationReport:
     if not np.all(np.isfinite(d)):
         raise NonFiniteEntry("distance matrix contains non-finite entries")
 
-    with np.errstate(over="ignore"):  # an overflowed difference is +inf, which fails
-        worst_asym = float(np.abs(d - d.T).max())
+    worst_asym, nonpos_off = 0.0, False
+    for a in range(0, n, _BAND):  # by bands of rows, with no second n x n array
+        rows = d[a : a + _BAND]
+        with np.errstate(over="ignore"):  # an overflowed difference is +inf, which fails
+            worst_asym = max(worst_asym, float(np.abs(rows - d[:, a : a + _BAND].T).max()))
+        nonpos = rows <= 0
+        k = np.arange(len(rows))
+        nonpos[k, a + k] = False  # the diagonal
+        nonpos_off = nonpos_off or bool(nonpos.any())
     diag_bad = float(np.abs(np.diag(d)).max())
-    off_diagonal = ~np.eye(n, dtype=bool)
-    nonpos_off = bool(np.min(d, where=off_diagonal, initial=np.inf) <= 0)
 
-    slack = TRIANGLE_SLACK * max(1.0, float(np.abs(d).max()))
-    excess = d - _min_plus_square(d)
+    slack = TRIANGLE_SLACK * max(1.0, float(d.max()), -float(d.min()))
+    excess = _min_plus_square(d)
+    np.subtract(d, excess, out=excess)
     worst_tri = max(0.0, float(excess.max()))
     offending = []
     if worst_tri > slack:
@@ -491,8 +510,11 @@ def _require(cond: bool, msg: str):
 
 
 def _dense(spec: SpaceSpec, base: np.ndarray, coords=None) -> FiniteMetricSpace:
-    """The space of the family's distances `base` at the spec's scale and snowflake."""
-    return FiniteMetricSpace(range(len(base)), spec.scale * base**spec.snowflake, spec, coords)
+    """The space of the family's distances `base`, a float array made for it,
+    at the spec's scale and snowflake, which are applied in `base` itself."""
+    base **= spec.snowflake  # numpy's scalar-power fast paths, as in base**snowflake
+    base *= spec.scale
+    return FiniteMetricSpace(range(len(base)), _Own(base), spec, coords)
 
 
 def _points(spec: SpaceSpec, x: np.ndarray, p: float) -> FiniteMetricSpace:
@@ -566,7 +588,7 @@ def _gen_grid(spec):
     if p == 1.0 and spec.snowflake == 1.0:
         factors = (_readonly(spec.scale * metric.dist),) * n
         return _l1_sum(range(len(coords)), factors, build, spec, coords)
-    return FiniteMetricSpace(range(len(coords)), build(), spec, coords)
+    return FiniteMetricSpace(range(len(coords)), _Own(build()), spec, coords)
 
 
 def _gen_sphere(spec):
@@ -577,18 +599,24 @@ def _gen_sphere(spec):
     z = (n - 1 - 2 * i) / n  # exactly odd under the half-turn i -> n - 1 - i
     rho = np.sqrt(np.maximum(0.0, 1.0 - z**2))
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    # cos angle = z_i z_j + rho_i rho_j cos((i - j) g), built in place, the
-    # cosines gathered by offset |i - j| from one vector of length 2n - 1:
+    # cos angle = z_i z_j + rho_i rho_j cos((i - j) g), built in place on and
+    # above the diagonal by bands of rows, which `_dense` mirrors, the cosines
+    # read by offset |i - j| from one vector of length 2n - 1, forward in j:
     # exactly symmetric, and invariant under the half-turn
     turns = np.cos(phi)
-    cos = np.multiply.outer(rho, rho)
-    cos *= np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([turns[:0:-1], turns]), n)[:, ::-1]
-    cos += np.multiply.outer(z, z)
-    np.clip(cos, -1.0, 1.0, out=cos)
-    np.arccos(cos, out=cos)
-    cos *= radius
-    return _dense(spec, cos, radius * np.stack([rho * turns, rho * np.sin(phi), z], axis=1))
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([turns[:0:-1], turns]), n)[::-1]
+    d = np.zeros((n, n))
+    for a in range(0, n, _BAND):
+        rows = slice(a, a + _BAND)
+        cos = d[rows, a:]
+        np.multiply.outer(rho[rows], rho[a:], out=cos)
+        cos *= window[rows, a:]
+        cos += np.multiply.outer(z[rows], z[a:])
+        np.clip(cos, -1.0, 1.0, out=cos)
+        np.arccos(cos, out=cos)
+        cos *= radius
+    return _dense(spec, d, radius * np.stack([rho * turns, rho * np.sin(phi), z], axis=1))
 
 
 def _gen_hyperbolic(spec):
@@ -745,7 +773,7 @@ def _check_scale(t: float) -> None:
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Multiply every distance by t > 0."""
     _check_scale(t)
-    return FiniteMetricSpace(space.labels, t * space.dist)
+    return FiniteMetricSpace(space.labels, _Own(t * space.dist))
 
 
 def snowflake_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
@@ -754,7 +782,7 @@ def snowflake_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace
         raise ExponentOutOfRange(
             f"snowflake exponent must lie in (0, 1], got {alpha}"
         )
-    return FiniteMetricSpace(space.labels, space.dist**alpha)
+    return FiniteMetricSpace(space.labels, _Own(space.dist**alpha))
 
 
 def lp_product(
@@ -770,19 +798,44 @@ def lp_product(
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     build = functools.partial(_lp_dist, (a, b), q)
     if q != 1:
-        return FiniteMetricSpace(labels=labels, dist=build())
+        return FiniteMetricSpace(labels=labels, dist=_Own(build()))
     factors = [getattr(s.structure, "factors", ()) or (s.dist,) for s in (a, b)]
     return _l1_sum(labels, factors[0] + factors[1], build)
 
 
 def _lp_dist(spaces: tuple, p: float, scale: float = 1.0, snowflake: float = 1.0) -> np.ndarray:
     """scale * d**snowflake for the l_p sum d of `spaces`, the first slowest:
-    d(x, y) = ||(d_c(x_c, y_c))_c||_p^min(1,p), each d_c along axes c and k + c."""
-    k, n = len(spaces), math.prod(map(len, spaces))
-    axes = [s.dist.reshape([len(s) if a % k == c else 1 for a in range(2 * k)])
-            for c, s in enumerate(spaces)]
-    d = _lp_norm(np.stack(np.broadcast_arrays(*axes), axis=-1), p).reshape(n, n)
-    return scale * d**snowflake
+    d(x, y) = ||(d_c(x_c, y_c))_c||_p^min(1,p), each d_c along axes c and k + c.
+
+    Built in one n x n array: the factors' p-th powers summed one at a time,
+    or their running maximum at p = inf, and only the entries whose power
+    sum underflowed or overflowed redone by `_lp_norm` from the factors.
+    These are the bits of `_lp_norm` over all factors at once for up to 7
+    factors; from 8 on, numpy's sum adds pairwise, so a sum of inexact
+    powers may differ from it in the last bit.
+    """
+    k, sizes = len(spaces), [len(s) for s in spaces]
+    n = math.prod(sizes)
+    d = np.zeros(sizes * 2)
+    with np.errstate(over="ignore", under="ignore"):
+        for c, s in enumerate(spaces):
+            axes = s.dist.reshape([len(s) if a % k == c else 1 for a in range(2 * k)])
+            if math.isinf(p):
+                np.maximum(d, axes, out=d)
+            else:
+                d += axes**p
+        d = d.reshape(n, n)
+        if not math.isinf(p):
+            redo = np.flatnonzero(~((d >= np.finfo(float).tiny) & (d < np.inf)))
+            if p >= 1:
+                d **= 1.0 / p
+            if redo.size:
+                x, y = np.unravel_index(redo // n, sizes), np.unravel_index(redo % n, sizes)
+                v = np.stack([s.dist[x[c], y[c]] for c, s in enumerate(spaces)], axis=-1)
+                d.flat[redo] = _lp_norm(v, p)
+    d **= snowflake
+    d *= scale
+    return d
 
 
 def hausdorff_distance(i_set, j_set, space: FiniteMetricSpace) -> float:
@@ -817,4 +870,4 @@ def load_distance_csv(path, force: bool = False) -> FiniteMetricSpace:
             f"(worst triangle {report.worst_triangle_violation:.3g}, "
             f"worst asymmetry {report.worst_asymmetry:.3g})"
         )
-    return FiniteMetricSpace(labels=range(d.shape[0]), dist=d)
+    return FiniteMetricSpace(labels=range(d.shape[0]), dist=_Own(d))

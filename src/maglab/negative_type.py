@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .magnitude import _each_scale, _verdict_index
-from .metric_core import FiniteMetricSpace, _check_indices
+from .metric_core import _BAND, FiniteMetricSpace, _check_indices
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
 
@@ -59,11 +59,16 @@ def negative_type_test(
     d = space.dist
     if n == 1:
         return NegativeTypeReport(True, 0.0, basepoint)
-    others = [i for i in range(n) if i != basepoint]
+    others = np.delete(np.arange(n), basepoint)
     # halving before the sums keeps every entry finite when distances near
     # the float range would overflow d0_i + d0_j
     h0 = 0.5 * d[basepoint, others]
-    g = h0[:, None] + h0[None, :] - 0.5 * d[np.ix_(others, others)]
+    # filled by bands of rows, so that no second matrix is ever live
+    g = np.empty((n - 1, n - 1))
+    for a in range(0, n - 1, _BAND):
+        rows = slice(a, a + _BAND)
+        np.add(h0[rows, None], h0, out=g[rows])
+        g[rows] -= 0.5 * np.delete(d[others[rows]], basepoint, axis=1)
     vals = np.linalg.eigvalsh(g)
     lam_min = float(vals[0])
     if _verdict_index(vals[0], vals[-1]):  # PSD or PD: not Indefinite

@@ -163,12 +163,14 @@ def pivot_steps(space: FiniteMetricSpace, monkeypatch) -> tuple:
     return rep, len(shapes) - 1
 
 
-def lawson_hanson(a, free):
+def lawson_hanson(z, free, shift=0.0):
     """scipy's Lawson-Hanson NNLS min ||L'w - L^-1 1|| over w >= 0, where
-    LL' = A: the solve that block principal pivoting replaced."""
+    LL' = A = Z + 11' + shift I: the solve that block principal pivoting
+    replaced."""
     from scipy.linalg import solve_triangular
     from scipy.optimize import nnls
 
+    a = z + 1.0 + shift * np.eye(len(z))
     factor = diversity._lapack()[0](a, lower=True)[0]
     b = solve_triangular(factor, np.ones(len(a)), lower=True)
     return nnls(factor.T, b, maxiter=diversity.NNLS_MAX_ITERS)[0]
@@ -349,7 +351,7 @@ class TestPivoting:
         a = np.array([[1.278, 2.027, 0.286, -0.53], [2.027, 3.339, 0.637, -0.368],
                       [0.286, 0.637, 0.855, 1.576], [-0.53, -0.368, 1.576, 4.171]])
         start = np.array([True, True, False, False])
-        w = diversity._pivot(a, start.copy())
+        w = diversity._pivot(a - 1.0, start.copy())  # Z, of A = Z + 11'
         y = a @ w - 1.0
         assert w.min() >= 0.0 and y.min() >= -1e-12
         assert np.abs(w * y).max() < 1e-12
@@ -357,7 +359,7 @@ class TestPivoting:
         monkeypatch.setattr(diversity, "BACKUP_EXCHANGES", 10**6)
         monkeypatch.setattr(diversity, "NNLS_MAX_ITERS", 50)
         with pytest.raises(NotConverged, match="after 50 steps"):
-            diversity._pivot(a, start.copy())
+            diversity._pivot(a - 1.0, start.copy())
 
 
 class TestPositivelyWeighted:

@@ -4,8 +4,9 @@ under reversal, `generate` and the convergence study know a family only
 by its `FAMILY_TABLE` record, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
-that needs it, also when that call runs on a worker, and only a triangle
-check, sweep or scan with work to share starts a thread."""
+that needs it, also when that call runs on a worker, no call loads
+scipy.fft, and only a triangle check, sweep or scan with work to share
+starts a thread."""
 
 import ast
 import json
@@ -221,33 +222,43 @@ def test_scipy_optimize_import_is_caught(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # the first fourier call imports scipy.fft and scipy.special; no call imports the rest
+    # the first fourier call imports scipy.special; no call imports these
     code = f"import sys, maglab; print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_only_a_fourier_call_loads_scipy_fft(tmp_path):
+def test_a_fourier_call_loads_no_heavy_scipy_subpackage(tmp_path):
+    # the chirp-z transform (`--p 0.5 --L 700`) and the one-FFT path (`--p 1`)
     spec = tmp_path / "k32.json"
     spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
     code = (
         "import sys, maglab, maglab.cli\n"
         f"maglab.cli.run(['sweep', '--spec', {str(spec)!r}, '--scales', '0.2:0.5:40'])\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.fft'))\n"
-        "maglab.cli.run(['fourier', '--p', '1'])\n"
-        "print(loaded, 'scipy.fft' in sys.modules)\n"
+        "assert maglab.cli.run(['fourier', '--p', '1']).exit_code == 0\n"
+        "assert maglab.cli.run(['fourier', '--p', '0.5', '--L', '700']).exit_code == 0\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[] True"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_next_fast_len_is_scipys():
+    from scipy.fft import next_fast_len
+
+    from maglab.analysis import _next_fast_len
+
+    for k in [*range(1, 20_001), 65_937, 2**20, 2**24 + 12_345]:
+        assert _next_fast_len(k) == next_fast_len(k), k
 
 
 def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
     """Importing the CLI loads no scipy module, nor do `validate`, `negtype`
     and both experiments; `magnitude` loads scipy.linalg alone, `diversity`
     on a cloud that takes the nonnegative solve adds no scipy.optimize, and
-    `fourier` loads scipy.special and scipy.fft."""
+    `fourier` loads scipy.special; none loads scipy.fft."""
     spec = tmp_path / "k32.json"
     spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
     matrix = tmp_path / "cloud.csv"
@@ -281,7 +292,8 @@ def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
     assert not {"scipy.special", "scipy.fft"} & magnitude
     assert json.loads((tmp_path / "diversity.json").read_text())["iterations"] == 2
     assert not any(m.startswith("scipy.optimize") for m in diversity)
-    assert {"scipy.linalg", "scipy.special", "scipy.fft"} <= fourier
+    assert {"scipy.linalg", "scipy.special"} <= fourier
+    assert not any(m.startswith("scipy.fft") for m in fourier)
 
 
 def test_first_solves_on_two_workers_match_a_rerun():
