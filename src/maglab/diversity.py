@@ -89,8 +89,8 @@ def _max_diversity(z: np.ndarray, diag: SpectrumDiagnostics) -> DiversityReport:
             diagnostics=diag,
         )
     # two triangular solves, not potrs, whose bits differ in the last place
-    b = solve_triangular(factor, np.ones(z.shape[0]), lower=True)
-    w = solve_triangular(factor, b, lower=True, trans="T")
+    b = solve_triangular(factor, np.ones(z.shape[0]), lower=True, check_finite=False)
+    w = solve_triangular(factor, b, lower=True, trans="T", check_finite=False)
     del factor  # no block of the nonnegative solve is live beside it
     iterations = 1
     if w.min() < 0.0:

@@ -270,11 +270,6 @@ def _l1_sum(
     return FiniteMetricSpace(labels, None, provenance, coords, _Structure(build, factors))
 
 
-def _scaled_distances(scale: float, x: np.ndarray, p: float) -> np.ndarray:
-    """`generate`'s distances of the points x in l_p at snowflake 1."""
-    return scale * _lp_distances(x, x, p)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -451,29 +446,51 @@ def validate_metric(dist) -> ValidationReport:
     )
 
 
-def _lp_norm(v: np.ndarray, p: float) -> np.ndarray:
-    """||v||_p^min(1,p) over the last axis of v >= 0; p may be inf."""
+def _lp_sum(factor: Callable[[int], np.ndarray], k: int, shape: tuple, p: float) -> np.ndarray:
+    """||(f_0, ..., f_{k-1})||_p^min(1,p) entrywise, p possibly inf, for fresh
+    arrays f_c = factor(c) >= 0 that broadcast to `shape`; this may overwrite them.
+    Powers are summed one factor at a time (a running maximum at p = inf), and
+    an entry whose power sum lost its norm is redone from its factors divided
+    by their largest: the bits of the stacked (v**p).sum(axis=-1)**(1/p) up to
+    7 factors, as numpy sums 8 or more pairwise."""
+    d = np.zeros(shape)
     if math.isinf(p):
-        return v.max(axis=-1)
+        for c in range(k):
+            np.maximum(d, factor(c), out=d)
+        return d
+    flushed = False  # whether a positive entry of a factor has a power of 0
     with np.errstate(over="ignore", under="ignore"):
-        s = (v**p).sum(axis=-1)
-        norm = s ** (1.0 / p) if p >= 1 else s
-        # a power sum below tiny or at inf lost the norm: redo it from v / max(v)
-        redo = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
+        for c in range(k):
+            f = factor(c)
+            positive = np.count_nonzero(f)
+            f **= p
+            flushed |= np.count_nonzero(f) < positive
+            d += f
+            del f  # freed before the next factor is made
+        redo = np.flatnonzero(~((d >= np.finfo(float).tiny) & (d < np.inf)))
+        if not flushed:  # a sum of exact zeros is 0 as it stands
+            redo = redo[d.flat[redo] != 0]
+        if p >= 1:
+            d **= 1.0 / p
         if redo.size:
-            w = v.reshape(-1, v.shape[-1])[redo]
+            w = np.stack([np.broadcast_to(factor(c), shape).flat[redo] for c in range(k)], axis=-1)
             m = w.max(axis=-1, keepdims=True)
             r = (np.divide(w, m, out=np.zeros_like(w), where=m > 0) ** p).sum(axis=-1)
-            norm.flat[redo] = m[:, 0] * r ** (1.0 / p) if p >= 1 else m[:, 0] ** p * r
-    return norm
+            d.flat[redo] = m[:, 0] * r ** (1.0 / p) if p >= 1 else m[:, 0] ** p * r
+    return d
+
+
+def _coord(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """|x_c - y_c| for x in a, y in b, in one array."""
+    f = a[..., :, None, c] - b[..., None, :, c]
+    return np.abs(f, out=f)
 
 
 def _lp_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b; p may be inf.
-
-    Leading axes broadcast: (..., k, dim) and (..., m, dim) give (..., k, m).
-    """
-    return _lp_norm(np.abs(a[..., :, None, :] - b[..., None, :, :]), p)
+    """d(x,y) = ||x - y||_p^min(1,p) for x in a, y in b, p possibly inf; leading
+    axes broadcast: (..., k, dim) and (..., m, dim) give (..., k, m)."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-2])
+    return _lp_sum(functools.partial(_coord, a, b), a.shape[-1], shape, p)
 
 
 def _is_integer(value) -> bool:
@@ -524,12 +541,13 @@ def _points(spec: SpaceSpec, x: np.ndarray, p: float) -> FiniteMetricSpace:
         order = np.argsort(x[:, 0], kind="stable")
         order.setflags(write=False)
         # the kernel's own arithmetic: each gap has the bits of its dist entry
-        gaps = spec.scale * _lp_norm(np.abs(np.diff(x[order], axis=0)), p)
+        gaps = spec.scale * _lp_distances(x[order[1:], None], x[order[:-1], None], p)[:, 0, 0]
         if np.all(gaps > 0):  # repeated points (and NaN) stay dense
             # the largest distance, from first to last; the others are no larger
-            if not np.isfinite(spec.scale * _lp_norm(np.abs(x[order[-1:]] - x[order[:1]]), p)[0]):
+            if not np.isfinite(spec.scale * _lp_distances(x[order[-1:]], x[order[:1]], p)[0, 0]):
                 raise NonFiniteEntry("distance matrix contains non-finite entries")
-            build = functools.partial(_scaled_distances, spec.scale, x, p)
+            build = functools.partial(_lp_dist, functools.partial(_coord, x, x), (len(x),), p,
+                                      spec.scale)
             return FiniteMetricSpace(range(len(x)), None, spec, x,
                                      _Structure(build, order=order, gaps=_readonly(gaps)))
     return _dense(spec, _lp_distances(x, x, p), x)
@@ -584,11 +602,11 @@ def _gen_grid(spec):
     coords = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
     k = np.arange(m)
     metric = FiniteMetricSpace(range(m), np.abs(k[:, None] - k) / max(m - 1, 1))
-    build = functools.partial(_lp_dist, (metric,) * n, p, spec.scale, spec.snowflake)
-    if p == 1.0 and spec.snowflake == 1.0:
-        factors = (_readonly(spec.scale * metric.dist),) * n
-        return _l1_sum(range(len(coords)), factors, build, spec, coords)
-    return FiniteMetricSpace(range(len(coords)), _Own(build()), spec, coords)
+    build = functools.partial(_lp_dist, functools.partial(_axis, (metric,) * n), (m,) * n, p)
+    if p != 1.0 or spec.snowflake != 1.0:
+        return _dense(spec, build(), coords)
+    factors = (_readonly(spec.scale * metric.dist),) * n
+    return _l1_sum(range(len(coords)), factors, functools.partial(build, spec.scale), spec, coords)
 
 
 def _gen_sphere(spec):
@@ -683,6 +701,7 @@ def _gen_point_cloud(spec):
     if pts.ndim == 1:
         pts = pts[:, None]
     _require(pts.ndim == 2 and len(pts) >= 1, "point_cloud_lp needs at least one point")
+    _require(pts.shape[1] >= 1, "point_cloud_lp needs at least one coordinate")
     return _points(spec, pts, p)
 
 
@@ -702,7 +721,8 @@ def _lp_gap(p: Optional[float], params: dict, x: np.ndarray, y: np.ndarray) -> f
         cross = _lp_distances(x, y, p)
         return max(cross.min(axis=1).max(), cross.min(axis=0).max())
     a, b = np.sort(x[:, 0]), np.sort(y[:, 0])
-    return _lp_norm(np.array([[max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))]]), p)[0]
+    gap = max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    return _lp_distances(np.array([[gap]]), np.zeros((1, 1)), p)[0, 0]
 
 
 def _sphere_gap(params: dict, x: np.ndarray, y: np.ndarray) -> float:
@@ -796,44 +816,23 @@ def lp_product(
     if not q >= 1:
         raise ExponentOutOfRange(f"product exponent must be >= 1, got {q}")
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    build = functools.partial(_lp_dist, (a, b), q)
+    build = functools.partial(_lp_dist, functools.partial(_axis, (a, b)), (len(a), len(b)), q)
     if q != 1:
         return FiniteMetricSpace(labels=labels, dist=_Own(build()))
     factors = [getattr(s.structure, "factors", ()) or (s.dist,) for s in (a, b)]
     return _l1_sum(labels, factors[0] + factors[1], build)
 
 
-def _lp_dist(spaces: tuple, p: float, scale: float = 1.0, snowflake: float = 1.0) -> np.ndarray:
-    """scale * d**snowflake for the l_p sum d of `spaces`, the first slowest:
-    d(x, y) = ||(d_c(x_c, y_c))_c||_p^min(1,p), each d_c along axes c and k + c.
+def _axis(spaces: tuple, c: int) -> np.ndarray:
+    """A copy of the distances of spaces[c] along axes c and k + c of 2k."""
+    k, s = len(spaces), spaces[c]
+    return s.dist.reshape([len(s) if a % k == c else 1 for a in range(2 * k)]).copy()
 
-    Built in one n x n array: the factors' p-th powers summed one at a time,
-    or their running maximum at p = inf, and only the entries whose power
-    sum underflowed or overflowed redone by `_lp_norm` from the factors.
-    These are the bits of `_lp_norm` over all factors at once for up to 7
-    factors; from 8 on, numpy's sum adds pairwise, so a sum of inexact
-    powers may differ from it in the last bit.
-    """
-    k, sizes = len(spaces), [len(s) for s in spaces]
-    n = math.prod(sizes)
-    d = np.zeros(sizes * 2)
-    with np.errstate(over="ignore", under="ignore"):
-        for c, s in enumerate(spaces):
-            axes = s.dist.reshape([len(s) if a % k == c else 1 for a in range(2 * k)])
-            if math.isinf(p):
-                np.maximum(d, axes, out=d)
-            else:
-                d += axes**p
-        d = d.reshape(n, n)
-        if not math.isinf(p):
-            redo = np.flatnonzero(~((d >= np.finfo(float).tiny) & (d < np.inf)))
-            if p >= 1:
-                d **= 1.0 / p
-            if redo.size:
-                x, y = np.unravel_index(redo // n, sizes), np.unravel_index(redo % n, sizes)
-                v = np.stack([s.dist[x[c], y[c]] for c, s in enumerate(spaces)], axis=-1)
-                d.flat[redo] = _lp_norm(v, p)
-    d **= snowflake
+
+def _lp_dist(factor: Callable, sizes: tuple, p: float, scale: float = 1.0) -> np.ndarray:
+    """scale times the l_p sum of k = len(sizes) metrics, the first slowest:
+    factor(c) gives the c-th along axes c and k + c of 2k, as `_lp_sum` takes it."""
+    d = _lp_sum(factor, len(sizes), sizes * 2, p).reshape(math.prod(sizes), -1)
     d *= scale
     return d
 

@@ -37,7 +37,9 @@ from maglab import (
 from maglab.analysis import _ambient_gap, _voronoi_cell_measure
 from maglab.errors import InvalidParams, NotPositiveDefinite
 from maglab.magnitude import _Kron, _Path, _similarity, _weighting
-from maglab.metric_core import FAMILY_TABLE, _lp_distances, _Structure
+from maglab.metric_core import FAMILY_TABLE, _Structure
+
+from conftest import stacked_lp_distances
 
 SCALES = (1e-3, 1e-2, 0.3, 1.0, 30.0)
 
@@ -256,7 +258,7 @@ def test_dist_is_the_dense_build(spec, caplog):
     x = np.asarray(space.coords)
     p = float(spec.params.get("p", 1.0))
     with caplog.at_level(logging.DEBUG, logger="maglab"):
-        assert space.dist.tobytes() == (spec.scale * _lp_distances(x, x, p)).tobytes()
+        assert space.dist.tobytes() == (spec.scale * stacked_lp_distances(x, x, p)).tobytes()
     assert space.dist is space.dist and not space.dist.flags.writeable
     n = len(space)
     assert [r.getMessage() for r in caplog.records] == [
@@ -267,7 +269,7 @@ def test_dist_is_the_dense_build(spec, caplog):
 def _reference_gap(coarse, fine):
     """`_ambient_gap` through the coarse x fine matrix of distances."""
     spec = fine.provenance
-    cross = _lp_distances(coarse.coords, fine.coords, float(spec.params.get("p", 2.0)))
+    cross = stacked_lp_distances(coarse.coords, fine.coords, float(spec.params.get("p", 2.0)))
     gap = max(cross.min(axis=1).max(), cross.min(axis=0).max())
     return float(spec.scale * gap**spec.snowflake)
 

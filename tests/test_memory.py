@@ -9,6 +9,7 @@ runs once untraced on a small input first, so that a first call's imports
 and caches are not counted.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -84,7 +85,14 @@ def test_diversity_holds_z_and_one_more(space, iterations):
     max_diversity(generate(random_cloud_spec(70, 2, seed=1, box=4.0)))
     space = space()
     assert max_diversity(space).iterations == iterations
-    assert matrices(max_diversity, space) <= 2.3
+    assert matrices(max_diversity, space) <= 2.05
+
+
+@pytest.mark.parametrize("dim,p", [(2, 1.5), (3, 2.0), (3, math.inf)])
+def test_cloud_sums_its_coordinates_in_place(dim, p):
+    generate(random_cloud_spec(70, dim, p=p, seed=1))
+    spec = random_cloud_spec(1200, dim, p=p, seed=1)
+    assert traced_peak(generate, spec) / (8.0 * 1200**2) <= 2.3
 
 
 def test_dense_grid_sums_its_factors_in_place():

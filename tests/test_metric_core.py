@@ -41,11 +41,10 @@ from maglab.metric_core import (
     ValidationReport,
     _each,
     _lp_distances,
-    _lp_norm,
     _min_plus_square,
 )
 
-from conftest import random_cloud
+from conftest import random_cloud, stacked_lp_distances, stacked_lp_norm
 
 
 def _brute_force_report(d):
@@ -77,7 +76,7 @@ def _validation_corpus():
 
     def cloud(n, p):
         pts = rng.uniform(0.0, 4.0, size=(n, 2))
-        return _lp_distances(pts, pts, p)
+        return stacked_lp_distances(pts, pts, p)
 
     for n in (1, 2, 3, 63, 64, 65, 127, 128, 129, 200):
         for p in (0.5, 1.0, 2.0, math.inf):
@@ -99,7 +98,7 @@ def _validation_corpus():
     for m in (3, 8, 11):
         axis = np.linspace(0.0, 1.0, m)
         grid = np.array([(x, y) for x in axis for y in axis])
-        yield _lp_distances(grid, grid, 1.0)
+        yield stacked_lp_distances(grid, grid, 1.0)
 
 
 def _assert_matches_brute_force(d):
@@ -138,7 +137,7 @@ def _tile_corpus(sizes):
     rng = np.random.default_rng(19)
     for n in sizes:
         pts = rng.uniform(0.0, 4.0, size=(n, 2))
-        euclid = _lp_distances(pts, pts, 2.0)
+        euclid = stacked_lp_distances(pts, pts, 2.0)
         yield euclid
         if n >= 3:
             broken = euclid.copy()
@@ -150,7 +149,7 @@ def _tile_corpus(sizes):
             yield asym
         rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
         grid = np.array([(x, y) for x in range(rows) for y in range(n // rows)], dtype=float)
-        yield _lp_distances(grid, grid, 1.0)
+        yield stacked_lp_distances(grid, grid, 1.0)
         yield np.ones((n, n)) - np.eye(n)
 
 
@@ -232,7 +231,7 @@ class TestMinPlusTiles:
     def test_700_point_cloud_matches_row_pass(self):
         rng = np.random.default_rng(700)
         pts = rng.uniform(0.0, 1.0, size=(700, 3))
-        d = _lp_distances(pts, pts, 2.0)
+        d = stacked_lp_distances(pts, pts, 2.0)
         perturbed = d * (1.0 + 1e-3 * rng.standard_normal(d.shape))
         for m in (d, perturbed):
             assert np.array_equal(_min_plus_square(m), _row_pass_min_plus(m))
@@ -250,7 +249,7 @@ class TestValidateMetric:
         threads validates with threads of its own."""
         monkeypatch.setattr(metric_core, "_cpus", lambda: 2)
         pts = np.random.default_rng(300).uniform(0.0, 4.0, size=(300, 2))
-        d = _lp_distances(pts, pts, 2.0)
+        d = stacked_lp_distances(pts, pts, 2.0)
         expected = repr(validate_metric(d))
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
@@ -348,7 +347,7 @@ def _ref_chebyshev(params, seed):
     k = np.arange(n)
     pts = 0.5 * length * (1.0 - np.cos(math.pi * k / max(n - 1, 1)))
     x = np.asarray(pts.tolist(), dtype=float)[:, None]
-    return _lp_distances(x, x, 2.0), x
+    return stacked_lp_distances(x, x, 2.0), x
 
 
 def _ref_circle(params, seed):
@@ -379,7 +378,7 @@ def _ref_grid(params, seed):
     for a, u in enumerate(idx):
         for b, v in enumerate(idx):
             offsets = [abs(i - j) / max(m - 1, 1) for i, j in zip(u, v)]
-            d[a, b] = _lp_norm(np.array([offsets]), p)[0]
+            d[a, b] = stacked_lp_norm(np.array([offsets]), p)[0]
     return d, np.array([[axis[i] for i in u] for u in idx])
 
 
@@ -459,7 +458,7 @@ def _ref_weighted_tree(params, seed):
 
 def _ref_point_cloud(params, seed):
     pts = np.asarray(params["points"], dtype=float)
-    return _lp_distances(pts, pts, float(params.get("p", 2.0))), pts
+    return stacked_lp_distances(pts, pts, float(params.get("p", 2.0))), pts
 
 
 # family -> (reference generator, params of a net of about `size` points);
@@ -642,6 +641,12 @@ class TestGenerate:
     def test_point_cloud_needs_a_list_of_points(self):
         with pytest.raises(InvalidParams, match="at least one point"):
             generate(SpaceSpec("point_cloud_lp", {"points": 1.0}))
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("points", [[[]], [[], []]], ids=["one-point", "two-points"])
+    def test_point_cloud_needs_a_coordinate(self, points, p):
+        with pytest.raises(InvalidParams, match="^point_cloud_lp needs at least one coordinate$"):
+            generate(SpaceSpec("point_cloud_lp", {"points": points, "p": p}))
 
     def test_default_labels_are_a_range(self, tmp_path):
         """Generated and loaded spaces keep the labels 0, ..., n - 1 as a
@@ -834,7 +839,45 @@ def _two_term_product(da, db, q):
     return d.reshape(n, n)
 
 
+def _stacked_sum(factors, p):
+    """The l_p sum of the factor matrices, first slowest, by `stacked_lp_norm`
+    over the (N, N, k) stack of their distances."""
+    idx = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
+    return stacked_lp_norm(np.stack([f[i[:, None], i] for f, i in zip(factors, idx)], axis=-1), p)
+
+
 class TestLpNorm:
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_matches_stacked_reference(self, p, dim):
+        # boxes of 1e+-160 and 1e+-300 reach the redo of out-of-range power sums
+        rng = np.random.default_rng(dim)
+        for box in (1.0, 1e160, 1e-160, 1e300, 1e-300):
+            x, y = rng.uniform(-box, box, (20, dim)), rng.uniform(-box, box, (15, dim))
+            trials = rng.uniform(-box, box, (30, 6, dim))
+            for a, b in ((x, x), (x, y), (trials, trials)):
+                got, expected = _lp_distances(a, b, p), stacked_lp_distances(a, b, p)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (box, a.shape, b.shape)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, math.inf, 1000.0])
+    def test_grid_matches_stacked_factors(self, p):
+        for m, n in ((1, 2), (2, 7), (5, 2), (3, 5), (4, 4)):
+            k = np.arange(m)
+            d = _stacked_sum([np.abs(k[:, None] - k) / max(m - 1, 1)] * n, p)
+            for scale, snowflake in ((1.0, 1.0), (2.5, 0.5)):
+                grid = generate(SpaceSpec("grid_net", {"m": m, "n": n, "p": p}, scale, snowflake))
+                assert grid.dist.tobytes() == (d**snowflake * scale).tobytes(), (m, n)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf, 1000.0])
+    def test_product_matches_stacked_factors(self, q):
+        for box in (1.0, 1e-160, 1e160):
+            for n in range(1, 6):
+                a = generate(random_cloud_spec(n, 2, seed=n, box=box))
+                b = generate(random_cloud_spec(6 - n, 3, seed=10 + n, box=box))
+                d = _stacked_sum([a.dist, b.dist], q)
+                assert lp_product(a, b, q).dist.tobytes() == d.tobytes(), (box, n)
+
     def test_tiny_coordinates_keep_their_distance(self):
         space = generate(SpaceSpec("point_cloud_lp", {"points": [[0, 0], [3e-170, 4e-170]]}))
         assert space.dist[0, 1] == pytest.approx(5e-170, rel=1e-15, abs=0)
@@ -846,7 +889,7 @@ class TestLpNorm:
     def test_large_p_separates_every_pair(self):
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
         space = generate(SpaceSpec("point_cloud_lp", {"points": pts.tolist(), "p": 1000.0}))
-        linf = _lp_distances(pts, pts, math.inf)
+        linf = stacked_lp_distances(pts, pts, math.inf)
         off = ~np.eye(8, dtype=bool)
         assert np.all(space.dist[off] >= linf[off])
         assert np.all(space.dist[off] <= linf[off] * 3 ** 0.001)
