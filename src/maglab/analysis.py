@@ -33,6 +33,7 @@ GROWTH_MARGIN = 0.05  # slack on the volume-ratio lower bound
 WITNESS_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 WITNESS_MAX_POINTS = 8
 _WITNESS_BLOCK = 256  # trials drawn, grouped by size and eigensolved together
+_CHIRP_BLOCK = 2**13  # samples per block of the chirp-z transform
 _SCREEN_SHIFT = psd_tolerance(1.0) / 2  # half the least verdict band
 
 
@@ -169,11 +170,11 @@ def growth_bound_study(template: SpaceSpec, t_grid) -> GrowthStudy:
     GROWTH_MARGIN absorbs both the stated 5% slack and the net-resolution
     deficit of a finite lattice standing in for the solid cube.
     """
-    if template.family != "grid_net":
+    cube = FAMILY_TABLE[template.family].cube
+    if cube is None:
         raise InvalidParams("growth_bound_study expects a grid_net template")
     space = generate(template)  # validates the template's parameters
-    n = int(template.params.get("n", 2))
-    p = float(template.params.get("p", 2.0))
+    n, p = cube(template.params)
     alpha = template.snowflake
     sweep = scale_sweep(space, t_grid)
     checks = []
@@ -223,65 +224,85 @@ def _next_fast_len(target: int) -> int:
     return min(q << (-(-target // q) - 1).bit_length() for q in odd)
 
 
-def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule, at every w.
+def _chirp_z(samples, n: int, x0: float, dx: float, omegas: np.ndarray) -> np.ndarray:
+    """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule on the n
+    points x_j = x0 + j dx, at every w of the uniform grid ``omegas``, where
+    samples(j0, j1) returns a new float array of f(x_j) for j0 <= j < j1.
 
-    ``x`` and ``omegas`` are uniform grids with any start, x_j = x_0 + j dx
-    and w_k = w_0 + k dw.  The trapezoid sum sum_j g_j exp(-2 pi i x_j w_k)
-    is one chirp-z (Bluestein) evaluation: 2jk = j^2 + k^2 - (k - j)^2 makes
-    it a convolution with the chirp exp(i pi dx dw n^2), done by three FFTs of
-    the 11-smooth length S = _next_fast_len(N + M - 1), in place in two
-    complex buffers of length S.  Where P = 1 / (dx dw) is an integer in
-    floating point and 2 <= P <= 3 S, x_j w_k = x_0 w_k + j dx w_0 + jk / P
-    makes it instead one length-P DFT of g_j exp(-2 pi i j dx w_0) folded
-    mod P, read at k mod P: a real FFT for real f at w_0 = 0.
+    With w_k = w_0 + k dw, the trapezoid sum sum_j g_j exp(-2 pi i x_j w_k)
+    is a chirp-z (Bluestein) evaluation: 2jk = j^2 + k^2 - (k - j)^2 makes
+    it a convolution with the chirp exp(i pi dx dw n^2), taken overlap-add in
+    blocks of at most _CHIRP_BLOCK samples whose lengths differ by at most
+    one, the longest B.  Block j0 <= j < j1 is convolved in place in two
+    complex buffers of the 11-smooth length S = _next_fast_len(B + M - 1),
+    the other holding the conjugate chirp's FFT, taken once, and its M
+    outputs, shifted by exp(-2 pi i (x0 + j0 dx) w_k), are added into one
+    M-vector: the memory held depends on B and M, not on n.
     """
-    n, m = len(x), len(omegas)
-    size = _next_fast_len(n + m - 1)
+    m = len(omegas)
+    blocks = -(-n // _CHIRP_BLOCK)
+    width = -(-n // blocks)
+    size = _next_fast_len(width + m - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dx = (x[-1] - x[0]) / max(n - 1, 1)
         dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
-        g = f * dx
-        g[0] *= 0.5
-        g[-1] *= 0.5
-        period = 1.0 / (dx * dw)  # inf or nan for a product 0, subnormal or nan
-        if period.is_integer() and 2 <= period <= 3 * size:
-            period = int(period)
-            k = np.arange(m) % period
-            h = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) if omegas[0] else g
-            h = np.pad(h, (0, -n % period)).reshape(-1, period).sum(axis=0)  # sum over j mod P
-            if np.isrealobj(h):  # bins past P / 2 are the conjugates of those below
-                half = np.minimum(k, period - k)
-                spectrum = np.fft.rfft(h)[half]
-                spectrum.imag[half != k] *= -1.0
-            else:
-                spectrum = np.fft.fft(h)[k]
-            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * spectrum).real
-        else:
-            # the chirp in u, its conjugate at both ends of v; squares are
-            # exact in float64 below 2^53, where powers of one complex ratio
-            # would compound rounding error along the chirp
-            u = np.zeros(size, dtype=complex)
-            chirp = u[: max(n, m)]
-            sq = np.arange(len(chirp), dtype=float)
-            sq *= sq
-            np.multiply(-1j * math.pi * (dx * dw), sq, out=chirp)
-            del sq
-            np.exp(chirp, out=chirp)
-            v = np.zeros(size, dtype=complex)
-            np.conjugate(chirp[:m], out=v[:m])
-            np.conjugate(chirp[n - 1 : 0 : -1], out=v[size - n + 1 :])
-            head = chirp[:m].copy()
-            u[n:] = 0.0
-            h = g * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(n)) if omegas[0] else g
-            np.multiply(h, u[:n], out=u[:n])  # complex products round by operand order
+        # the chirp, its conjugate at both ends of v; squares are exact in
+        # float64 below 2^53, where powers of one complex ratio would
+        # compound rounding error along the chirp
+        chirp = np.arange(max(width, m), dtype=float)
+        chirp *= chirp
+        chirp = np.exp(-1j * math.pi * (dx * dw) * chirp)
+        v = np.zeros(size, dtype=complex)
+        np.conjugate(chirp[:m], out=v[:m])
+        np.conjugate(chirp[width - 1 : 0 : -1], out=v[size - width + 1 :])
+        np.fft.fft(v, out=v)
+        lead = chirp[:width]
+        if omegas[0]:
+            lead = lead * np.exp(-2j * math.pi * omegas[0] * dx * np.arange(width))
+        u = np.empty(size, dtype=complex)
+        out = np.zeros(m)
+        for i in range(blocks):
+            j0, j1 = i * n // blocks, (i + 1) * n // blocks
+            g = samples(j0, j1)
+            g *= dx
+            if j0 == 0:
+                g[0] *= 0.5
+            if j1 == n:
+                g[-1] *= 0.5
+            # a power of two, exact, brings the largest sample to [1/2, 1):
+            # a block of subnormal samples would convolve at a sixth the speed
+            e = math.frexp(float(np.abs(g).max()))[1]
+            np.ldexp(g, -e, out=g)
+            np.multiply(g, lead[: len(g)], out=u[: len(g)])
+            u[len(g) :] = 0.0
             np.fft.fft(u, out=u)
-            u *= np.fft.fft(v, out=v)
+            u *= v
             np.fft.ifft(u, out=u)
-            out = 2.0 * (np.exp(-2j * math.pi * x[0] * omegas) * head * u[:m]).real
+            shift = np.exp(-2j * math.pi * (x0 + j0 * dx) * omegas)
+            shift *= chirp[:m]
+            shift *= u[:m]
+            out += np.ldexp(shift.real, e)
+        out *= 2.0
     if not np.isfinite(out).all():
         raise NonFiniteEntry("cosine transform overflowed: grid spacing too large")
     return out
+
+
+def _cosine_transform(f: np.ndarray, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """`_chirp_z` of the samples f on the uniform grid x."""
+    n = len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = (x[-1] - x[0]) / max(n - 1, 1)
+    return _chirp_z(lambda j0, j1: np.array(f[j0:j1], dtype=float), n, x[0], dx, omegas)
+
+
+def _linspace_part(L: float, N: int, j0: int, j1: int) -> np.ndarray:
+    """np.linspace(0, L, N + 1)[j0:j1] bit for bit, with no other entry made:
+    linspace takes j * (L / N), and L itself last."""
+    x = np.arange(j0, j1, dtype=float)
+    x *= L / N
+    if j1 == N + 1:
+        x[-1] = L
+    return x
 
 
 def _stable_density_tail(p: float, length: float) -> float:
@@ -323,13 +344,16 @@ def gamma_hat_1d(
             f"omega_max {omega_max:g} exceeds the grid's Nyquist frequency "
             f"N / (2L) = {0.5 * N / L:.3g}; raise N or lower L"
         )
-    x = np.linspace(0.0, L, N + 1)
-    with np.errstate(over="ignore"):  # exp(-inf) is 0
-        f = x**p
+
+    def samples(j0: int, j1: int) -> np.ndarray:
+        f = _linspace_part(L, N, j0, j1)
+        with np.errstate(over="ignore"):  # exp(-inf) is 0
+            f **= p
         np.negative(f, out=f)
-        np.exp(f, out=f)
+        return np.exp(f, out=f)
+
     omegas = np.linspace(0.0, omega_max, n_omega)
-    values = _cosine_transform(f, x, omegas)
+    values = _chirp_z(samples, N + 1, 0.0, L / N, omegas)
     positive = bool(values.min() > 0.0)
     dec_tol = 1e-7 * float(values.max())
     decreasing = bool(np.all(np.diff(values) <= dec_tol))

@@ -425,12 +425,12 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task, lead=None) -> list:
     Scales go in blocks of at most _STACK_ENTRIES similarity entries, as the
     operator counts them per scale, and the operator builds each block and
     eigensolves each of its stacks by one eigvalsh call.  A dense space
-    from n = 725 on takes one scale per block.  The lead, then the blocks,
-    run on the shared worker pool (`_each`), each worker building its
-    stacks in buffers that the calling thread allocated, so the live
-    similarity entries grow only with the worker count.  The results, and
-    the error raised, are those of a loop on one CPU that calls lead after
-    the blocks.
+    from n = 725 on takes one scale per block.  Given more than one block,
+    the lead, then the blocks, run on the shared worker pool (`_each`),
+    each worker building its stacks in buffers that the calling thread
+    allocated, so the live similarity entries grow only with the worker
+    count; one block and its lead run inline.  The results, and the error
+    raised, are those of a loop on one CPU that calls lead after the blocks.
     """
     z = _similarity(space, ts=[])
     k = max(1, _STACK_ENTRIES // z.entries)
@@ -449,7 +449,8 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task, lead=None) -> list:
         return task(scales, b, *b.spectra())
 
     items = blocks if lead is None else [None, *blocks]
-    results = _each(item, items, lambda: z.buffers(len(blocks[0])), _blas_threads())
+    cpus = _blas_threads() if len(blocks) > 1 else _cpus()  # one block: one worker
+    results = _each(item, items, lambda: z.buffers(len(blocks[0])), cpus)
     if failed:
         raise failed[0]
     return [r for rs in results for r in rs]

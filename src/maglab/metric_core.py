@@ -553,6 +553,13 @@ def _points(spec: SpaceSpec, x: np.ndarray, p: float) -> FiniteMetricSpace:
     return _dense(spec, _lp_distances(x, x, p), x)
 
 
+def _by_offset(v: np.ndarray) -> np.ndarray:
+    """The read-only n x n view of v, of length n, whose (i, j) entry is
+    v[|i - j|], read forward in j from one vector of length 2n - 1."""
+    n = len(v)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([v[:0:-1], v]), n)[::-1]
+
+
 def _gen_interval(spec):
     length = _real(spec.params, "length", 1.0)
     n = _count(spec.params, "n")
@@ -572,10 +579,9 @@ def _gen_circle(spec):
     circumference = _real(spec.params, "circumference", 2 * math.pi)
     n = _count(spec.params, "n")
     _require(circumference > 0 and n >= 1, "circle_net needs circumference > 0, n >= 1")
-    k = np.arange(n)
-    frac = np.abs(k[:, None] - k[None, :]) / n
-    frac = np.minimum(frac, 1.0 - frac)
-    return _dense(spec, circumference * frac)
+    frac = np.arange(n) / n
+    # the arc of each offset |i - j|, copied into the one array kept
+    return _dense(spec, np.array(_by_offset(circumference * np.minimum(frac, 1.0 - frac))))
 
 
 def _gen_cantor(spec):
@@ -588,12 +594,16 @@ def _gen_cantor(spec):
     return _points(spec, np.sort(pts)[:, None] * length, 1.0)
 
 
+def _grid_cube(params: dict) -> tuple:
+    """(n, p) of the unit cube of l_p^n whose lattices grid_net's nets are."""
+    return _count(params, "n", 2), _real(params, "p", 2.0)
+
+
 def _gen_grid(spec):
     """n copies of the axis linspace(0, 1, m) in l_p: one axis is its points, more
     the l_p sum of n copies of the axis metric |i - j| / (m - 1), from integer
     offsets, so exactly symmetric under reversal, at p = 1 and snowflake 1 an l_1 sum."""
-    n = _count(spec.params, "n", 2)
-    p = _real(spec.params, "p", 2.0)
+    n, p = _grid_cube(spec.params)
     m = _count(spec.params, "m")
     _require(n >= 1 and m >= 1 and p > 0, "grid_net needs n,m >= 1 and p > 0")
     axis = np.linspace(0.0, 1.0, m)
@@ -619,11 +629,9 @@ def _gen_sphere(spec):
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     # cos angle = z_i z_j + rho_i rho_j cos((i - j) g), built in place on and
     # above the diagonal by bands of rows, which `_dense` mirrors, the cosines
-    # read by offset |i - j| from one vector of length 2n - 1, forward in j:
-    # exactly symmetric, and invariant under the half-turn
+    # read by offset |i - j|: exactly symmetric, and invariant under the half-turn
     turns = np.cos(phi)
-    window = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([turns[:0:-1], turns]), n)[::-1]
+    window = _by_offset(turns)
     d = np.zeros((n, n))
     for a in range(0, n, _BAND):
         rows = slice(a, a + _BAND)
@@ -647,11 +655,20 @@ def _gen_hyperbolic(spec):
     angles = 2 * math.pi * np.arange(n_theta) / n_theta
     r = np.concatenate([[0.0], np.repeat(rings, n_theta)])
     th = np.concatenate([[0.0], np.tile(angles, n_r)])
-    cosh_d = (
-        np.cosh(r)[:, None] * np.cosh(r)[None, :]
-        - np.sinh(r)[:, None] * np.sinh(r)[None, :] * np.cos(th[:, None] - th[None, :])
-    )
-    return _dense(spec, np.arccosh(np.maximum(1.0, cosh_d)))
+    ch, sh = np.cosh(r), np.sinh(r)
+    # cosh d = cosh r_i cosh r_j - sinh r_i sinh r_j cos(th_i - th_j), built in
+    # place on and above the diagonal by bands of rows, which `_dense` mirrors
+    d = np.zeros((len(r), len(r)))
+    for a in range(0, len(r), _BAND):
+        rows = slice(a, a + _BAND)
+        band = d[rows, a:]
+        np.subtract.outer(th[rows], th[a:], out=band)
+        np.cos(band, out=band)
+        band *= np.multiply.outer(sh[rows], sh[a:])
+        np.subtract(np.multiply.outer(ch[rows], ch[a:]), band, out=band)
+        np.maximum(band, 1.0, out=band)
+        np.arccosh(band, out=band)
+    return _dense(spec, d)
 
 
 def _gen_bipartite(spec):
@@ -738,11 +755,13 @@ class _Family:
     ``net`` builds a spec's space, with its structure at snowflake 1;
     ``refine`` names the parameter a refinement level substitutes; ``gap``
     maps (params, x, y) to the Hausdorff distance between the coordinates of
-    two of its nets before scale and snowflake."""
+    two of its nets before scale and snowflake; ``cube`` maps params to the
+    (n, p) of the unit cube of l_p^n that a net is a lattice of."""
 
     net: Callable[[SpaceSpec], FiniteMetricSpace]
     refine: Optional[str] = None
     gap: Optional[Callable[[dict, np.ndarray, np.ndarray], float]] = None
+    cube: Optional[Callable[[dict], tuple]] = None
 
 
 FAMILY_TABLE = {
@@ -750,7 +769,7 @@ FAMILY_TABLE = {
     "interval_chebyshev_net": _Family(_gen_interval_chebyshev, "n", functools.partial(_lp_gap, 2.0)),
     "circle_net": _Family(_gen_circle, "n"),
     "cantor_net": _Family(_gen_cantor, "level", functools.partial(_lp_gap, 1.0)),
-    "grid_net": _Family(_gen_grid, "m", functools.partial(_lp_gap, None)),
+    "grid_net": _Family(_gen_grid, "m", functools.partial(_lp_gap, None), _grid_cube),
     "sphere_fibonacci_net": _Family(_gen_sphere, "n", _sphere_gap),
     "hyperbolic_disk_net": _Family(_gen_hyperbolic, "n_r"),
     "complete_bipartite": _Family(_gen_bipartite),

@@ -19,8 +19,8 @@ from maglab import (
 )
 from maglab import analysis as analysis_module
 from maglab.analysis import (
-    WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
-    _first_indefinite,
+    _CHIRP_BLOCK, WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
+    _first_indefinite, _linspace_part,
 )
 from maglab.errors import InsufficientRecords, InvalidParams, QuadratureDivergence
 from maglab.magnitude import _Kron, psd_tolerance, similarity
@@ -53,21 +53,23 @@ class TestCosineTransform:
             (np.linspace(0.0, 9.0, 980), np.linspace(-0.4, 4.0, 22)),
             # shorter than the frequency grid
             (np.linspace(-2.0, 3.0, 5), np.linspace(0.0, 1.0, 11)),
-            # commensurate grids, P = 1 / (dx dw) an integer at most 3 S:
-            # N = 4097 > P = 512 folds
+            # commensurate grids, P = 1 / (dx dw) an integer, on which the
+            # trapezoid sum is periodic in k: N = 4097 > P = 512
             (np.linspace(0.0, 4.0, 4097), np.linspace(0.0, 98.0, 50)),
-            # M - 1 = 199 > P / 2 = 128 reads conjugate bins, with x[0] < 0
+            # M - 1 = 199 > P / 2 = 128, with x[0] < 0
             (np.linspace(-1.5, 2.5, 257), np.linspace(0.0, 49.75, 200)),
             # nonzero x[0] and w[0], P = 1024
             (np.linspace(-1.0, 3.0, 1025), np.linspace(-0.75, 9.0, 40)),
             # P = 2
             (np.linspace(-0.5, 1.0, 4), np.linspace(0.0, 5.0, 6)),
-            # S = 1050: P = 3 S = 3150 takes the DFT, P = 3151 the chirp-z
+            # S = 1050, P = 3 S = 3150 and P = 3151
             (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3150, 33)),
             (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3151, 33)),
             # dx dw underflows to 0, and to a subnormal: no warning
             (np.linspace(0.0, 1e-169, 11), np.linspace(0.0, 1e-169, 11)),
             (np.linspace(0.0, 1e-160, 11), np.linspace(0.0, 1e-161, 11)),
+            # three blocks of 6,667 samples, x[0] < 0 and w[0] < 0
+            (np.linspace(-3.0, 37.0, 20001), np.linspace(-0.7, 4.1, 97)),
         ],
     )
     def test_matches_trapezoid_reference(self, x, omegas):
@@ -92,25 +94,43 @@ class TestCosineTransform:
             monkeypatch.setattr(np.fft, name, recorded(name))
         return calls
 
-    def test_incommensurate_grid_takes_a_fast_length(self, ffts):
-        """At L = 700, P = 3744.9; N + M - 1 = 65,937 pads to the 11-smooth
-        66,000, not to 2^17."""
-        gamma_hat_1d(0.5, L=700.0)
-        assert ffts == [("fft", 66000), ("fft", 66000), ("ifft", 66000)]
+    @pytest.mark.parametrize("transform, blocks, size", [
+        # N + 1 = 65,537 samples in nine blocks of 7,282 or 7,281; 7,682 pads to 7,700
+        (lambda: gamma_hat_1d(1.0), 9, 7700),
+        (lambda: gamma_hat_1d(0.5, L=700.0), 9, 7700),
+        # 2^20 + 1 samples in 129 blocks of 8,129 or 8,128
+        (lambda: gamma_hat_1d(1.0, N=2**20), 129, 8575),
+        # the upper bound's 4,095-point bump at 2,001 frequencies
+        (lambda: _cosine_transform(np.ones(4095), np.linspace(-0.9, 0.9, 4095),
+                                   np.linspace(0.0, 20.0, 2001)), 1, 6125),
+        (lambda: _cosine_transform(np.ones(1000), np.linspace(-2.0, 997.0, 1000),
+                                   np.linspace(0.0, 32.0 / 3150, 33)), 1, 1050),
+    ], ids=["default-grid", "p0.5-L700", "N2^20", "bump", "short"])
+    def test_one_chirp_fft_then_two_per_block(self, ffts, transform, blocks, size):
+        """The conjugate chirp's FFT, then a forward and an inverse FFT per
+        block, all of the 11-smooth length past the longest block's
+        convolution; no real FFT."""
+        transform()
+        assert ffts == [("fft", size)] + [("fft", size), ("ifft", size)] * blocks
 
-    def test_default_grid_takes_one_real_fft(self, ffts):
-        """L = 40, N = 2^16 and w on k / 40 give P = 2^16."""
-        gamma_hat_1d(1.0)
-        assert ffts == [("rfft", 65536)]
-
-    @pytest.mark.parametrize("period, calls", [
-        (3150, [("rfft", 3150)]),
-        (3151, [("fft", 1050), ("fft", 1050), ("ifft", 1050)]),
+    @pytest.mark.parametrize("L, N", [
+        (40.0, 2**16), (700.0, 2**16), (700.0, 2**20), (3.3, 1001), (1e-3, 7), (0.1, 1),
     ])
-    def test_dft_up_to_three_chirp_lengths(self, ffts, period, calls):
-        x, omegas = np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / period, 33)
-        _cosine_transform(np.exp(-np.abs(x)), x, omegas)
-        assert ffts == calls
+    def test_block_samples_are_linspace_bits(self, L, N):
+        """The blocks `_chirp_z` asks `gamma_hat_1d` for are made alone, and
+        hold np.linspace(0, L, N + 1)'s bits."""
+        n, blocks = N + 1, -(-(N + 1) // _CHIRP_BLOCK)
+        bounds = [i * n // blocks for i in range(blocks + 1)]
+        parts = [_linspace_part(L, N, j0, j1) for j0, j1 in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == np.linspace(0.0, L, n).tobytes()
+
+    @pytest.mark.parametrize("p, L", [(1.0, 40.0), (1.5, 40.0), (2.0, 40.0), (0.5, 700.0)])
+    def test_generated_samples_transform_as_an_array(self, p, L):
+        """gamma_hat_1d, whose samples are made block by block, gives the bits
+        of the same transform of the whole sample array."""
+        x, omegas = np.linspace(0.0, L, 2**16 + 1), np.linspace(0.0, 10.0, 401)
+        expected = _cosine_transform(np.exp(-(x**p)), x, omegas)
+        assert gamma_hat_1d(p, L=L).values.tobytes() == expected.tobytes()
 
 
 class TestApproxMagnitude:
@@ -332,7 +352,7 @@ class TestGammaHat:
         def refuse(*args):
             raise AssertionError("an unresolved grid was transformed")
 
-        monkeypatch.setattr(analysis_module, "_cosine_transform", refuse)
+        monkeypatch.setattr(analysis_module, "_chirp_z", refuse)
         with pytest.raises(InvalidParams, match=r"N / \(2L\) = 3.28e-304;"):
             gamma_hat_1d(1.0, L=1e308)
         with pytest.raises(InvalidParams, match="Nyquist"):

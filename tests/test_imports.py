@@ -1,7 +1,7 @@
 """Every name a maglab module imports is used in that module, only
 `magnitude._similarity` reads a space's structure or tests its symmetry
-under reversal, `generate` and the convergence study know a family only
-by its `FAMILY_TABLE` record, and no module imports
+under reversal, `generate`, the convergence study and the growth-bound
+study know a family only by its `FAMILY_TABLE` record, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
 that needs it, also when that call runs on a worker, no call loads
@@ -104,7 +104,10 @@ def test_structure_test_is_caught(tmp_path):
 
 
 # the functions that learn all they know of a family from its FAMILY_TABLE record
-FAMILY_BLIND = {"metric_core.py": {"generate"}, "analysis.py": {"approx_magnitude", "_ambient_gap"}}
+FAMILY_BLIND = {
+    "metric_core.py": {"generate"},
+    "analysis.py": {"approx_magnitude", "_ambient_gap", "growth_bound_study"},
+}
 
 
 def _is_params(node) -> bool:
@@ -230,7 +233,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_a_fourier_call_loads_no_heavy_scipy_subpackage(tmp_path):
-    # the chirp-z transform (`--p 0.5 --L 700`) and the one-FFT path (`--p 1`)
+    # the blocked chirp-z on two grids (`--p 1`, `--p 0.5 --L 700`)
     spec = tmp_path / "k32.json"
     spec.write_text('{"family": "complete_bipartite", "params": {"m": 3, "n": 2}}')
     code = (
@@ -322,16 +325,18 @@ def test_first_solves_on_two_workers_match_a_rerun():
 
 
 def test_threads_start_only_for_shared_work():
-    """Importing the CLI, checking a one-band matrix (n <= 50) and sweeping
+    """Importing the CLI, checking a one-band matrix (n <= 50), sweeping
     one stacked block of scales (the 4,000-scale K_{3,2} sweep, the l_1 grid
-    sweep) start no thread and load no thread pool.  An 800-point sphere's
+    sweep) and scanning one (the 25-point product counterexample, whose Gram
+    test leads it) start no thread and load no thread pool.  An 800-point sphere's
     sweep and scan on one BLAS thread, then a 400-point check, start at most
     one thread per CPU beyond the caller, all in the one pool."""
     code = (
         "import os, sys, threading\n"
         "import numpy as np\n"
         "import maglab.cli\n"
-        "from maglab import SpaceSpec, generate, scale_sweep, stability_scan, validate_metric\n"
+        "from maglab import (SpaceSpec, generate, product_counterexample_experiment,\n"
+        "                    scale_sweep, stability_scan, validate_metric)\n"
         "counts = [threading.active_count()]\n"
         "def cloud(n):\n"
         "    x = np.random.default_rng(n).uniform(0.0, 4.0, size=(n, 2))\n"
@@ -342,6 +347,7 @@ def test_threads_start_only_for_shared_work():
         "scale_sweep(k32, np.linspace(0.2, 0.5, 4000))\n"
         "grid = generate(SpaceSpec('grid_net', {'m': 31, 'n': 2, 'p': 1.0}))\n"
         "scale_sweep(grid, np.geomspace(0.5, 16.0, 6))\n"
+        "assert product_counterexample_experiment().classification == 'NotStablyPD'\n"
         "counts.append(threading.active_count())\n"
         "assert 'concurrent.futures.thread' not in sys.modules\n"
         "sphere = generate(SpaceSpec('sphere_fibonacci_net', {'n': 800}))\n"

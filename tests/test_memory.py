@@ -1,6 +1,7 @@
 """Each stage holds at most one working n x n array beyond its inputs and
 its output: its `tracemalloc` peak above the memory traced before it,
-counted in n x n float matrices (in MiB for the cosine transform).
+counted in n x n float matrices (in MiB for the cosine transform, whose
+peak does not grow with its number of samples).
 
 numpy reports its arrays to `tracemalloc`; LAPACK's internal copies are not
 counted.  The bounds hold on one CPU, where `_each` runs inline and the
@@ -50,16 +51,29 @@ def cloud(box: float):
 
 
 def test_cosine_transform_holds_two_buffers():
-    # N = 2^16 samples and 401 frequencies: the chirp-z path, two complex
-    # buffers of 66,000 entries, beside the samples and their scaled copy
+    # 401 frequencies and blocks of at most 8,192 samples: two complex
+    # buffers of 7,700 entries at N = 2^16 and of 8,575 at N = 2^20, beside
+    # the chirp and one block of samples; no array of N + 1 entries
     gamma_hat_1d(0.5, L=700.0, N=2**10, omega_max=0.5)
-    assert traced_peak(gamma_hat_1d, 0.5, 700.0) <= 3.75 * MiB
+    for n in (2**16, 2**20):
+        assert traced_peak(gamma_hat_1d, 0.5, 700.0, n) <= 0.625 * MiB
 
 
 def test_sphere_builds_in_the_array_it_returns():
     generate(SpaceSpec("sphere_fibonacci_net", {"n": 70}))
     spec = SpaceSpec("sphere_fibonacci_net", {"n": 800})
     assert traced_peak(generate, spec) / (8.0 * 800**2) <= 1.25
+
+
+@pytest.mark.parametrize("family,small,params", [
+    ("circle_net", {"n": 70}, {"n": 1201}),
+    ("hyperbolic_disk_net", {"n_r": 3, "n_theta": 23}, {"n_r": 20, "n_theta": 60}),
+])
+def test_circle_and_disk_build_in_the_array_they_return(family, small, params):
+    # 1,201 points each
+    generate(SpaceSpec(family, small))
+    spec = SpaceSpec(family, params)
+    assert traced_peak(generate, spec) / (8.0 * 1201**2) <= 1.25
 
 
 def test_gram_test_holds_one_matrix(sphere):

@@ -36,6 +36,7 @@ from maglab.errors import (
 
 from maglab import metric_core
 from maglab.metric_core import (
+    _BAND,
     FAMILY_TABLE,
     TRIANGLE_SLACK,
     ValidationReport,
@@ -522,6 +523,23 @@ class TestGeneratorsMatchReference:
                     else:
                         assert got.coords.tobytes() == expected.coords.tobytes()
                         assert got.coords.shape == expected.coords.shape
+
+
+    @pytest.mark.parametrize("family,params", [
+        ("circle_net", {"circumference": 3.0, "n": 150}),
+        ("hyperbolic_disk_net", {"r_max": 1.3, "n_r": 15, "n_theta": 10}),
+        ("sphere_fibonacci_net", {"radius": 2.0, "n": 150}),
+    ])
+    def test_bit_identical_past_one_band(self, family, params):
+        """Nets built by bands of rows, or from one vector by offset, with
+        more points than one band (`_BAND`) holds."""
+        reference = _REFERENCE_FAMILIES[family][0]
+        assert len(generate(SpaceSpec(family, params))) > _BAND
+        for scale, snowflake in ((1.0, 1.0), (2.5, 0.5)):
+            base, _ = reference(params, 0)
+            expected = FiniteMetricSpace(range(len(base)), scale * base**snowflake)
+            got = generate(SpaceSpec(family, params, scale, snowflake))
+            assert got.dist.tobytes() == expected.dist.tobytes()
 
 
 class TestGenerate:
