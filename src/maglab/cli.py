@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 domain error (e.g. a non-positive-definite
 similarity matrix, a space too large for memory, or a warning that the
 interpreter raises as an error, as under `python -W error`), 2 usage or I/O error
-(bad arguments, a missing file, a malformed spec).  Each subcommand maps its parsed arguments to a report,
-text lines and an exit code, and prints nothing; `run` writes the report to
---json (and its records to --csv) before it prints the lines.
+(bad arguments, a missing file, a malformed spec, a closed stdout).  Each
+subcommand maps its parsed arguments to a report, its text lines (an iterable,
+made as they are printed) and an exit code, and prints nothing; `run` writes
+the report to --json (and its records to --csv) before it prints the lines,
+one at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,6 +28,9 @@ from . import analysis, metric_core, negative_type
 from .diversity import max_diversity
 from .magnitude import scale_sweep, weighting
 from .errors import MaglabError
+
+
+JSON_CHUNK = 256  # items of a report's list or array that one json.dumps call encodes
 
 
 class UsageError(Exception):
@@ -96,6 +102,32 @@ def _write_csv(path, records) -> None:
         writer.writerows([getattr(r, name) for name in names] for r in records)
 
 
+def _write_json(path, report) -> None:
+    """Write `json.dumps(report, default=_json_default) + "\n"` to path, byte
+    for byte, holding one field's text at a time, or one chunk of JSON_CHUNK
+    items of a longer list, tuple or array field; remove the file if a
+    write fails partway."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write("{")
+            for i, (key, value) in enumerate(metric_core._json_default(report).items()):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                if isinstance(value, (list, tuple, np.ndarray)) and len(value) > JSON_CHUNK:
+                    for j in range(0, len(value), JSON_CHUNK):
+                        text = json.dumps(value[j:j + JSON_CHUNK],
+                                          default=metric_core._json_default)
+                        fh.write(f"{', ' if j else '['}{text[1:-1]}")
+                    fh.write("]")
+                else:
+                    fh.write(json.dumps(value, default=metric_core._json_default))
+            fh.write("}\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):  # never /dev/stdout
+            os.remove(path)
+        raise
+
+
 def _add_space_source(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", help="headerless CSV distance matrix")
@@ -140,14 +172,16 @@ def _cmd_diversity(args):
 
 def _cmd_sweep(args):
     sweep = scale_sweep(_load_space(args), args.scales, with_diversity=args.with_diversity)
-    lines = [f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}"]
-    lines += [
-        "%12.6g %14.6g %22s %14.8g" % (r.t, r.lambda_min, r.verdict, r.magnitude)
-        if r.magnitude is not None
-        else "%12.6g %14.6g %22s %14s" % (r.t, r.lambda_min, r.verdict, "-")
-        for r in sweep.records
-    ]
-    return sweep, lines, 0
+    return sweep, _sweep_lines(sweep.records), 0
+
+
+def _sweep_lines(records):
+    yield f"{'t':>12} {'lambda_min':>14} {'verdict':>22} {'magnitude':>14}"
+    for r in records:
+        if r.magnitude is not None:
+            yield "%12.6g %14.6g %22s %14.8g" % (r.t, r.lambda_min, r.verdict, r.magnitude)
+        else:
+            yield "%12.6g %14.6g %22s %14s" % (r.t, r.lambda_min, r.verdict, "-")
 
 
 def _failing_lines(report) -> list:
@@ -173,18 +207,21 @@ def _cmd_approx(args):
     study = analysis.approx_magnitude(
         template, args.levels, quadrature=args.quadrature
     )
-    lines = []
+    return study, _approx_lines(study), 1 if study.extrapolated_limit is None else 0
+
+
+def _approx_lines(study):
     for r in study.records:
         mag = f"{r.magnitude:.10g}" if r.magnitude is not None else f"FAILED: {r.failure}"
         gap = f"{r.gap:.3g}" if r.gap is not None else "-"
-        lines.append(f"level {r.level:>6}  points {r.n_points:>7}  gap {gap:>10}  {mag}")
+        yield f"level {r.level:>6}  points {r.n_points:>7}  gap {gap:>10}  {mag}"
     if study.extrapolated_limit is None:
-        return study, [*lines, "no positive definite levels"], 1
-    lines.append(
-        f"extrapolated limit {study.extrapolated_limit:.10g}  "
-        f"monotone {study.monotone}"
-    )
-    return study, lines, 0
+        yield "no positive definite levels"
+    else:
+        yield (
+            f"extrapolated limit {study.extrapolated_limit:.10g}  "
+            f"monotone {study.monotone}"
+        )
 
 
 def _cmd_fourier(args):
@@ -303,11 +340,13 @@ def run(argv) -> CommandResult:
         return CommandResult(int(exc.code or 0))
     try:
         report, lines, exit_code = args.func(args)
-        if args.json:  # compact, so json's C encoder writes it
-            text = json.dumps(report, default=metric_core._json_default)
-            Path(args.json).write_text(text + "\n")
+        if args.json:
+            _write_json(args.json, report)
         if getattr(args, "csv", None):
             _write_csv(args.csv, report.records)
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2)
@@ -319,12 +358,17 @@ def run(argv) -> CommandResult:
     except (MemoryError, Warning) as exc:  # too large for its dense matrix; a warning as error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CommandResult(1)
-    print(*lines, sep="\n")
     return CommandResult(exit_code)
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]).exit_code)
+    exit_code = run(sys.argv[1:]).exit_code
+    try:
+        sys.stdout.flush()
+    except OSError:  # a closed stdout: what is left goes to devnull, so that the
+        # interpreter's own flush at exit prints no "Exception ignored" lines
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(exit_code)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,22 @@
+import dataclasses
+import errno
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from maglab import SpaceSpec, generate
-from maglab.cli import _parse_scales, build_parser, run
+from maglab.cli import JSON_CHUNK, _parse_scales, _write_json, build_parser, run
 from maglab.magnitude import _Fold, _similarity
+from maglab.metric_core import _json_default
+
+from conftest import report_corpus
 
 
 @pytest.fixture
@@ -98,6 +106,167 @@ class TestSweepCommand:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 4
         assert "Indefinite" in rows[1]
+
+
+class TestStdout:
+    """The table is printed row by row with the text it always had, and a
+    closed stdout is an I/O error."""
+
+    def test_sweep_table(self, k32_spec_json, capsys):
+        assert run(["sweep", "--spec", k32_spec_json, "--scales", "0.25:1:3log"]).exit_code == 0
+        assert capsys.readouterr().out == (
+            "           t     lambda_min                verdict      magnitude\n"
+            "        0.25     -0.0218235             Indefinite              -\n"
+            "         0.5      0.0547853       PositiveDefinite      1.7768316\n"
+            "           1       0.299349       PositiveDefinite      2.4305929\n"
+        )
+
+    def test_approx_table(self, capsys):
+        assert run(["approx", "--family", "interval", "--levels", "3,5,9"]).exit_code == 0
+        assert capsys.readouterr().out == (
+            "level      3  points       3  gap       0.25  1.489837325\n"
+            "level      5  points       5  gap      0.125  1.497412007\n"
+            "level      9  points       9  gap          0  1.499349974\n"
+            "extrapolated limit 1.500289427  monotone True\n"
+        )
+
+    def test_long_table_is_one_line_per_record(self, k32_spec_json, capsys):
+        argv = ["sweep", "--spec", k32_spec_json, "--scales", "0.2:0.5:4000"]
+        args = build_parser().parse_args(argv)
+        _, lines, _ = args.func(args)
+        assert not isinstance(lines, list)  # made as they are printed
+        assert run(argv).exit_code == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{line}\n" for line in lines) and out.count("\n") == 4001
+
+    @staticmethod
+    def _maglab(argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.Popen([sys.executable, "-m", "maglab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def _assert_io_error(self, proc):
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 2
+        assert err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+    def test_closed_pipe_after_one_line(self, k32_spec_json, tmp_path):
+        # 40,000 rows fill the pipe long before the reader closes it
+        out = tmp_path / "sweep.json"
+        proc = self._maglab(["sweep", "--spec", k32_spec_json, "--scales", "0.2:0.5:40000",
+                             "--json", str(out)])
+        assert proc.stdout.readline().split() == ["t", "lambda_min", "verdict", "magnitude"]
+        proc.stdout.close()
+        self._assert_io_error(proc)
+        assert len(json.loads(out.read_text())["records"]) == 40000
+
+    def test_pipe_closed_before_the_first_line(self, k32_spec_json):
+        # the one line waits in stdout's buffer, so the flush meets the closed pipe
+        proc = self._maglab(["magnitude", "--spec", k32_spec_json])
+        proc.stdout.close()
+        self._assert_io_error(proc)
+
+
+def _dumped(argv) -> str:
+    """What json.dumps makes of the report that argv's command builds."""
+    args = build_parser().parse_args(argv)
+    report, _, _ = args.func(args)
+    return json.dumps(report, default=_json_default) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    values: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Fields:
+    floats: list
+    pairs: tuple
+    array: np.ndarray
+    rows: np.ndarray
+    records: list
+    inner: _Inner
+    empty: list = dataclasses.field(default_factory=list)
+
+
+# lengths of one chunk less one, one chunk, one more, and two chunks and one
+AROUND_CHUNK = (JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1, 2 * JSON_CHUNK + 1)
+
+
+class TestJsonWriter:
+    """--json is written in chunks, with json.dumps's bytes."""
+
+    @staticmethod
+    def _assert_dumped(argv, tmp_path, exit_code=0):
+        expected = _dumped(argv)
+        out = tmp_path / "report.json"
+        assert run([*argv, "--json", str(out)]).exit_code == exit_code, argv
+        assert out.read_text() == expected, argv
+
+    def test_corpus(self, tmp_path, capsys):
+        # every subcommand, and validate's Infinity
+        for argv, exit_code in report_corpus(tmp_path):
+            self._assert_dumped(argv, tmp_path, exit_code)
+        assert "Infinity" in _dumped(["validate", str(tmp_path / "overflow.csv")])
+
+    @pytest.mark.parametrize("n", [1, *AROUND_CHUNK, 4000])
+    def test_sweep_records(self, n, k32_spec_json, tmp_path, capsys):
+        self._assert_dumped(["sweep", "--spec", k32_spec_json, "--scales", f"0.2:0.5:{n}"],
+                            tmp_path)
+
+    @pytest.mark.parametrize("n", [1, *AROUND_CHUNK])
+    def test_weighting_array(self, n, tmp_path, capsys):
+        spec = tmp_path / "interval.json"
+        spec.write_text(SpaceSpec("interval_net", {"n": n, "length": 10.0}).to_json())
+        self._assert_dumped(["magnitude", "--spec", str(spec)], tmp_path)
+
+    def test_support_tuple(self, tmp_path, capsys):
+        spec = tmp_path / "interval.json"
+        spec.write_text(SpaceSpec("interval_net", {"n": 300, "length": 10.0}).to_json())
+        self._assert_dumped(["diversity", "--spec", str(spec)], tmp_path)
+        assert len(json.loads((tmp_path / "report.json").read_text())["support"]) == 300
+
+    def test_nested_witness_vector(self, k32_spec_json, tmp_path, capsys):
+        self._assert_dumped(["negtype", "--spec", k32_spec_json], tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["negative_type"]["witness_vector"]) == 5
+
+    @pytest.mark.parametrize("n", [0, 1, *AROUND_CHUNK])
+    def test_field_kinds(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        report = _Fields(
+            floats=rng.normal(size=n).tolist(),
+            pairs=tuple((i, None) for i in range(n)),
+            array=rng.normal(size=n),
+            rows=rng.normal(size=(n, 2)),
+            records=[_Inner(rng.normal(size=2)) for _ in range(n)],
+            inner=_Inner(np.arange(n, dtype=float)),
+        )
+        out = tmp_path / "report.json"
+        _write_json(out, report)
+        assert out.read_text() == json.dumps(report, default=_json_default) + "\n"
+
+    def test_failed_write_leaves_no_file(self, k32_spec_json, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "report.json"
+        dumps, chunks = json.dumps, []
+
+        def dumps_then_fail(obj, **kw):
+            if isinstance(obj, list):
+                chunks.append(out.exists())
+                if len(chunks) > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return dumps(obj, **kw)
+
+        monkeypatch.setattr(json, "dumps", dumps_then_fail)
+        argv = ["sweep", "--spec", k32_spec_json, "--scales", "0.2:0.5:4000"]
+        assert run([*argv, "--json", str(out)]).exit_code == 2
+        assert chunks == [True, True] and not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 class TestParseScales:

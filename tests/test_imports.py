@@ -1,7 +1,8 @@
 """Every name a maglab module imports is used in that module, only
 `magnitude._similarity` reads a space's structure or tests its symmetry
 under reversal, `generate`, the convergence study and the growth-bound
-study know a family only by its `FAMILY_TABLE` record, and no module imports
+study know a family only by its `FAMILY_TABLE` record, only `cli._write_json`
+writes a report and no module calls `json.dump`, and no module imports
 scipy when it loads: `import maglab` and `import maglab.cli` load numpy and
 the standard library only, each scipy subpackage loads at the first call
 that needs it, also when that call runs on a worker, no call loads
@@ -148,6 +149,55 @@ def test_family_knowledge_is_caught(tmp_path):
     assert _family_knowledge(module, {"generate", "_ambient_gap"}) == [
         "spec.family in ('grid_net',)", "spec.params['m']", "params.get('p', 2.0)",
         "'sphere' != fine",
+    ]
+
+
+REPORT_WRITES = ("json.dump", "json.dumps", ".write_text", "_write_json")
+
+
+def _report_writes(path: Path) -> list:
+    """(top-level definition, call) for each call in `path` of a name in
+    REPORT_WRITES, a method written with its dot."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) != "json":
+                name = f".{func.attr}"
+            else:
+                name = ast.unparse(func)
+            if name in REPORT_WRITES:
+                found.append((getattr(top, "name", None), name))
+    return found
+
+
+def test_one_report_writer():
+    # run hands every --json report to _write_json, the one caller of json.dumps
+    writes = _report_writes(SRC / "cli.py")
+    assert [w for w in writes if w[1] == "_write_json"] == [("run", "_write_json")]
+    assert set(writes) == {("run", "_write_json"), ("_write_json", "json.dumps")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_json_dump(path):
+    # json.dump takes json's pure-Python encoder, about 2.6 times as slow
+    assert all(name != "json.dump" for _, name in _report_writes(path))
+
+
+def test_report_write_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import json\n"
+        "def run(a, r, fh):\n    _write_json(a, r)\n    json.dump(r, fh)\n"
+        "    fh.dump(r)\n    json.loads(r)\n"
+        "\n\nclass A:\n    def f(self, path):\n        path.write_text(json.dumps(self))\n"
+        "\n\nTEXT = json.dumps({})\n"
+    )
+    assert _report_writes(module) == [
+        ("run", "_write_json"), ("run", "json.dump"),
+        ("A", ".write_text"), ("A", "json.dumps"), (None, "json.dumps"),
     ]
 
 

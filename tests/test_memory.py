@@ -1,7 +1,8 @@
 """Each stage holds at most one working n x n array beyond its inputs and
 its output: its `tracemalloc` peak above the memory traced before it,
-counted in n x n float matrices (in MiB for the cosine transform, whose
-peak does not grow with its number of samples).
+counted in n x n float matrices (in MiB for the cosine transform and the
+--json writer, whose peaks do not grow with their number of samples or
+records).
 
 numpy reports its arrays to `tracemalloc`; LAPACK's internal copies are not
 counted.  The bounds hold on one CPU, where `_each` runs inline and the
@@ -20,6 +21,8 @@ from maglab import (
     SpaceSpec, generate, max_diversity, negative_type_test, random_cloud_spec, validate_metric,
 )
 from maglab.analysis import gamma_hat_1d
+from maglab.cli import _write_json
+from maglab.magnitude import scale_sweep, weighting
 
 MiB = 2.0**20
 
@@ -57,6 +60,22 @@ def test_cosine_transform_holds_two_buffers():
     gamma_hat_1d(0.5, L=700.0, N=2**10, omega_max=0.5)
     for n in (2**16, 2**20):
         assert traced_peak(gamma_hat_1d, 0.5, 700.0, n) <= 0.625 * MiB
+
+
+@pytest.mark.parametrize("report", [
+    # 100,000 records (13.7 MB of JSON), and the 1,002,001 weights of the
+    # l_1 grid, Kronecker products of two 1,001-point interval weightings (20.8 MB)
+    lambda: scale_sweep(generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2})),
+                        np.linspace(0.2, 0.5, 100_000).tolist()),
+    lambda: weighting(generate(SpaceSpec("grid_net", {"m": 1001, "n": 2, "p": 1.0},
+                                         scale=1000.0))),
+], ids=["sweep-100000-scales", "grid-1002001-weights"])
+def test_report_writer_holds_one_chunk(report, tmp_path):
+    # json.dumps of the whole report held its text, and more: 32.2 and 54.3 MiB
+    path = tmp_path / "report.json"
+    _write_json(path, scale_sweep(generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2})),
+                                  np.linspace(0.2, 0.5, 600).tolist()))
+    assert traced_peak(_write_json, path, report()) <= 0.5 * MiB
 
 
 def test_sphere_builds_in_the_array_it_returns():

@@ -13,6 +13,8 @@ from maglab import SpaceSpec, generate
 from maglab.cli import build_parser, run
 from maglab.metric_core import FAMILY_TABLE
 
+from conftest import SPACES, report_corpus
+
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
@@ -41,17 +43,6 @@ def emit(tmp_path, space, *argv) -> dict:
     matrix = tmp_path / "space.csv"
     np.savetxt(matrix, space.dist, delimiter=",", fmt="%.17g")
     return run_json(tmp_path, argv[0], "--matrix", str(matrix), *argv[1:])
-
-
-SPACES = {
-    "l1-grid": SpaceSpec("grid_net", {"m": 6, "n": 2, "p": 1.0}),
-    # not positively weighted: its diversity takes the NNLS path
-    "cloud": SpaceSpec("point_cloud_lp", {"points": np.random.default_rng(6).uniform(
-        0, 1, size=(5, 2)).tolist(), "p": 1.0}),
-    "k32-threshold": SpaceSpec(
-        "complete_bipartite", {"m": 3, "n": 2, "r": math.log(math.sqrt(2.0))}
-    ),
-}
 
 
 @pytest.mark.parametrize("label", sorted(SPACES))
@@ -179,36 +170,7 @@ def test_json_is_strict_but_for_known_fields(tmp_path, capsys):
     matrix whose asymmetry overflows, parses with parse_constant set to
     raise, except for the fields in NONFINITE_TODAY, each of which the
     corpus shows holding inf."""
-    def csv(name, dist):
-        path = tmp_path / f"{name}.csv"
-        np.savetxt(path, dist, delimiter=",", fmt="%.17g")
-        return str(path)
-
-    def spec(name, space_spec):
-        path = tmp_path / f"{name}.json"
-        path.write_text(space_spec.to_json())
-        return str(path)
-
-    cloud = csv("cloud", generate(SPACES["cloud"]).dist)
-    k32 = spec("k32", SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
-    threshold = spec("k32-threshold", SPACES["k32-threshold"])
-    corpus = [
-        (["validate", csv("pair", [[0, 1], [1, 0]])], 0),
-        (["validate", csv("triangle", [[0, 1, 3], [1, 0, 1], [3, 1, 0]])], 1),
-        (["validate", csv("overflow", [[0, 1e308], [-1e308, 0]])], 1),
-        (["magnitude", "--matrix", cloud], 0),
-        (["magnitude", "--spec", k32], 0),
-        (["diversity", "--matrix", cloud], 0),
-        (["diversity", "--matrix", csv("l1-grid", generate(SPACES["l1-grid"]).dist)], 0),
-        (["diversity", "--spec", threshold], 0),
-        (["sweep", "--spec", threshold, "--scales", "0.25:1:4log", "--with-diversity"], 0),
-        (["negtype", "--spec", k32], 0),
-        (["approx", "--family", "interval", "--levels", "3,5,9"], 0),
-        (["fourier", "--p", "1.5"], 0),
-        (["fourier", "--p", "2", "--upper-bound", "--ell", "2"], 0),
-        (["experiment", "product-counterexample"], 0),
-        (["experiment", "witness-search", "--p", "inf", "--budget", "400"], 0),
-    ]
+    corpus = report_corpus(tmp_path)
     seen = set()
     out = tmp_path / "report.json"
     for argv, exit_code in corpus:
