@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndefiniteForm, Inconsistent, NotConverged
-from .magnitude import SpectrumDiagnostics, _Kron, _lapack, _similarity, _weighting, similarity
+from .magnitude import SpectrumDiagnostics, _lapack, _similarity, _weighting, similarity
 from .metric_core import FiniteMetricSpace
 
 SUPPORT_THRESHOLD = 1e-9
@@ -180,14 +180,15 @@ def is_positively_weighted(space: FiniteMetricSpace) -> bool:
     order in the negative weight (-2e-4 gives a relative gap near 1e-9), so
     they are compared only for a nonnegative weighting, where magnitude and
     diversity must agree to AGREEMENT_TOL.  A disagreement raises
-    Inconsistent.  One similarity matrix serves the verdict and both solves.
+    Inconsistent.  `_similarity`'s operator serves the verdict and the
+    weighting, and Z, built where the operator does not hold it, the diversity.
     """
-    z = similarity(space)
-    op = _Kron((z[None],))
-    diag = op.spectrum()
-    report = _weighting(op, diag)  # raises NotPositiveDefinite when not PD
+    z = _similarity(space)
+    diag = z.spectrum()
+    report = _weighting(z, diag)  # raises NotPositiveDefinite when not PD
     flag_w = report.positively_weighted
-    div = _max_diversity(z, diag)
+    z = z.dense(0)  # the verdict's Z where its operator holds it; the operator goes
+    div = _max_diversity(similarity(space) if z is None else z, diag)
     gap = abs(report.magnitude - div.diversity)
     if (flag_w and gap > AGREEMENT_TOL * report.magnitude) or (
         not flag_w and div.iterations == 1

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -176,7 +176,7 @@ class _Path:
         )
         return _diagnostics(np.array([sigma_max**-2]), np.array([sigma_min**-2]))[0]
 
-    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
+    def weighting(self) -> tuple:
         """(w, magnitude), with Leinster's w_v = 1 - sum over the gaps e at v
         of 1 / (1 + e^a_e).  As 1 - 1 / (1 + e^a) = (1 + tanh(a / 2)) / 2, an
         end point weighs (1 + tanh(a / 2)) / 2 and an inner point half the
@@ -230,8 +230,8 @@ class _Kron:
     def spectrum(self) -> SpectrumDiagnostics:
         return _diagnostics(*self.spectra()[:2])[0]
 
-    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
-        ws = _per_distinct(lambda f: next(_solve(f, [0], [diag.lambda_min])), self.zs)
+    def weighting(self) -> tuple:
+        ws = _per_distinct(lambda f: _solve(f[0]), self.zs)
         mag = math.prod(float(w.sum()) for w in ws)
         return functools.reduce(np.multiply.outer, ws).ravel(), mag
 
@@ -256,11 +256,10 @@ class _Kron:
     def spectra(self) -> tuple:
         return _spectra(self.zs)
 
-    def magnitudes(self, at: np.ndarray, lambda_min: np.ndarray) -> list:
+    def magnitudes(self, at: np.ndarray) -> list:
         """A block's 1'Z^-1 1 at each scale j in at: the product of the
         factors' `_magnitudes`, one call per distinct stack."""
-        return list(map(math.prod, zip(*_per_distinct(
-            lambda z: _magnitudes(z, at, lambda_min), self.zs))))
+        return list(map(math.prod, zip(*_per_distinct(lambda z: _magnitudes(z, at), self.zs))))
 
     def dense(self, j: int) -> Optional[np.ndarray]:
         """Z at a block's j-th scale, if the block holds it: one factor."""
@@ -304,9 +303,9 @@ class _Fold:
     def spectrum(self) -> SpectrumDiagnostics:
         return _diagnostics(*self.spectra()[:2])[0]
 
-    def weighting(self, diag: SpectrumDiagnostics) -> tuple:
+    def weighting(self) -> tuple:
         h = len(self.dist) // 2
-        y = next(_solve(self.sym, [0], [diag.lambda_min], self.q1))
+        y = _solve(self.sym[0], self.q1)
         u = y[:h] / _SQRT2
         return np.concatenate([u, y[h:], u[::-1]]), _dot(self.q1, y)
 
@@ -347,8 +346,8 @@ class _Fold:
         lo, hi = np.minimum(vals[:k, 0], vals[k:, 0]), np.maximum(vals[:k, -1], vals[k:, -1])
         return lo, hi, _verdict_index(lo, hi)
 
-    def magnitudes(self, at: np.ndarray, lambda_min: np.ndarray) -> list:
-        return _magnitudes(self.sym, at, lambda_min, self.q1)
+    def magnitudes(self, at: np.ndarray) -> list:
+        return _magnitudes(self.sym, at, self.q1)
 
     def dense(self, j: int) -> None:
         return None
@@ -430,29 +429,21 @@ def _each_scale(space: FiniteMetricSpace, ts: list, task, lead=None) -> list:
     each worker building its stacks in buffers that the calling thread
     allocated, so the live similarity entries grow only with the worker
     count; one block and its lead run inline.  The results, and the error
-    raised, are those of a loop on one CPU that calls lead after the blocks.
+    raised, are those of a loop on one CPU that calls lead before the blocks.
     """
     z = _similarity(space, ts=[])
     k = max(1, _STACK_ENTRIES // z.entries)
     blocks = [ts[i : i + k] for i in range(0, len(ts), k)]
 
-    failed = []
-
     def item(scales, bufs):
-        if scales is None:  # the lead: its error waits until every block has run
-            try:
-                return [lead()]
-            except Exception as exc:
-                failed.append(exc)
-                return []
+        if scales is None:  # the lead
+            return [lead()]
         b = z.block(scales, bufs)
         return task(scales, b, *b.spectra())
 
     items = blocks if lead is None else [None, *blocks]
     cpus = _blas_threads() if len(blocks) > 1 else _cpus()  # one block: one worker
     results = _each(item, items, lambda: z.buffers(len(blocks[0])), cpus)
-    if failed:
-        raise failed[0]
     return [r for rs in results for r in rs]
 
 
@@ -480,7 +471,7 @@ def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",
             diagnostics=diag,
         )
-    w, mag = z.weighting(diag)
+    w, mag = z.weighting()
     residual = float(np.abs(z.matvec(w) - 1.0).max())
     tau_w = 1e-10 * max(1.0, float(np.abs(w).max()))
     return MagnitudeReport(
@@ -489,28 +480,25 @@ def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
     )
 
 
-def _solve(zs: np.ndarray, at, lambda_min, rhs=None) -> Iterator[np.ndarray]:
-    """w with Z w = rhs, 1 when not given, for each Z = zs[j], j in at,
-    whose lambda_min is lambda_min[j]: Cholesky with one step of iterative
-    refinement."""
-    b = np.ones(zs.shape[-1]) if rhs is None else rhs
+def _solve(z: np.ndarray, rhs=None) -> np.ndarray:
+    """w with Z w = rhs, 1 when not given: Cholesky with one step of
+    iterative refinement."""
+    b = np.ones(len(z)) if rhs is None else rhs
     # the LAPACK routines behind scipy's cho_factor and cho_solve, unwrapped
     potrf, potrs = _lapack()
-    for j in at:
-        z = zs[j]
-        factor, info = potrf(z, lower=True, clean=False)
-        if info == 0:
-            w = potrs(factor, b, lower=True)[0]
-            yield w + potrs(factor, b - z @ w, lower=True)[0]
-        else:  # marginally PD: least squares gives a weighting with an honest residual
-            logger.debug("Cholesky factor failed (potrf info %d, lambda_min %.3g); "
-                         "weighting by least squares", info, lambda_min[j])
-            yield np.linalg.lstsq(z, b, rcond=None)[0]
+    factor, info = potrf(z, lower=True, clean=False)
+    if info == 0:
+        w = potrs(factor, b, lower=True)[0]
+        return w + potrs(factor, b - z @ w, lower=True)[0]
+    # marginally PD: least squares gives a weighting with an honest residual
+    logger.debug("Cholesky factor failed (side %d, potrf info %d); weighting by least squares",
+                 len(z), info)
+    return np.linalg.lstsq(z, b, rcond=None)[0]
 
 
-def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -> list:
-    """1'Z^-1 1 for each positive definite Z = zs[j], j in at, whose lambda_min
-    is lambda_min[j], or rhs'Z^-1 rhs when rhs is given.
+def _magnitudes(zs: np.ndarray, at: np.ndarray, rhs=None) -> list:
+    """1'Z^-1 1 for each positive definite Z = zs[j], j in at, or
+    rhs'Z^-1 rhs when rhs is given.
 
     Up to side _BORDERED_SIDE, a stacked Cholesky factor of the bordered
     [[Z, 1], [1', inf]] (rhs in place of 1 when given) gives L^-1 1 as each
@@ -524,11 +512,11 @@ def _magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -> list:
     """
     m = zs.shape[-1]
     if m > _BORDERED_SIDE:
-        return [_dot(rhs, w) for w in _solve(zs, at, lambda_min, rhs)]
+        return [_dot(rhs, _solve(zs[j], rhs)) for j in at]
     step = _BORDERED_ENTRIES // (m + 1) ** 2
     return [
         mag for i in range(0, len(at), step)
-        for mag in _bordered_magnitudes(zs, at[i : i + step], lambda_min, rhs)
+        for mag in _bordered_magnitudes(zs, at[i : i + step], rhs)
     ]
 
 
@@ -537,7 +525,7 @@ def _dot(rhs, w: np.ndarray) -> float:
     return float(w.sum() if rhs is None else rhs @ w)
 
 
-def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -> list:
+def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, rhs=None) -> list:
     """`_magnitudes` of one bordered stack.  If its factor fails, each matrix
     is factored alone, and one that fails alone takes `_solve`."""
     m = zs.shape[-1]
@@ -558,7 +546,7 @@ def _bordered_magnitudes(zs: np.ndarray, at: np.ndarray, lambda_min, rhs=None) -
         try:
             mags += _last_row_norms(b[None])
         except np.linalg.LinAlgError:
-            mags.append(_dot(rhs, next(_solve(zs, [j], lambda_min, rhs))))
+            mags.append(_dot(rhs, _solve(zs[j], rhs)))
     return mags
 
 
@@ -602,7 +590,7 @@ def scale_sweep(
     def block_records(scales, z, lo, hi, verdicts):
         # at the PD scales (index 2), the magnitude with no weighting
         pd = np.flatnonzero(verdicts == 2)
-        mags = dict(zip(pd.tolist(), z.magnitudes(pd, lo)))
+        mags = dict(zip(pd.tolist(), z.magnitudes(pd)))
         divs = [None] * len(scales)
         for j, diag in enumerate(_diagnostics(lo, hi) if with_diversity else ()):
             if diag.verdict != "Indefinite":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .magnitude import _each_scale, _verdict_index
-from .metric_core import _BAND, FiniteMetricSpace, _check_indices
+from .metric_core import _BAND, FiniteMetricSpace, _check_indices, _check_scale
 
 DEFAULT_SCAN_SCALES = tuple(2.0**k for k in range(-10, 5))
 
@@ -89,6 +89,8 @@ def stability_scan(
     scales = sorted(float(t) for t in scales)
     if not scales:
         raise InvalidParams("scan scales must be nonempty")
+    for t in scales:  # before the Gram test, which runs first in the batch
+        _check_scale(t)
     space.dist  # a lazy space builds its dense matrix here, not on a worker
     nt, *found = _each_scale(
         space, scales,

@@ -7,6 +7,20 @@ from maglab import FiniteMetricSpace, SpaceSpec, generate
 
 
 @pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every array passed to `np.linalg.eigvalsh`."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+@pytest.fixture
 def two_points():
     return FiniteMetricSpace((0, 1), [[0.0, 1.0], [1.0, 0.0]])
 

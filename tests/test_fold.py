@@ -183,18 +183,6 @@ class TestHalfSizeEigensolves:
     """A sphere net's sweep and scan eigensolve only half-size matrices,
     and give the bits of a per-scale loop on any worker count and block cap."""
 
-    @pytest.fixture
-    def eigvalsh_shapes(self, monkeypatch):
-        shapes = []
-        original = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        return shapes
-
     @pytest.mark.parametrize("n", [30, 31])
     def test_sweep_and_scan_solve_halves(self, eigvalsh_shapes, monkeypatch, n):
         """Each block of two scales is one eigvalsh of its four half-size

@@ -104,6 +104,41 @@ def test_structure_test_is_caught(tmp_path):
     }
 
 
+OPERATORS = ("_Kron", "_Kron.of", "_Fold", "_Path")  # the similarity operators' builders
+
+
+def _operator_builds(path: Path) -> list:
+    """(top-level definition, call) for each call in `path` of a name in
+    OPERATORS, bare or as an attribute."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            if any(name == op or name.endswith("." + op) for op in OPERATORS):
+                found.append((getattr(top, "name", None), name))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "magnitude.py"],
+                         ids=lambda p: p.name)
+def test_only_magnitude_builds_an_operator(path):
+    # every engine takes Z(tX) from `_similarity`, so all share one operator
+    assert _operator_builds(path) == []
+
+
+def test_operator_build_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .magnitude import _Kron, _Path\n"
+        "def f(z, d, ts):\n    return _Kron((z[None],)).spectrum(), magnitude._Kron.of(d, ts)\n"
+        "\n\nclass A:\n    def g(self, d, ts):\n        return _Fold(d, ts), self.z.block(ts)\n"
+        "\n\nLINE = _Path(order, gaps)\nKINDS = (_Kron, _Fold)\n"
+    )
+    assert _operator_builds(module) == [
+        ("f", "magnitude._Kron.of"), ("f", "_Kron"), ("A", "_Fold"), (None, "_Path"),
+    ]
+
+
 # the functions that learn all they know of a family from its FAMILY_TABLE record
 FAMILY_BLIND = {
     "metric_core.py": {"generate"},

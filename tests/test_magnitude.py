@@ -439,18 +439,23 @@ class TestOneEigensolvePerScale:
         assert similarities == [1.0]
         assert flag == weighting(s).positively_weighted
 
-    def test_k32_threshold_sweep_is_one_eigvalsh(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigvalsh
+    @pytest.mark.parametrize("spec, shapes", [
+        (SpaceSpec("interval_net", {"n": 2000}), []),
+        (SpaceSpec("grid_net", {"m": 41, "n": 2, "p": 1.0}), [(1, 41, 41)]),
+        (SpaceSpec("sphere_fibonacci_net", {"n": 800}, scale=3.0), [(2, 400, 400)]),
+    ], ids=["interval-2000", "l1-grid-1681", "sphere-800"])
+    def test_is_positively_weighted_eigensolves_the_operator(self, eigvalsh_shapes, spec, shapes):
+        """The verdict is `_similarity`'s operator's: a line's bidiagonal takes
+        no eigvalsh, an l_1 grid eigensolves its one distinct factor and a
+        reversal-symmetric sphere its two halves in one stack, never the
+        dense Z that the diversity solve reads."""
+        assert is_positively_weighted(generate(spec))
+        assert eigvalsh_shapes == shapes
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def test_k32_threshold_sweep_is_one_eigvalsh(self, eigvalsh_shapes):
         s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 1.0}))
         sweep = scale_sweep(s, np.linspace(0.2, 0.5, 4000))
-        assert calls == [(4000, 5, 5)]
+        assert eigvalsh_shapes == [(4000, 5, 5)]
         first = next(r.t for r in sweep.records if r.verdict != "Indefinite")
         assert first == pytest.approx(LOG_SQRT_2, abs=0.3 / 3999)
 
@@ -511,11 +516,10 @@ def test_sweep_magnitude_is_the_weighting_reports(space, grid):
         assert abs(r.magnitude - expected) <= 16 * u * diag.condition_estimate * expected
 
 
-def one_scale_magnitude(space, t, lambda_min):
+def one_scale_magnitude(space, t):
     """The sweep's magnitude 1'Z^-1 1 at one positive definite scale, from
     the operator of a block of that scale alone."""
-    block = _similarity(space, ts=[t])
-    return block.magnitudes(np.array([0]), np.array([lambda_min]))[0]
+    return _similarity(space, ts=[t]).magnitudes(np.array([0]))[0]
 
 
 def reference_sweep(space, grid, with_diversity=False):
@@ -529,7 +533,7 @@ def reference_sweep(space, grid, with_diversity=False):
         diag = z.spectrum()
         mag = div = None
         if diag.verdict == "PositiveDefinite":
-            mag = one_scale_magnitude(space, t, diag.lambda_min)
+            mag = one_scale_magnitude(space, t)
         if with_diversity and diag.verdict != "Indefinite":
             div = _max_diversity(similarity(space, t), diag).diversity
         records.append(SweepRecord(t, diag.lambda_min, diag.verdict, mag, div))
@@ -779,6 +783,27 @@ class TestWeightingFallback:
         [record] = caplog.records
         assert record.name == "maglab" and record.levelno == logging.DEBUG
         assert "least squares" in record.getMessage()
+
+    @pytest.mark.parametrize("spec, side", [
+        (SpaceSpec("grid_net", {"m": 5, "n": 2, "p": 1.0}), 5),
+        (SpaceSpec("sphere_fibonacci_net", {"n": 40}), 20),
+    ], ids=["l1-grid-factor", "sphere-symmetric-block"])
+    def test_log_names_the_matrix_that_failed(self, monkeypatch, caplog, spec, side):
+        """An l_1 grid's weighting factors its one distinct 5 x 5 factor, and
+        a reversal-symmetric sphere its 20 x 20 symmetric block: the line
+        names that matrix's side and potrf's info, and no other matrix's
+        lambda_min."""
+        s = generate(spec)
+        expected = weighting(s)
+        potrs = magnitude_module._lapack()[1]
+        monkeypatch.setattr(magnitude_module, "_lapack",
+                            lambda: (lambda z, **kwargs: (np.zeros_like(z), 3), potrs))
+        with caplog.at_level(logging.DEBUG, logger="maglab"):
+            rep = weighting(s)
+        assert rep.magnitude == pytest.approx(expected.magnitude, rel=1e-10)
+        [record] = caplog.records
+        assert record.getMessage() == (f"Cholesky factor failed (side {side}, potrf info 3); "
+                                       "weighting by least squares")
 
 
 def k32_near_threshold():

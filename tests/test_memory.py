@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from maglab import (
-    SpaceSpec, generate, max_diversity, negative_type_test, random_cloud_spec, validate_metric,
+    SpaceSpec, generate, is_positively_weighted, max_diversity, negative_type_test,
+    random_cloud_spec, validate_metric,
 )
 from maglab.analysis import gamma_hat_1d
 from maglab.cli import _write_json
@@ -115,10 +116,15 @@ def test_validation_holds_one_matrix():
     (lambda: generate(SpaceSpec("sphere_fibonacci_net", {"n": 800}, scale=3.0)), 1),
 ], ids=["positively-weighted", "nonnegative-solve", "reversal-split"])
 def test_diversity_holds_z_and_one_more(space, iterations):
-    max_diversity(generate(random_cloud_spec(70, 2, seed=1, box=4.0)))
+    small = generate(random_cloud_spec(70, 2, seed=1, box=4.0))
+    max_diversity(small)
+    is_positively_weighted(small)
     space = space()
     assert max_diversity(space).iterations == iterations
     assert matrices(max_diversity, space) <= 2.05
+    if iterations == 1:  # positively weighted: the verdict drops its operator before Z is built
+        assert is_positively_weighted(space)
+        assert matrices(is_positively_weighted, space) <= 2.05
 
 
 @pytest.mark.parametrize("dim,p", [(2, 1.5), (3, 2.0), (3, math.inf)])

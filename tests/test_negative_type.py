@@ -251,9 +251,9 @@ class TestScanOnThePool:
             sys.setswitchinterval(interval)
 
     def test_bad_scale_raises_what_a_loop_raises(self, workers, monkeypatch):
-        """A bad scale raises the block's error, even when the Gram test
-        fails too; a failing Gram test alone raises its own error after
-        the blocks."""
+        """A bad scale raises its error before the batch starts, even when
+        the Gram test would fail too; a failing Gram test alone raises its
+        own error, as the batch's first item."""
         space = self.SPACES["k32"]()[0]
         monkeypatch.setattr(magnitude_module, "_STACK_ENTRIES", 25)  # one scale per block
         with pytest.raises(NonpositiveScale, match="got -1.0"):
