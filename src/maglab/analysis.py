@@ -33,7 +33,7 @@ GROWTH_MARGIN = 0.05  # slack on the volume-ratio lower bound
 WITNESS_SCALES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 WITNESS_MAX_POINTS = 8
 _WITNESS_BLOCK = 256  # trials drawn, grouped by size and eigensolved together
-_CHIRP_BLOCK = 2**13  # samples per block of the chirp-z transform
+_CHIRP_FFT = 2**13  # the chirp-z FFT length, but for short grids and M > 4,096
 _SCREEN_SHIFT = psd_tolerance(1.0) / 2  # half the least verdict band
 
 
@@ -209,21 +209,6 @@ class FourierReport:
     tail_estimate: float
 
 
-def _next_fast_len(target: int) -> int:
-    """The least 11-smooth integer >= target >= 1, the complex-transform
-    length that scipy.fft.next_fast_len gives, with no scipy.fft import."""
-    bound = 1 << (target - 1).bit_length()  # a power of 2 is 11-smooth
-    odd = [1]
-    for prime in (3, 5, 7, 11):
-        grown = []
-        for q in odd:
-            while q <= bound:
-                grown.append(q)
-                q *= prime
-        odd = grown
-    return min(q << (-(-target // q) - 1).bit_length() for q in odd)
-
-
 def _chirp_z(samples, n: int, x0: float, dx: float, omegas: np.ndarray) -> np.ndarray:
     """2 * integral f(x) cos(2 pi x w) dx by the trapezoid rule on the n
     points x_j = x0 + j dx, at every w of the uniform grid ``omegas``, where
@@ -232,17 +217,17 @@ def _chirp_z(samples, n: int, x0: float, dx: float, omegas: np.ndarray) -> np.nd
     With w_k = w_0 + k dw, the trapezoid sum sum_j g_j exp(-2 pi i x_j w_k)
     is a chirp-z (Bluestein) evaluation: 2jk = j^2 + k^2 - (k - j)^2 makes
     it a convolution with the chirp exp(i pi dx dw n^2), taken overlap-add in
-    blocks of at most _CHIRP_BLOCK samples whose lengths differ by at most
-    one, the longest B.  Block j0 <= j < j1 is convolved in place in two
-    complex buffers of the 11-smooth length S = _next_fast_len(B + M - 1),
-    the other holding the conjugate chirp's FFT, taken once, and its M
-    outputs, shifted by exp(-2 pi i (x0 + j0 dx) w_k), are added into one
-    M-vector: the memory held depends on B and M, not on n.
+    the fewest blocks, of lengths differing by at most one, whose convolutions
+    fit one FFT length S, the least power of two >= min(n + M - 1,
+    max(_CHIRP_FFT, 2M)).  Block j0 <= j < j1 is convolved in place in two
+    complex buffers of length S, the other holding the conjugate chirp's FFT,
+    taken once, and its M outputs, shifted by exp(-2 pi i (x0 + j0 dx) w_k),
+    are added into one M-vector: the memory held depends on M, not on n.
     """
     m = len(omegas)
-    blocks = -(-n // _CHIRP_BLOCK)
+    size = 1 << (min(n + m - 1, max(_CHIRP_FFT, 2 * m)) - 1).bit_length()
+    blocks = -(-n // (size - m + 1))
     width = -(-n // blocks)
-    size = _next_fast_len(width + m - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dw = (omegas[-1] - omegas[0]) / max(m - 1, 1)
         # the chirp, its conjugate at both ends of v; squares are exact in

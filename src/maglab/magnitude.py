@@ -460,12 +460,13 @@ def _blas_threads() -> int:
 def weighting(space: FiniteMetricSpace) -> MagnitudeReport:
     """Solve Z w = 1 by Cholesky with one step of iterative refinement."""
     diag = spectrum_diagnostics(space)
-    return _weighting(_similarity(space), diag)
+    z = _similarity(space) if diag.verdict == "PositiveDefinite" else None
+    return _weighting(z, diag)
 
 
 def _weighting(z, diag: SpectrumDiagnostics) -> MagnitudeReport:
-    """`weighting`, given the similarity matrix as `_similarity` gives it
-    and its spectrum diagnostics."""
+    """`weighting`, given the similarity matrix as `_similarity` gives it,
+    unread (None will do) when its spectrum diagnostics refuse it."""
     if diag.verdict != "PositiveDefinite":
         raise NotPositiveDefinite(
             f"similarity matrix is {diag.verdict} (lambda_min={diag.lambda_min:.3g})",

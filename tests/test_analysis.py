@@ -19,7 +19,7 @@ from maglab import (
 )
 from maglab import analysis as analysis_module
 from maglab.analysis import (
-    _CHIRP_BLOCK, WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
+    _CHIRP_FFT, WITNESS_MAX_POINTS, WITNESS_SCALES, WitnessSearchResult, _cosine_transform,
     _first_indefinite, _linspace_part,
 )
 from maglab.errors import InsufficientRecords, InvalidParams, QuadratureDivergence
@@ -49,7 +49,7 @@ class TestCosineTransform:
             (np.linspace(0.0, 5.0, 1000), np.linspace(0.0, 2.5, 26)),
             # N + M - 1 = 1009, a prime
             (np.linspace(-1.0, 6.0, 1000), np.linspace(0.1, 3.7, 10)),
-            # N + M - 1 = 1001, one past the 11-smooth 1000
+            # N + M - 1 = 1001, padded to 1024
             (np.linspace(0.0, 9.0, 980), np.linspace(-0.4, 4.0, 22)),
             # shorter than the frequency grid
             (np.linspace(-2.0, 3.0, 5), np.linspace(0.0, 1.0, 11)),
@@ -62,7 +62,7 @@ class TestCosineTransform:
             (np.linspace(-1.0, 3.0, 1025), np.linspace(-0.75, 9.0, 40)),
             # P = 2
             (np.linspace(-0.5, 1.0, 4), np.linspace(0.0, 5.0, 6)),
-            # S = 1050, P = 3 S = 3150 and P = 3151
+            # P = 3150 and P = 3151
             (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3150, 33)),
             (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 3151, 33)),
             # dx dw underflows to 0, and to a subnormal: no warning
@@ -70,6 +70,11 @@ class TestCosineTransform:
             (np.linspace(0.0, 1e-160, 11), np.linspace(0.0, 1e-161, 11)),
             # three blocks of 6,667 samples, x[0] < 0 and w[0] < 0
             (np.linspace(-3.0, 37.0, 20001), np.linspace(-0.7, 4.1, 97)),
+            # M = 5,000 > 4,096: two blocks of 10,001 samples in FFTs of 2^14
+            (np.linspace(-3.0, 37.0, 20001), np.linspace(-0.7, 24.3, 5000)),
+            # S = 2048, P = 3 S = 6144 and P = 6145
+            (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 6144, 33)),
+            (np.linspace(-2.0, 997.0, 1000), np.linspace(0.0, 32.0 / 6145, 33)),
         ],
     )
     def test_matches_trapezoid_reference(self, x, omegas):
@@ -95,21 +100,28 @@ class TestCosineTransform:
         return calls
 
     @pytest.mark.parametrize("transform, blocks, size", [
-        # N + 1 = 65,537 samples in nine blocks of 7,282 or 7,281; 7,682 pads to 7,700
-        (lambda: gamma_hat_1d(1.0), 9, 7700),
-        (lambda: gamma_hat_1d(0.5, L=700.0), 9, 7700),
-        # 2^20 + 1 samples in 129 blocks of 8,129 or 8,128
-        (lambda: gamma_hat_1d(1.0, N=2**20), 129, 8575),
-        # the upper bound's 4,095-point bump at 2,001 frequencies
+        # N + 1 = 65,537 samples at 401 frequencies, in nine blocks of at
+        # most 8,192 - 400 = 7,792: 7,282 or 7,281
+        (lambda: gamma_hat_1d(1.0), 9, 8192),
+        (lambda: gamma_hat_1d(0.5, L=700.0), 9, 8192),
+        # 2^20 + 1 samples in 135 blocks of 7,768 or 7,767
+        (lambda: gamma_hat_1d(1.0, N=2**20), 135, 8192),
+        # the upper bound's kernel at 2,001 frequencies: 11 blocks of at most
+        # 8,192 - 2,000 = 6,192, 5,958 or 5,957
+        (lambda: gamma_hat_1d(1.0, omega_max=20.0, n_omega=2001), 11, 8192),
+        # its 4,095-point bump, one block: 6,095 pads to 8,192
         (lambda: _cosine_transform(np.ones(4095), np.linspace(-0.9, 0.9, 4095),
-                                   np.linspace(0.0, 20.0, 2001)), 1, 6125),
+                                   np.linspace(0.0, 20.0, 2001)), 1, 8192),
+        # a short grid, 1,032 pads to 2,048
         (lambda: _cosine_transform(np.ones(1000), np.linspace(-2.0, 997.0, 1000),
-                                   np.linspace(0.0, 32.0 / 3150, 33)), 1, 1050),
-    ], ids=["default-grid", "p0.5-L700", "N2^20", "bump", "short"])
+                                   np.linspace(0.0, 32.0 / 3150, 33)), 1, 2048),
+        # M = 5,000 > 4,096: S = 2^14 holds 2M, blocks of at most 11,385
+        (lambda: _cosine_transform(np.ones(20001), np.linspace(-3.0, 37.0, 20001),
+                                   np.linspace(-0.7, 24.3, 5000)), 2, 16384),
+    ], ids=["default-grid", "p0.5-L700", "N2^20", "upper-bound", "bump", "short", "M5000"])
     def test_one_chirp_fft_then_two_per_block(self, ffts, transform, blocks, size):
         """The conjugate chirp's FFT, then a forward and an inverse FFT per
-        block, all of the 11-smooth length past the longest block's
-        convolution; no real FFT."""
+        block, all of one power-of-two length; no real FFT."""
         transform()
         assert ffts == [("fft", size)] + [("fft", size), ("ifft", size)] * blocks
 
@@ -119,7 +131,9 @@ class TestCosineTransform:
     def test_block_samples_are_linspace_bits(self, L, N):
         """The blocks `_chirp_z` asks `gamma_hat_1d` for are made alone, and
         hold np.linspace(0, L, N + 1)'s bits."""
-        n, blocks = N + 1, -(-(N + 1) // _CHIRP_BLOCK)
+        n, m = N + 1, 401  # gamma_hat_1d's default frequency count
+        size = 1 << (min(n + m - 1, _CHIRP_FFT) - 1).bit_length()
+        blocks = -(-n // (size - m + 1))
         bounds = [i * n // blocks for i in range(blocks + 1)]
         parts = [_linspace_part(L, N, j0, j1) for j0, j1 in zip(bounds, bounds[1:])]
         assert np.concatenate(parts).tobytes() == np.linspace(0.0, L, n).tobytes()
@@ -289,6 +303,12 @@ class TestGrowthBoundStudy:
             # the l1 product identity gives the solid square's magnitude
             # (1 + t/2)^2, an upper envelope for any net
             assert check.net_magnitude <= (1 + check.t / 2) ** 2 * 1.05
+
+    def test_skips_a_scale_with_no_magnitude(self):
+        # Z of the 1,681-point l_1 grid at t = 0.01 is PositiveSemidefinite
+        grid = SpaceSpec("grid_net", {"n": 2, "p": 1.0, "m": 41})
+        study = growth_bound_study(grid, [0.01, 4.0, 8.0, 16.0])
+        assert [c.t for c in study.checks] == [4.0, 8.0, 16.0]
 
     def test_requires_grid_template(self):
         with pytest.raises(InvalidParams):

@@ -333,15 +333,6 @@ def test_a_fourier_call_loads_no_heavy_scipy_subpackage(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_next_fast_len_is_scipys():
-    from scipy.fft import next_fast_len
-
-    from maglab.analysis import _next_fast_len
-
-    for k in [*range(1, 20_001), 65_937, 2**20, 2**24 + 12_345]:
-        assert _next_fast_len(k) == next_fast_len(k), k
-
-
 def test_scipy_loads_only_with_the_command_that_needs_it(tmp_path):
     """Importing the CLI loads no scipy module, nor do `validate`, `negtype`
     and both experiments; `magnitude` loads scipy.linalg alone, `diversity`

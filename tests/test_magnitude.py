@@ -439,6 +439,13 @@ class TestOneEigensolvePerScale:
         assert similarities == [1.0]
         assert flag == weighting(s).positively_weighted
 
+    def test_weighting_refuses_before_it_builds_the_solve(self, similarities):
+        # the verdict's build alone: the refused solve builds no second Z
+        s = generate(SpaceSpec("complete_bipartite", {"m": 3, "n": 2, "r": 0.3}))
+        with pytest.raises(NotPositiveDefinite, match="Indefinite"):
+            weighting(s)
+        assert similarities == [1.0]
+
     @pytest.mark.parametrize("spec, shapes", [
         (SpaceSpec("interval_net", {"n": 2000}), []),
         (SpaceSpec("grid_net", {"m": 41, "n": 2, "p": 1.0}), [(1, 41, 41)]),

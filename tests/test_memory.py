@@ -55,9 +55,9 @@ def cloud(box: float):
 
 
 def test_cosine_transform_holds_two_buffers():
-    # 401 frequencies and blocks of at most 8,192 samples: two complex
-    # buffers of 7,700 entries at N = 2^16 and of 8,575 at N = 2^20, beside
-    # the chirp and one block of samples; no array of N + 1 entries
+    # 401 frequencies and blocks of at most 7,792 samples: two complex
+    # buffers of 8,192 entries at N = 2^16 and at N = 2^20, beside the
+    # chirp and one block of samples; no array of N + 1 entries
     gamma_hat_1d(0.5, L=700.0, N=2**10, omega_max=0.5)
     for n in (2**16, 2**20):
         assert traced_peak(gamma_hat_1d, 0.5, 700.0, n) <= 0.625 * MiB

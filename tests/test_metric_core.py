@@ -656,6 +656,12 @@ class TestGenerate:
         with pytest.raises(NonFiniteEntry):
             generate(spec)
 
+    def test_point_cloud_takes_a_flat_list_as_one_coordinate(self):
+        flat = generate(SpaceSpec("point_cloud_lp", {"points": [0, 1, 3]}))
+        column = generate(SpaceSpec("point_cloud_lp", {"points": [[0], [1], [3]]}))
+        assert flat.structure.gaps is not None
+        assert flat.dist.tobytes() == column.dist.tobytes()
+
     def test_point_cloud_needs_a_list_of_points(self):
         with pytest.raises(InvalidParams, match="at least one point"):
             generate(SpaceSpec("point_cloud_lp", {"points": 1.0}))
